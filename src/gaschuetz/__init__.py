@@ -52,7 +52,6 @@ from .complements import (
     all_complements,
     complements_conjugate,
     find_complement,
-    find_complement_in,
 )
 from .lattice import (
     all_subgroups,

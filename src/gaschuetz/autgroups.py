@@ -2,10 +2,12 @@
 
 aut_group backtracks over images of a small generating set of N.
 Candidate images are filtered by cheap invariants (element order, power
-order profile, centralizer size); a full assignment is accepted iff the
-subgroup of N x N generated by the (generator, image) pairs has exactly
-|N| elements and the image map is bijective -- that subgroup is then the
-graph of the automorphism, so acceptance is exact, not heuristic.
+order profile, centralizer size) and pruned by word-order signatures; a
+full assignment is accepted iff the generator images extend without
+conflict to a table of |N| elements with |N| distinct values -- that
+table is then the graph of the automorphism, so acceptance is exact, not
+heuristic.  The same search, run between two groups, decides
+isomorphism (``TransporterSearch``).
 
 The enumeration follows the stabilizer chain of the generator base:
 automorphisms fixing g_0, ..., g_{k-1} and sending g_k to x form a left
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 from . import config
 from .errors import AutBudgetError, PreconditionError
-from .group import FiniteGroup, close_set, is_normal, reduce_generators
+from .group import FiniteGroup, close_set, extend_images, is_normal, reduce_generators
 from .perm import Permutation, identity_images, inverse, mult, perm_order
 from .structure import (
     center,
@@ -57,6 +59,61 @@ def _fingerprints(N: FiniteGroup):
     return fp
 
 
+def _word_sig(a, b):
+    """Orders of ab, ab^2, a^2b and (ab)^2 b: kept by every isomorphism."""
+    ab = mult(a, b)
+    return (
+        perm_order(ab),
+        perm_order(mult(ab, b)),
+        perm_order(mult(a, ab)),
+        perm_order(mult(ab, mult(ab, b))),
+    )
+
+
+def validate(gens, imgs, identity, image_identity, n):
+    """The table of the bijective homomorphism gens -> imgs, or None.
+
+    ``gens`` generate a group of order n; n distinct values make the
+    conflict-free table of ``extend_images`` a bijection.
+    """
+    table = extend_images(gens, imgs, identity, image_identity, n)
+    if table is None or len(set(table.values())) != n:
+        return None
+    return table
+
+
+class TransporterSearch:
+    """Backtracking over images of ``gens``, pruned by word signatures.
+
+    ``candidates[i]`` lists the allowed images of ``gens[i]`` in search
+    order; a full image list is accepted by ``validate``.  Within one
+    group this finds automorphisms with prescribed generator images (the
+    transporters of the stabilizer chain); between two groups, an
+    isomorphism.
+    """
+
+    def __init__(self, gens, candidates, identity, image_identity, n):
+        self.gens, self.candidates = gens, candidates
+        self.leaf_args = (identity, image_identity, n)  # validate's other arguments
+        self.sigs = [[_word_sig(a, b) for b in gens] for a in gens]
+
+    def compatible(self, imgs, x):
+        """Whether x may follow the image prefix imgs."""
+        level = len(imgs)
+        return all(_word_sig(imgs[i], x) == self.sigs[i][level] for i in range(level))
+
+    def first(self, imgs):
+        """The table of the first bijective homomorphism extending imgs, or None."""
+        if len(imgs) == len(self.gens):
+            return validate(self.gens, imgs, *self.leaf_args)
+        for x in self.candidates[len(imgs)]:
+            if self.compatible(imgs, x):
+                got = self.first(imgs + [x])
+                if got is not None:
+                    return got
+        return None
+
+
 def aut_group(N: FiniteGroup, *, carrier_cap: int | None = None) -> AutGroup:
     """The full automorphism group of N; cached on N."""
     got = N._cache.get("aut")
@@ -86,66 +143,8 @@ def aut_group(N: FiniteGroup, *, carrier_cap: int | None = None) -> AutGroup:
     gens = [gens[i] for i in order_by]
     candidates = [candidates[i] for i in order_by]
     m = len(gens)
-
-    def _word_sig(a, b):
-        ab = mult(a, b)
-        return (
-            perm_order(ab),
-            perm_order(mult(ab, b)),
-            perm_order(mult(a, ab)),
-            perm_order(mult(ab, mult(ab, b))),
-        )
-
-    pair_sigs = [[_word_sig(gens[i], gens[j]) for j in range(m)] for i in range(m)]
-
-    def compatible(imgs, level, x):
-        for i in range(level):
-            if _word_sig(imgs[i], x) != pair_sigs[i][level]:
-                return False
-        return True
-
-    def validate(imgs):
-        """Return the element-index permutation of the automorphism, or None.
-
-        Expands words in the generators while carrying images; the first
-        inconsistent edge kills the candidate.  A conflict-free table of
-        size |N| is the graph of a homomorphism (it is closed under
-        multiplication by the generator pairs); bijectivity makes it an
-        automorphism.
-        """
-        ident = elems[0] if elems[0] == tuple(range(degree)) else identity_images(degree)
-        table = {ident: ident}
-        frontier = [(ident, ident)]
-        pairs = list(zip(gens, imgs))
-        while frontier:
-            new = []
-            for x, fx in frontier:
-                for g, h in pairs:
-                    y = mult(x, g)
-                    fy = mult(fx, h)
-                    known = table.get(y)
-                    if known is None:
-                        table[y] = fy
-                        new.append((y, fy))
-                    elif known != fy:
-                        return None
-            frontier = new
-        if len(table) != n or len(set(table.values())) != n:
-            return None
-        return tuple(idx[table[t]] for t in elems)
-
-    def find_transporter(level, imgs):
-        """First automorphism extending imgs (levels 0..level filled)."""
-        if level + 1 == m:
-            return validate(imgs)
-        for x in candidates[level + 1]:
-            if not compatible(imgs, level + 1, x):
-                continue
-            got = find_transporter(level + 1, imgs + [x])
-            if got is not None:
-                return got
-        return None
-
+    ident = identity_images(degree)
+    search = TransporterSearch(gens, candidates, ident, ident, n)
     identity_auto = tuple(range(n))
 
     def stab_elements(k):
@@ -156,14 +155,15 @@ def aut_group(N: FiniteGroup, *, carrier_cap: int | None = None) -> AutGroup:
         prefix = list(gens[:k])
         out = []
         for x in candidates[k]:
-            if not compatible(prefix, k, x):
+            if not search.compatible(prefix, x):
                 continue
             if x == gens[k]:
                 tau = identity_auto
             else:
-                tau = find_transporter(k, prefix + [x])
-                if tau is None:
+                table = search.first(prefix + [x])
+                if table is None:
                     continue
+                tau = tuple(idx[table[t]] for t in elems)
             if tau == identity_auto:
                 out.extend(deeper)
             else:

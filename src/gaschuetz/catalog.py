@@ -59,39 +59,43 @@ class CatalogEntry:
 
 def load_catalog(path) -> list[CatalogEntry]:
     """Parse and validate a catalog file; errors carry line numbers."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as e:
+        raise CatalogError(f"cannot read catalog {path}: {e}") from None
     entries = []
     seen = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CatalogError(f"line {lineno}: invalid JSON: {e}", line=lineno)
-            try:
-                entry = CatalogEntry(
-                    name=str(obj["name"]),
-                    degree=int(obj["degree"]),
-                    generators=[[int(x) for x in g] for g in obj["generators"]],
-                    tags=[str(t) for t in obj.get("tags", [])],
-                )
-            except (KeyError, TypeError, ValueError) as e:
-                raise CatalogError(f"line {lineno}: malformed entry: {e}", line=lineno)
-            for g in entry.generators:
-                if sorted(g) != list(range(entry.degree)):
-                    raise CatalogError(
-                        f"line {lineno}: generator is not a permutation of "
-                        f"0..{entry.degree - 1}",
-                        line=lineno,
-                    )
-            if entry.name in seen:
+    for lineno, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CatalogError(f"line {lineno}: invalid JSON: {e}", line=lineno)
+        try:
+            entry = CatalogEntry(
+                name=str(obj["name"]),
+                degree=int(obj["degree"]),
+                generators=[[int(x) for x in g] for g in obj["generators"]],
+                tags=[str(t) for t in obj.get("tags", [])],
+            )
+        except (KeyError, TypeError, ValueError) as e:
+            raise CatalogError(f"line {lineno}: malformed entry: {e}", line=lineno)
+        for g in entry.generators:
+            if sorted(g) != list(range(entry.degree)):
                 raise CatalogError(
-                    f"line {lineno}: duplicate name {entry.name!r}", line=lineno
+                    f"line {lineno}: generator is not a permutation of "
+                    f"0..{entry.degree - 1}",
+                    line=lineno,
                 )
-            seen.add(entry.name)
-            entries.append(entry)
+        if entry.name in seen:
+            raise CatalogError(
+                f"line {lineno}: duplicate name {entry.name!r}", line=lineno
+            )
+        seen.add(entry.name)
+        entries.append(entry)
     return entries
 
 

@@ -1,7 +1,8 @@
 """Command-line surface: verdicts, complements, classification, witnesses.
 
 Exit codes: 0 success, 1 engine error (budget, size, hypothesis), 2
-usage error (unknown names, bad flags).
+usage error (unknown names, bad flags, unreadable or malformed catalog
+files, malformed GASCHUETZ_* values).
 """
 
 from __future__ import annotations
@@ -20,16 +21,12 @@ from .catalog import (
 )
 from .complements import find_complement
 from .engine import explain, verdict
-from .errors import GroupError, UnknownNameError
+from .errors import CatalogError, ConfigError, GroupError, UnknownNameError
 from .group import FiniteGroup, is_normal
 from .isomorphism import is_isomorphic
-from .lattice import frattini, normal_subgroups
+from .lattice import frattini, normal_subgroups_fast
 from .structure import center, derived_subgroup, sylow
 from .witness import baer_bundle, build_znthm, verify_znthm
-
-
-def _resolve(name, entries=None):
-    return resolve_group(name, entries)
 
 
 def _resolve_normal(G: FiniteGroup, selector: str) -> FiniteGroup:
@@ -44,16 +41,16 @@ def _resolve_normal(G: FiniteGroup, selector: str) -> FiniteGroup:
         return sylow(G, int(selector[len("sylow"):]))
     if selector.startswith("order:"):
         want = int(selector.split(":", 1)[1])
-        matches = [N for N in normal_subgroups(G) if N.order == want]
+        matches = [N for N in normal_subgroups_fast(G) if N.order == want]
         if len(matches) != 1:
             raise UnknownNameError(
                 f"{len(matches)} normal subgroups of order {want}; "
                 "specify differently"
             )
         return matches[0]
-    target = _resolve(selector)
+    target = resolve_group(selector)
     matches = [
-        N for N in normal_subgroups(G)
+        N for N in normal_subgroups_fast(G)
         if N.order == target.order and is_isomorphic(N, target)
     ]
     if not matches:
@@ -84,7 +81,7 @@ def _cmd_verdict(args) -> int:
         names = [args.target]
     rc = 0
     for name in names:
-        G = _resolve(name, entries)
+        G = resolve_group(name, entries)
         v = verdict(G)
         payload = {
             "group": name,
@@ -99,7 +96,7 @@ def _cmd_verdict(args) -> int:
 
 
 def _cmd_complement(args) -> int:
-    G = _resolve(args.group)
+    G = resolve_group(args.group)
     N = _resolve_normal(G, args.normal)
     if not is_normal(N, G):
         raise GroupError("the chosen subgroup is not normal")
@@ -146,7 +143,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_witness_znthm(args) -> int:
-    N = _resolve(args.group)
+    N = resolve_group(args.group)
     bundle = build_znthm(N, args.q)
     if args.verify:
         bundle = verify_znthm(bundle, full_search=args.full_search)
@@ -181,7 +178,7 @@ def _cmd_witness_baer(args) -> int:
 
 
 def _cmd_aut(args) -> int:
-    G = _resolve(args.group)
+    G = resolve_group(args.group)
     a = aut_group(G)
     payload = {
         "group": args.group,
@@ -198,7 +195,7 @@ def _cmd_aut(args) -> int:
 
 
 def _cmd_rose(args) -> int:
-    G = _resolve(args.group)
+    G = resolve_group(args.group)
     value = rose_criterion(G)
     complete = is_complete(G) if value else False
     payload = {"group": args.group, "rose": value, "complete": complete}
@@ -279,7 +276,7 @@ def main(argv=None) -> int:
         return 2 if e.code else 0
     try:
         return args.func(args)
-    except UnknownNameError as e:
+    except (UnknownNameError, CatalogError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except GroupError as e:

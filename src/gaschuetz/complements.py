@@ -24,8 +24,8 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .errors import NotNormalError, PreconditionError
-from .group import FiniteGroup, close_set, is_normal, is_subgroup
-from .perm import Permutation, identity_images, inverse, mult, perm_order
+from .group import FiniteGroup, close_set, conjugate_by, is_normal, is_subgroup, orbit
+from .perm import Permutation, identity_images, inverse, perm_order
 from .structure import quotient
 
 
@@ -120,21 +120,11 @@ def _orbit_reps(candidates, N: FiniteGroup):
     for t in sorted(candidates):
         if t in seen:
             continue
-        orbit = {t}
-        frontier = [t]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, ginv in conj:
-                    y = mult(mult(g, x), ginv)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        if not orbit <= cand_set:
+        orb = orbit(t, conj, conjugate_by)
+        if not orb <= cand_set:
             # conjugation must preserve the fiber and the order filter
             raise AssertionError("orbit left the candidate fiber")
-        seen |= orbit
+        seen |= orb
         reps.append(t)
     return reps
 
@@ -281,11 +271,6 @@ def find_complement(
     )
 
 
-def find_complement_in(H: FiniteGroup, N: FiniteGroup) -> ComplementReport:
-    """Same decision relative to a subgroup H >= N (N must be normal in H)."""
-    return find_complement(H, N)
-
-
 def exhaustive_search(G: FiniteGroup, N: FiniteGroup):
     """Full enumeration: (report, every complement), no orbit shortcuts."""
     report, found = _search(G, N, collect_all=True, orbit_reduce=False)
@@ -303,17 +288,9 @@ def complements_conjugate(G: FiniteGroup, N: FiniteGroup) -> bool:
     if not comps:
         return False
     keys = {K.element_set for K in comps}
-    first = comps[0]
-    orbit = {first.element_set}
-    frontier = [first.element_tuples]
     gens = [(g, inverse(g)) for g in G._raw_gens]
-    while frontier:
-        nxt = []
-        for elems in frontier:
-            for g, ginv in gens:
-                conj = frozenset(mult(mult(g, t), ginv) for t in elems)
-                if conj not in orbit:
-                    orbit.add(conj)
-                    nxt.append(tuple(sorted(conj)))
-        frontier = nxt
-    return keys <= orbit
+
+    def conjugate_set(elems, pair):
+        return frozenset(conjugate_by(t, pair) for t in elems)
+
+    return keys <= orbit(comps[0].element_set, gens, conjugate_set)

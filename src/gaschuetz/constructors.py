@@ -17,7 +17,7 @@ from math import factorial
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, Homomorphism, close_set
+from .group import FiniteGroup, extend_images
 from .perm import Permutation, identity_images, inverse, mult
 from .structure import center, quotient
 
@@ -222,6 +222,11 @@ def direct_power(A: FiniteGroup, k: int) -> FiniteGroup:
 # -- actions and semidirect products -----------------------------------------
 
 
+def _compose_maps(f, g):
+    """f o g for element maps given as dicts: apply g first, matching perm.mult."""
+    return {t: f[gt] for t, gt in g.items()}
+
+
 @dataclass
 class ActionSpec:
     """A homomorphism acting -> Aut(target), one automorphism per generator.
@@ -251,56 +256,34 @@ class ActionSpec:
         if len(self.images) != len(acting.generators):
             raise PreconditionError("one automorphism required per acting generator")
         self._aut_maps = [self._as_automorphism(row) for row in self.images]
-        self._check_homomorphism()
-        self._table = None
-
-    def _as_automorphism(self, row):
-        """Turn generator images into the full element map; verify bijectivity."""
-        phi = Homomorphism(self.target, self.target, row)
-        table = phi._build_map()
-        if len(set(table.values())) != len(table):
-            raise PreconditionError("generator images define a non-bijective map")
-        return table
-
-    def element_perm(self, aut_map):
-        """An automorphism's action on the target's canonical element list."""
-        elems = self.target.element_tuples
-        idx = {t: i for i, t in enumerate(elems)}
-        return tuple(idx[aut_map[t]] for t in elems)
-
-    def _check_homomorphism(self):
-        n = self.target.order
-        d = self.acting.degree
-        pair_gens = []
-        for g, aut in zip(self.acting._raw_gens, self._aut_maps):
-            pair_gens.append(tuple(g) + tuple(x + d for x in self.element_perm(aut)))
-        m = self.acting.order
-        pairs = close_set(pair_gens, d + n, abort_over=m)
-        if pairs is None or len(pairs) != m:
+        self._table = extend_images(
+            acting._raw_gens,
+            self._aut_maps,
+            identity_images(acting.degree),
+            {t: t for t in target.element_tuples},
+            acting.order,
+            image_mult=_compose_maps,
+        )
+        if self._table is None:
             raise PreconditionError(
                 "automorphism assignment does not extend to the acting group"
             )
 
+    def _as_automorphism(self, row):
+        """Turn generator images into the full element map; verify bijectivity."""
+        t = self.target
+        if len(row) != len(t.generators):
+            raise GroupError("one image required per source generator")
+        ident = identity_images(t.degree)
+        table = extend_images(t._raw_gens, [p.images for p in row], ident, ident, t.order)
+        if table is None:
+            raise GroupError("generator images do not extend to a homomorphism")
+        if len(set(table.values())) != len(table):
+            raise PreconditionError("generator images define a non-bijective map")
+        return table
+
     def automorphism_of(self, h):
         """Element map of the automorphism attached to an arbitrary element."""
-        if self._table is None:
-            ident = identity_images(self.acting.degree)
-            id_map = {t: t for t in self.target.element_tuples}
-            table = {ident: id_map}
-            frontier = [ident]
-            gens = list(zip(self.acting._raw_gens, self._aut_maps))
-            while frontier:
-                nxt = []
-                for x in frontier:
-                    fx = table[x]
-                    for g, fg in gens:
-                        y = mult(x, g)
-                        if y not in table:
-                            # phi(x*g) = phi(x) o phi(g), matching perm.mult
-                            table[y] = {t: fx[fg[t]] for t in fg}
-                            nxt.append(y)
-                frontier = nxt
-            self._table = table
         raw = h.images if isinstance(h, Permutation) else tuple(h)
         return self._table[raw]
 

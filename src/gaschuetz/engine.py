@@ -50,15 +50,12 @@ class Verdict:
     rule: str | None
     evidence: list[str] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
-    witness: object | None = None
 
     def __post_init__(self):
         if self.status == HOLDS and self.rule not in HOLDS_RULES:
             raise GroupError(f"invalid HOLDS rule {self.rule!r}")
         if self.status == FAILS and self.rule not in FAILS_RULES:
             raise GroupError(f"invalid FAILS rule {self.rule!r}")
-        if self.status == UNDECIDED and self.witness is not None:
-            raise GroupError("UNDECIDED carries no witness")
 
 
 _verdict_cache: dict = {}
@@ -66,20 +63,6 @@ _verdict_cache: dict = {}
 
 def _zn_meet(N: FiniteGroup) -> FiniteGroup:
     return intersection(center(N), derived_subgroup(N))
-
-
-def _characteristic_candidates(N: FiniteGroup):
-    """Proper nontrivial characteristic subgroups, by the aut generator test."""
-    from .autgroups import is_characteristic
-    from .lattice import normal_subgroups_fast
-
-    out = []
-    for M in normal_subgroups_fast(N):
-        if M.order in (1, N.order):
-            continue
-        if is_characteristic(M, N):
-            out.append(M)
-    return out
 
 
 def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
@@ -167,7 +150,6 @@ def verdict(N: FiniteGroup) -> Verdict:
         return got
     out = _verdict_uncached(N, verdict)
     _verdict_cache[key] = out
-    N._cache["verdict"] = out
     return out
 
 
@@ -293,7 +275,7 @@ def fired_statuses(firings: dict) -> tuple[bool, bool]:
 
 
 def explain(v: Verdict) -> str:
-    """Human-readable report: the rule, the facts, the witness if any."""
+    """Human-readable report: the rule, the facts, and for UNDECIDED the skips."""
     lines = [f"status: {v.status}"]
     if v.rule:
         lines.append(f"rule: {v.rule}")
@@ -314,6 +296,4 @@ def explain(v: Verdict) -> str:
             lines.extend(f"  - {n}" for n in skips)
         else:
             lines.append("  - none")
-    if v.witness is not None:
-        lines.append("witness: verified counterexample bundle attached")
     return "\n".join(lines)

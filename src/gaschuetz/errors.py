@@ -46,11 +46,15 @@ class AutBudgetError(GroupError):
 
 
 class CatalogError(GroupError):
-    """Catalog file is malformed; carries the offending line number."""
+    """Catalog file is unreadable or malformed; carries the offending line number."""
 
     def __init__(self, message, line=None):
         super().__init__(message)
         self.line = line
+
+
+class ConfigError(GroupError):
+    """A GASCHUETZ_* environment value is not a positive number."""
 
 
 class UnknownNameError(GroupError):

@@ -302,18 +302,70 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     )
 
 
+def extend_images(gens, images, identity, image_identity, size, image_mult=mult):
+    """The table {x: f(x)} of the map sending gens[i] to images[i], or None.
+
+    Walks products of the generators breadth-first, setting
+    f(x g) = image_mult(f(x), f(g)).  A conflict-free table is closed
+    under every (generator, image) pair, so when it covers ``size``
+    elements it is the graph of a homomorphism.  The first conflicting
+    edge, or a table of another size, gives None.
+    """
+    table = {identity: image_identity}
+    frontier = [(identity, image_identity)]
+    pairs = list(zip(gens, images))
+    while frontier:
+        new = []
+        for x, fx in frontier:
+            for g, h in pairs:
+                y = mult(x, g)
+                fy = image_mult(fx, h)
+                known = table.get(y)
+                if known is None:
+                    table[y] = fy
+                    new.append((y, fy))
+                elif known != fy:
+                    return None
+        frontier = new
+    return table if len(table) == size else None
+
+
+def orbit(start, gens, act):
+    """The set of points reached from ``start`` by ``act(x, g)``, g in gens.
+
+    Points may be anything hashable; each is acted on once per generator.
+    """
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g in gens:
+                y = act(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return seen
+
+
+def conjugate_by(x, pair):
+    """g x g^-1 for pair = (g, g^-1): conjugation as an ``orbit`` action."""
+    g, ginv = pair
+    return mult(mult(g, x), ginv)
+
+
 class Homomorphism:
     """A map between groups, given by images of the source generators.
 
-    Consistency is certified at construction: the subgroup of
-    source x target generated by the paired generators must have exactly
-    |source| elements, which holds iff the assignment extends to a
-    homomorphism (the pair subgroup is then its graph).  Trusted internal
-    builders (quotient projections) may skip the certificate.
+    Consistency is certified at construction: ``extend_images`` returns
+    the map's table iff the images extend to a homomorphism.  Trusted
+    internal builders (quotient projections) skip it and evaluate
+    elements their own way.
     """
 
     def __init__(self, source: FiniteGroup, target: FiniteGroup, generator_images,
-                 *, _trusted=False, _map=None):
+                 *, _trusted=False):
         if len(generator_images) != len(source.generators):
             raise GroupError("one image required per source generator")
         imgs = []
@@ -326,48 +378,21 @@ class Homomorphism:
         self.source = source
         self.target = target
         self.generator_images = tuple(imgs)
-        self._map = dict(_map) if _map is not None else None
+        self._map = None
         if not _trusted:
-            self._verify()
-
-    def _verify(self):
-        d1, d2 = self.source.degree, self.target.degree
-        pair_gens = []
-        for g, h in zip(self.source._raw_gens, (p.images for p in self.generator_images)):
-            pair_gens.append(g + tuple(x + d1 for x in h))
-        n = self.source.order
-        pairs = close_set(pair_gens, d1 + d2, abort_over=n)
-        if pairs is None or len(pairs) != n:
-            raise GroupError("generator images do not extend to a homomorphism")
-
-    def _build_map(self):
-        if self._map is not None:
-            return self._map
-        d = self.source.degree
-        ident = identity_images(d)
-        tident = identity_images(self.target.degree)
-        table = {ident: tident}
-        frontier = [(ident, tident)]
-        gens = list(zip(self.source._raw_gens, (p.images for p in self.generator_images)))
-        while frontier:
-            nxt = []
-            for x, fx in frontier:
-                for g, fg in gens:
-                    y = mult(x, g)
-                    if y not in table:
-                        fy = mult(fx, fg)
-                        table[y] = fy
-                        nxt.append((y, fy))
-            frontier = nxt
-        if len(table) != self.source.order:
-            raise GroupError("map table incomplete: generators do not generate source")
-        self._map = table
-        return table
+            self._map = extend_images(
+                source._raw_gens,
+                [p.images for p in imgs],
+                identity_images(source.degree),
+                identity_images(target.degree),
+                source.order,
+            )
+            if self._map is None:
+                raise GroupError("generator images do not extend to a homomorphism")
 
     def __call__(self, g):
         raw = g.images if isinstance(g, Permutation) else tuple(g)
-        out = self._build_map()[raw]
-        return Permutation._wrap(out)
+        return Permutation._wrap(self._map[raw])
 
     def image(self) -> FiniteGroup:
         return FiniteGroup(
@@ -375,9 +400,8 @@ class Homomorphism:
         )
 
     def kernel(self) -> FiniteGroup:
-        table = self._build_map()
         tident = identity_images(self.target.degree)
-        ker = {x for x, fx in table.items() if fx == tident}
+        ker = {x for x, fx in self._map.items() if fx == tident}
         return FiniteGroup.from_raw(
             self.source.degree,
             reduce_generators(ker, self.source.degree),

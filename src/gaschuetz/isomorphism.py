@@ -1,15 +1,15 @@
 """Isomorphism testing by fingerprints plus generator-image backtracking.
 
 Fingerprints (order profile, center, derived series, class structure)
-settle most pairs; survivors go through a DFS over generator images,
-pruned by word-order signatures and certified by the graph-subgroup
-criterion, exactly as in the automorphism search but across two groups.
+settle most pairs; survivors go through the automorphism search's
+transporter backtracking, run from G's generators into H.
 """
 
 from __future__ import annotations
 
+from .autgroups import TransporterSearch
 from .group import FiniteGroup, reduce_generators
-from .perm import identity_images, mult, perm_order
+from .perm import identity_images, perm_order
 from .structure import (
     center,
     conjugacy_classes,
@@ -46,16 +46,6 @@ def _element_invariants(G: FiniteGroup):
     return inv
 
 
-def _word_sig(a, b):
-    ab = mult(a, b)
-    return (
-        perm_order(ab),
-        perm_order(mult(ab, b)),
-        perm_order(mult(a, ab)),
-        perm_order(mult(ab, mult(ab, b))),
-    )
-
-
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     if G.order != H.order:
         return False
@@ -73,42 +63,7 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     ]
     if any(not c for c in candidates):
         return False
-    m = len(gens)
-    sigs = [[_word_sig(gens[i], gens[j]) for j in range(m)] for i in range(m)]
-    dg, dh = G.degree, H.degree
-    g_ident = identity_images(dg)
-    h_ident = identity_images(dh)
-
-    def validate(imgs):
-        table = {g_ident: h_ident}
-        frontier = [(g_ident, h_ident)]
-        pairs = list(zip(gens, imgs))
-        while frontier:
-            new = []
-            for x, fx in frontier:
-                for g, h in pairs:
-                    y = mult(x, g)
-                    fy = mult(fx, h)
-                    known = table.get(y)
-                    if known is None:
-                        table[y] = fy
-                        new.append((y, fy))
-                    elif known != fy:
-                        return False
-            frontier = new
-        return len(table) == n and len(set(table.values())) == n
-
-    def dfs(level, imgs):
-        if level == m:
-            return validate(imgs)
-        for x in candidates[level]:
-            ok = True
-            for i in range(level):
-                if _word_sig(imgs[i], x) != sigs[i][level]:
-                    ok = False
-                    break
-            if ok and dfs(level + 1, imgs + [x]):
-                return True
-        return False
-
-    return dfs(0, [])
+    search = TransporterSearch(
+        gens, candidates, identity_images(G.degree), identity_images(H.degree), n
+    )
+    return search.first([]) is not None

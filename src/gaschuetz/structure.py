@@ -8,21 +8,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, lcm
 
-from . import config
 from .errors import GroupError, NotNormalError, NotPrimeError
 from .group import (
     FiniteGroup,
     Homomorphism,
-    close_set,
+    conjugate_by,
     is_normal,
     normal_closure,
+    orbit,
     reduce_generators,
 )
 from .perm import Permutation, identity_images, inverse, mult, perm_order
-
-# Element-commutator path is used up to this order; beyond it the derived
-# subgroup comes from generator commutators' normal closure.
-ALL_PAIRS_DERIVED_LIMIT = 4096
 
 
 def is_prime(p: int) -> bool:
@@ -105,24 +101,12 @@ def commutator_subgroup(G: FiniteGroup, A: FiniteGroup, B: FiniteGroup) -> Finit
 
 
 def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
-    """[G, G]; all-pairs commutators when small, else normal closure."""
+    """[G, G], the normal closure of the generator commutators; cached on G."""
     got = G._cache.get("derived")
-    if got is not None:
-        return got
-    if G.order <= ALL_PAIRS_DERIVED_LIMIT:
-        elems = G.element_tuples
-        inv = {t: inverse(t) for t in elems}
-        comms = {
-            mult(mult(x, y), mult(inv[x], inv[y])) for x in elems for y in elems
-        }
-        closed = close_set(
-            reduce_generators(comms, G.degree), G.degree, cap=config.element_cap()
-        )
-        out = G.subgroup(closed)
-    else:
-        out = commutator_subgroup(G, G, G)
-    G._cache["derived"] = out
-    return out
+    if got is None:
+        got = commutator_subgroup(G, G, G)
+        G._cache["derived"] = got
+    return got
 
 
 def derived_series(G: FiniteGroup) -> list[FiniteGroup]:
@@ -224,19 +208,9 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
     for t in G.element_tuples:
         if t in seen:
             continue
-        orbit = {t}
-        frontier = [t]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g, ginv in gens:
-                    y = mult(mult(g, x), ginv)
-                    if y not in orbit:
-                        orbit.add(y)
-                        nxt.append(y)
-            frontier = nxt
-        seen |= orbit
-        classes.append(tuple(sorted(orbit)))
+        cls = orbit(t, gens, conjugate_by)
+        seen |= cls
+        classes.append(tuple(sorted(cls)))
     classes.sort(key=lambda c: c[0])
     G._cache["classes"] = classes
     return classes
@@ -281,7 +255,7 @@ class QuotientProjection(Homomorphism):
     """
 
     def __init__(self, source, target, gen_images, *, coset_of, reps, index_of):
-        super().__init__(source, target, gen_images, _trusted=True, _map=None)
+        super().__init__(source, target, gen_images, _trusted=True)
         self.coset_of = coset_of
         self.coset_representatives = tuple(reps)
         self._index_of = index_of
@@ -350,17 +324,7 @@ def quotient(G: FiniteGroup, N: FiniteGroup):
     for t in elems:
         if t in coset_of:
             continue
-        members = {t}
-        frontier = [t]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in ngens:
-                    y = mult(x, g)
-                    if y not in members:
-                        members.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        members = orbit(t, ngens, mult)
         rep = min(members)
         reps.append(rep)
         for x in members:

@@ -33,7 +33,6 @@ from .complements import (
     Embedding,
     exhaustive_search,
     find_complement,
-    find_complement_in,
 )
 from .constructors import (
     ActionSpec,
@@ -338,7 +337,7 @@ def baer_bundle() -> WitnessBundle:
     if not is_subgroup(n_img, H):
         raise GroupError("quaternion core not inside the Sylow 2-subgroup")
     emb = Embedding(G, H, n_img).validate()
-    in_h = find_complement_in(H, n_img)
+    in_h = find_complement(H, n_img)
     if not in_h.exists:
         raise GroupError("expected a complement inside the Sylow 2-subgroup")
     in_g = find_complement(G, n_img)

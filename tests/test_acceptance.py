@@ -24,11 +24,7 @@ from gaschuetz import (
 )
 from gaschuetz.autgroups import aut_group, is_complete, prop_special_search, rose_criterion
 from gaschuetz.catalog import classify, resolve_group
-from gaschuetz.complements import (
-    complements_conjugate,
-    find_complement,
-    find_complement_in,
-)
+from gaschuetz.complements import complements_conjugate, find_complement
 from gaschuetz.engine import FAILS, HOLDS, UNDECIDED, all_firings, fired_statuses, verdict
 from gaschuetz.group import is_subgroup
 from gaschuetz.lattice import (
@@ -255,7 +251,7 @@ def test_criterion_7_property_suites(catalog_groups, small_catalog_groups):
                     continue
                 if gcd(N.order, G.order // H.order) != 1:
                     continue
-                if find_complement_in(H, N).exists:
+                if find_complement(H, N).exists:
                     if target is None:
                         target = find_complement(G, N).exists
                     assert target, f"{entry.name}: split in H but not in G"

@@ -102,3 +102,32 @@ def test_classify_catalog_file_verdict_target(tmp_path, capsys, catalog_entries)
 def test_usage_error(capsys):
     rc = main(["complement", "--group", "A4"])  # missing --normal
     assert rc == 2
+
+
+def test_complement_order_selector_ignores_lattice_cap(capsys, monkeypatch):
+    # order:<m> picks among the class-closure normal subgroups, so the
+    # exhaustive-lattice cap does not apply
+    monkeypatch.setenv("GASCHUETZ_LATTICE_CAP", "10")
+    rc, out, _ = run(capsys, "complement", "--group", "A4", "--normal", "order:4")
+    assert rc == 0 and "exists (order 3)" in out
+
+
+def test_malformed_env_value_exit_code(capsys, monkeypatch):
+    cases = [
+        ("GASCHUETZ_ELEMENT_CAP", "abc", ["verdict", "Q8"]),
+        ("GASCHUETZ_ELEMENT_CAP", "0", ["verdict", "Q8"]),
+        ("GASCHUETZ_AUT_CAP", "-5", ["aut", "Q8"]),
+        ("GASCHUETZ_TIME_BUDGET", "0", ["classify", "--max-order", "2"]),
+        ("GASCHUETZ_TIME_BUDGET", "soon", ["classify", "--max-order", "2"]),
+    ]
+    for name, value, argv in cases:
+        monkeypatch.setenv(name, value)
+        rc, _, err = run(capsys, *argv)
+        assert rc == 2 and err.startswith("error: ") and name in err, (name, value, err)
+        monkeypatch.delenv(name)
+
+
+def test_missing_catalog_exit_code(tmp_path, capsys):
+    missing = tmp_path / "missing.jsonl"
+    rc, _, err = run(capsys, "classify", "--catalog", str(missing))
+    assert rc == 2 and err.startswith("error: cannot read catalog") and str(missing) in err

@@ -15,7 +15,6 @@ from gaschuetz.complements import (
     complements_conjugate,
     exhaustive_search,
     find_complement,
-    find_complement_in,
     small_generating_set,
 )
 from gaschuetz.errors import NotNormalError, PreconditionError
@@ -88,7 +87,7 @@ def test_find_complement_in_baer_style():
     S4 = symmetric(4)
     V4 = _v4_in(S4)
     P = sylow(S4, 2)
-    r = find_complement_in(P, V4)
+    r = find_complement(P, V4)
     assert r.exists and r.complement.order == 2
 
 

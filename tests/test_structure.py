@@ -26,6 +26,7 @@ from gaschuetz import (
     symmetric,
 )
 from gaschuetz.errors import NotNormalError, NotPrimeError
+from gaschuetz.group import close_set
 from gaschuetz.lattice import all_subgroups
 from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.structure import (
@@ -118,14 +119,20 @@ def test_derived_series_s4():
     assert orders == [24, 12, 4, 1, 1]
 
 
-def test_derived_dual_path_agreement():
-    # generator-commutator normal closure must agree with all-pairs
-    from gaschuetz.structure import commutator_subgroup
+def oracle_derived(G):
+    """All-pairs oracle: the closure of every commutator [x, y] of G."""
+    elems = G.element_tuples
+    comms = {mult(mult(x, y), mult(inverse(x), inverse(y))) for x in elems for y in elems}
+    return frozenset(close_set(list(comms), G.degree))
 
-    for G in [symmetric(4), quaternion8(), sl_2_3(), alternating(5)]:
-        all_pairs = derived_subgroup(G)
-        closure_path = commutator_subgroup(G, G, G)
-        assert all_pairs.element_set == closure_path.element_set
+
+def test_derived_dual_path_agreement(catalog_groups):
+    # the generator-commutator normal closure must agree with all pairs
+    groups = [symmetric(4), quaternion8(), sl_2_3(), alternating(5)]
+    groups += [G for _, G in catalog_groups if G.order in (54, 56)]
+    assert len(groups) > 4
+    for G in groups:
+        assert derived_subgroup(G).element_set == oracle_derived(G)
 
 
 # -- sylow -----------------------------------------------------------------
