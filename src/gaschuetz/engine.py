@@ -222,49 +222,52 @@ def _verdict_uncached(N: FiniteGroup, evaluate) -> Verdict:
     return Verdict(UNDECIDED, None, [], notes)
 
 
-def all_firings(N: FiniteGroup) -> dict:
-    """Evaluate every rule independently (None = skipped for budget).
+def _budgeted(rule):
+    """rule() or None when it ran over an Aut or element budget."""
+    try:
+        return rule()
+    except (AutBudgetError, SizeLimitError):
+        return None
+
+
+def all_firings(N: FiniteGroup, sides=(HOLDS, FAILS)) -> dict:
+    """Evaluate every rule of the given sides independently (None = skipped for budget).
 
     Used by the mutual-exclusion soundness check: no group may fire both
-    a HOLDS rule and a FAILS rule.
+    a HOLDS rule and a FAILS rule.  The result holds exactly the rules of
+    ``sides``; the facts several rules share are computed once, and the
+    rose criterion only when a requested rule reads it.
     """
     from .autgroups import prop_special_search, rose_criterion
 
-    firings: dict = {}
-    firings["abelian"] = is_abelian(N)
-    firings["sylow-abelian"] = all_sylow_abelian(N)
     meet_nontrivial = _zn_meet(N).order > 1
-    firings["ZNthm"] = meet_nontrivial
-    firings["metabelian-trivial-ZcapD"] = is_metabelian(N) and not meet_nontrivial
     centerless = center(N).is_trivial()
-    perfect = is_perfect(N)
+    perfect_centerless = centerless and is_perfect(N)
     rose = None
-    if centerless:
-        try:
-            rose = rose_criterion(N)
-        except (AutBudgetError, SizeLimitError):
-            rose = None
-    firings["perfect-split"] = (
-        None if (perfect and centerless and rose is None) else
-        bool(perfect and centerless and rose)
-    )
-    firings["perfect-no-split"] = (
-        None if (perfect and centerless and rose is None) else
-        bool(perfect and centerless and rose is False)
-    )
-    firings["rose"] = None if (centerless and rose is None) else bool(centerless and rose)
-    if centerless:
-        try:
-            firings["prop-special"] = prop_special_search(N) is not None
-        except (AutBudgetError, SizeLimitError):
-            firings["prop-special"] = None
-    else:
-        firings["prop-special"] = False
-    try:
-        fired, _ = _rule_composite(N, verdict)
-        firings["composite-2.8"] = fired
-    except (AutBudgetError, SizeLimitError):
-        firings["composite-2.8"] = None
+    if (HOLDS in sides and centerless) or (FAILS in sides and perfect_centerless):
+        rose = _budgeted(lambda: rose_criterion(N))
+    perfect_skipped = perfect_centerless and rose is None
+    firings: dict = {}
+    if HOLDS in sides:
+        firings["abelian"] = is_abelian(N)
+        firings["sylow-abelian"] = all_sylow_abelian(N)
+        firings["metabelian-trivial-ZcapD"] = is_metabelian(N) and not meet_nontrivial
+        firings["perfect-split"] = (
+            None if perfect_skipped else bool(perfect_centerless and rose)
+        )
+        firings["rose"] = (
+            None if (centerless and rose is None) else bool(centerless and rose)
+        )
+        firings["composite-2.8"] = _budgeted(lambda: _rule_composite(N, verdict)[0])
+    if FAILS in sides:
+        firings["ZNthm"] = meet_nontrivial
+        firings["perfect-no-split"] = (
+            None if perfect_skipped else bool(perfect_centerless and rose is False)
+        )
+        firings["prop-special"] = (
+            _budgeted(lambda: prop_special_search(N) is not None)
+            if centerless else False
+        )
     return firings
 
 

@@ -198,12 +198,6 @@ class FiniteGroup:
         elems = close_set(raw, self.degree, cap=config.element_cap())
         return FiniteGroup.from_raw(self.degree, raw, elements=elems)
 
-    def conjugate_subgroup(self, sub: "FiniteGroup", g) -> "FiniteGroup":
-        graw = g.images if isinstance(g, Permutation) else tuple(g)
-        ginv = inverse(graw)
-        elems = {mult(mult(graw, x), ginv) for x in sub.element_tuples}
-        return self.subgroup(elems)
-
 
 def reduce_generators(elements, degree, *, limit=None):
     """Pick a small generating set for a known element set, greedily.
@@ -281,22 +275,26 @@ def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 
 def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     """Smallest normal subgroup of G containing the seed elements."""
+    ident = identity_images(G.degree)
     raw = [s.images if isinstance(s, Permutation) else tuple(s) for s in seed]
+    gens = [t for t in dict.fromkeys(raw) if t != ident]
     gen_invs = [(g, inverse(g)) for g in G._raw_gens]
-    current = close_set(raw, G.degree, cap=config.element_cap())
-    while True:
-        new = []
-        cgens = reduce_generators(current, G.degree)
+    cap = config.element_cap()
+    current = close_set(gens, G.degree, cap=cap)
+    # <gens> is normal once the conjugates of every generator lie in it,
+    # so each round conjugates only the generators the last round added.
+    added = list(gens)
+    while added:
+        new = {}
         for g, ginv in gen_invs:
-            for n in cgens:
+            for n in added:
                 c = mult(mult(g, n), ginv)
                 if c not in current:
-                    new.append(c)
-        if not new:
-            break
-        current = close_set(
-            cgens + new, G.degree, seed=current, cap=config.element_cap()
-        )
+                    new[c] = None
+        if new:
+            gens.extend(new)
+            current = close_set(gens, G.degree, seed=current, cap=cap)
+        added = list(new)
     return FiniteGroup.from_raw(
         G.degree, reduce_generators(current, G.degree), elements=current
     )
@@ -407,6 +405,3 @@ class Homomorphism:
             reduce_generators(ker, self.source.degree),
             elements=ker,
         )
-
-    def is_injective(self) -> bool:
-        return self.kernel().order == 1

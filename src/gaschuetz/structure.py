@@ -235,15 +235,8 @@ def nilpotent_residual(G: FiniteGroup) -> FiniteGroup:
 
 
 def is_solvable(G: FiniteGroup) -> bool:
-    """Derived series reaches the trivial group (generator-based steps)."""
-    H = G
-    while True:
-        nxt = commutator_subgroup(G, H, H)
-        if nxt.order == 1:
-            return True
-        if nxt.order == H.order:
-            return False
-        H = nxt
+    """The derived series reaches the trivial group."""
+    return derived_series(G)[-1].order == 1
 
 
 class QuotientProjection(Homomorphism):
@@ -265,13 +258,6 @@ class QuotientProjection(Homomorphism):
             buckets[index_of[rep]].append(x)
         self._members = [tuple(sorted(b)) for b in buckets]
         self._perm_cache = {}
-
-    def coset_members(self, index) -> tuple:
-        return self._members[index]
-
-    def coset_index(self, g) -> int:
-        raw = g.images if isinstance(g, Permutation) else tuple(g)
-        return self._index_of[self.coset_of[raw]]
 
     def _image_raw(self, raw):
         got = self._perm_cache.get(raw)

@@ -12,6 +12,8 @@ from gaschuetz.catalog import (
     save_catalog,
 )
 from gaschuetz import cyclic, direct_product
+from gaschuetz import engine
+from gaschuetz.engine import FAILS, FAILS_RULES, HOLDS, HOLDS_RULES, all_firings, fired_statuses
 from gaschuetz.errors import CatalogError, UnknownNameError
 
 
@@ -131,3 +133,54 @@ def test_classify_time_budget_flag(catalog_entries, monkeypatch):
     monkeypatch.delenv("GASCHUETZ_TIME_BUDGET")
     report = classify(tiny, check_exclusion=False)
     assert not any("over_budget" in g for g in report["groups"])
+
+
+def test_classify_timing_block(catalog_entries):
+    small = [e for e in catalog_entries if e.group().order <= 12]
+    report = classify(small, check_exclusion=True)
+    timing = report["timing"]
+    total_ms = sum(g["time_ms"] for g in report["groups"])
+    # each per-group time_ms is rounded to 1 us; the two sums once each
+    tolerance = 0.0005 * len(report["groups"]) + 0.001
+    assert abs(timing["verdict_ms"] + timing["exclusion_ms"] - total_ms) <= tolerance
+    report = classify(small, check_exclusion=False)
+    assert report["timing"]["exclusion_ms"] is None
+    assert report["timing"]["verdict_ms"] >= 0
+
+
+def test_opposite_side_check_matches_all_rules(catalog_entries):
+    # the opposite-side check in classify flags exactly the groups that
+    # fire a rule of each kind when every rule is evaluated
+    for entry in catalog_entries:
+        G = entry.group()
+        if G.order > 24:
+            continue
+        full = all_firings(G)
+        both = all(fired_statuses(full))
+        report = classify([entry], check_exclusion=True)
+        assert report["summary"]["contradictions"] == int(both), entry.name
+        for side, rules in ((HOLDS, HOLDS_RULES), (FAILS, FAILS_RULES)):
+            assert all_firings(G, (side,)) == {r: full[r] for r in rules}, entry.name
+
+
+def _entry(catalog_entries, name):
+    return [e for e in catalog_entries if e.name == name]
+
+
+def test_exclusion_check_catches_fails_rule_on_holds_verdict(catalog_entries, monkeypatch):
+    C6 = _entry(catalog_entries, "C6")
+    report = classify(C6)
+    assert report["groups"][0]["status"] == "holds"
+    assert report["summary"]["contradictions"] == 0
+    monkeypatch.setattr(engine, "_zn_meet", lambda N: N)
+    assert classify(C6)["summary"]["contradictions"] == 1
+
+
+def test_exclusion_check_catches_holds_rule_on_fails_verdict(catalog_entries, monkeypatch):
+    Q8 = _entry(catalog_entries, "Q8")
+    report = classify(Q8)
+    record = report["groups"][0]
+    assert (record["status"], record["rule"]) == ("fails", "ZNthm")
+    assert report["summary"]["contradictions"] == 0
+    monkeypatch.setattr(engine, "_rule_composite", lambda N, evaluate: (True, ["injected"]))
+    assert classify(Q8)["summary"]["contradictions"] == 1

@@ -32,6 +32,7 @@ from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.structure import (
     PrimeSet,
     all_sylow_abelian,
+    commutator_subgroup,
     conjugacy_classes,
     is_solvable,
     prime_factors,
@@ -133,6 +134,26 @@ def test_derived_dual_path_agreement(catalog_groups):
     assert len(groups) > 4
     for G in groups:
         assert derived_subgroup(G).element_set == oracle_derived(G)
+
+
+def oracle_is_solvable(G):
+    # each term [H, H] closed under the ambient G's generators
+    H = G
+    while True:
+        nxt = commutator_subgroup(G, H, H)
+        if nxt.order == 1:
+            return True
+        if nxt.order == H.order:
+            return False
+        H = nxt
+
+
+def test_is_solvable_matches_ambient_walk(catalog_groups):
+    groups = [symmetric(4), sl_2_3(), alternating(5)]
+    groups += [G for _, G in catalog_groups if G.order == 60]
+    assert len(groups) > 3
+    for G in groups:
+        assert is_solvable(G) == oracle_is_solvable(G)
 
 
 # -- sylow -----------------------------------------------------------------
