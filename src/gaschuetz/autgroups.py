@@ -21,8 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import config
+from .complements import find_complement
 from .errors import AutBudgetError, PreconditionError
 from .group import FiniteGroup, close_set, extend_images, is_normal, reduce_generators
+from .lattice import frattini
 from .perm import Permutation, identity_images, inverse, mult, perm_order
 from .structure import (
     center,
@@ -226,8 +228,6 @@ def rose_criterion(N: FiniteGroup) -> bool:
     """
     if not center(N).is_trivial():
         return False
-    from .complements import find_complement
-
     aut = aut_group(N)
     return find_complement(aut.carrier, aut.inn).exists
 
@@ -241,8 +241,6 @@ def is_complete(N: FiniteGroup) -> bool:
 
 def gaschuetz_eick_iii(N: FiniteGroup) -> bool:
     """Inn(N) contained in the Frattini subgroup of Aut(N)."""
-    from .lattice import frattini
-
     aut = aut_group(N)
     return aut.inn.element_set <= frattini(aut.carrier).element_set
 

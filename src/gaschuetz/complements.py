@@ -24,7 +24,15 @@ from dataclasses import dataclass, field
 from math import prod
 
 from .errors import NotNormalError, PreconditionError
-from .group import FiniteGroup, close_set, conjugate_by, is_normal, is_subgroup, orbit
+from .group import (
+    FiniteGroup,
+    close_set,
+    conjugate_by,
+    is_normal,
+    is_subgroup,
+    orbit,
+    reduce_generators,
+)
 from .perm import Permutation, identity_images, inverse, perm_order
 from .structure import quotient
 
@@ -59,8 +67,7 @@ def small_generating_set(Q: FiniteGroup) -> list[Permutation]:
     """A short generating list for Q, deterministic.
 
     Starts from the declared generators, drops redundant ones, and when
-    more than four remain tries a greedy rebuild from high-order
-    elements.
+    more than four remain tries ``reduce_generators`` on the element set.
     """
     if Q.order == 1:
         return []
@@ -79,36 +86,10 @@ def small_generating_set(Q: FiniteGroup) -> list[Permutation]:
                 changed = True
                 break
     if len(gens) > 4:
-        rebuilt = _greedy_generators(Q)
+        rebuilt = reduce_generators(set(Q.element_tuples), Q.degree)
         if len(rebuilt) < len(gens):
             gens = rebuilt
     return [Permutation._wrap(g) for g in gens]
-
-
-def _greedy_generators(Q: FiniteGroup):
-    ranked = sorted(Q.element_tuples, key=lambda t: (-perm_order(t), t))
-    gens = [ranked[0]]
-    current = close_set(gens, Q.degree)
-    while len(current) < Q.order:
-        best = None
-        best_size = len(current)
-        tried = 0
-        for cand in ranked:
-            if cand in current:
-                continue
-            size = len(close_set(gens + [cand], Q.degree))
-            if size > best_size:
-                best, best_size = cand, size
-                if size == Q.order:
-                    break
-            tried += 1
-            if tried >= 48:
-                break
-        if best is None:
-            best = next(c for c in ranked if c not in current)
-        gens.append(best)
-        current = close_set(gens, Q.degree)
-    return gens
 
 
 def _orbit_reps(candidates, N: FiniteGroup):

@@ -2,13 +2,14 @@
 
 The engine answers for a group N whether every embedding N <= H <= G
 (N normal in G, index of H coprime to |N|, N complemented in H) forces
-a complement of N in G.  Rules are evaluated cheapest first; each is
-individually sound, so order only affects which rule gets reported.
+a complement of N in G.  The rule chain is the table RULES, cheapest
+first; each rule is individually sound, so order only affects which rule
+gets reported.  ``verdict``, ``all_firings`` and ``explain`` all read it.
 Budget overruns degrade to UNDECIDED with a note, never a wrong status.
 
 Rule identifiers (fixed interface strings):
-  HOLDS: abelian | sylow-abelian | metabelian-trivial-ZcapD | rose |
-         perfect-split | composite-2.8
+  HOLDS: abelian | sylow-abelian | metabelian-trivial-ZcapD |
+         perfect-split | rose | composite-2.8
   FAILS: ZNthm | perfect-no-split | prop-special
 """
 
@@ -17,8 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import gcd
 
+from .autgroups import aut_group, is_characteristic, prop_special_search, rose_criterion
+from .complements import find_complement
 from .errors import AutBudgetError, GroupError, SizeLimitError
 from .group import FiniteGroup, intersection
+from .lattice import normal_subgroups_fast
 from .structure import (
     all_sylow_abelian,
     center,
@@ -32,16 +36,6 @@ from .structure import (
 HOLDS = "holds"
 FAILS = "fails"
 UNDECIDED = "undecided"
-
-HOLDS_RULES = (
-    "abelian",
-    "sylow-abelian",
-    "metabelian-trivial-ZcapD",
-    "rose",
-    "perfect-split",
-    "composite-2.8",
-)
-FAILS_RULES = ("ZNthm", "perfect-no-split", "prop-special")
 
 
 @dataclass
@@ -76,10 +70,6 @@ def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
           subgroups of M abelian, M complemented in N, property holding
           for N/M.
     """
-    from .autgroups import aut_group, is_characteristic, rose_criterion
-    from .complements import find_complement
-    from .lattice import normal_subgroups_fast
-
     evidence = []
     normals = normal_subgroups_fast(N)
     # (ii): direct decompositions with characteristic factors
@@ -142,92 +132,104 @@ def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
     return False, evidence
 
 
+def _shared(N: FiniteGroup, key: str, compute):
+    """compute(N), kept in N._cache: an exact fact several rules read.
+
+    A budget error propagates and leaves nothing cached.
+    """
+    got = N._cache.get(key)
+    if got is None:
+        got = N._cache[key] = compute(N)
+    return got
+
+
+def _rose(N: FiniteGroup) -> bool:
+    return _shared(N, "rose", rose_criterion)
+
+
+def _meet(N: FiniteGroup) -> FiniteGroup:
+    return _shared(N, "zn_meet", _zn_meet)
+
+
+def _prop_special(N: FiniteGroup):
+    hit = center(N).is_trivial() and prop_special_search(N)
+    return hit and [
+        f"automorphism with power {hit[1]} inner-derived while "
+        f"(inner shift)^{hit[1]} never trivial"
+    ]
+
+
+def _composite(N: FiniteGroup):
+    fired, evidence = _rule_composite(N, verdict)
+    return fired and evidence
+
+
+# The rule chain, cheapest first: (side, rule, budget-note label, test).
+# test(N) returns the evidence list when the rule fires, a falsy value
+# otherwise.  Only labelled rules may be skipped for an Aut or element
+# budget overrun; rules sharing a label read the same fact.  Each test
+# looks its callees up as module globals when it runs, so a patched or
+# wrapped function is the one called.
+RULES = (
+    (HOLDS, "abelian", None,
+     lambda N: is_abelian(N) and [f"abelian of order {N.order}"]),
+    (HOLDS, "sylow-abelian", None,
+     lambda N: all_sylow_abelian(N) and ["every Sylow subgroup is abelian"]),
+    (FAILS, "ZNthm", None,
+     lambda N: _meet(N).order > 1 and [f"Z(N) meet N' has order {_meet(N).order}"]),
+    (HOLDS, "metabelian-trivial-ZcapD", None,
+     lambda N: _meet(N).order == 1 and is_metabelian(N)
+     and ["metabelian with Z(N) meet N' = 1"]),
+    (HOLDS, "perfect-split", "perfect",
+     lambda N: center(N).is_trivial() and is_perfect(N) and _rose(N)
+     and ["perfect, centerless, inner automorphisms split off"]),
+    (FAILS, "perfect-no-split", "perfect",
+     lambda N: center(N).is_trivial() and is_perfect(N) and not _rose(N)
+     and ["perfect, centerless, inner automorphisms do not split off"]),
+    (HOLDS, "rose", "rose",
+     lambda N: center(N).is_trivial() and _rose(N)
+     and ["centerless, inner automorphisms split off"]),
+    (FAILS, "prop-special", "special-pair", _prop_special),
+    (HOLDS, "composite-2.8", "composite", _composite),
+)
+HOLDS_RULES = tuple(rule for side, rule, _, _ in RULES if side == HOLDS)
+FAILS_RULES = tuple(rule for side, rule, _, _ in RULES if side == FAILS)
+
+
+def _run(N: FiniteGroup, label, test, skipped: dict):
+    """test(N), or None when a labelled rule ran over budget (kept in ``skipped``).
+
+    Once a label has overrun, its other rules are not run again.
+    """
+    if label in skipped:
+        return None
+    try:
+        return test(N)
+    except (AutBudgetError, SizeLimitError) as e:
+        if label is None:
+            raise
+        skipped[label] = e
+        return None
+
+
 def verdict(N: FiniteGroup) -> Verdict:
-    """Ordered rule chain; UNDECIDED is an honest output."""
+    """The first rule of RULES that fires; UNDECIDED is an honest output."""
     key = N.element_set
     got = _verdict_cache.get(key)
     if got is not None:
         return got
-    out = _verdict_uncached(N, verdict)
+    skipped = {}
+    for side, rule, label, test in RULES:
+        evidence = _run(N, label, test, skipped)
+        if evidence:
+            out = Verdict(side, rule, evidence)
+            break
+    else:
+        notes = [f"{label} rule skipped: {e}" for label, e in skipped.items()]
+        notes.append("no rule fired; the question is open for this group")
+        out = Verdict(UNDECIDED, None, [], notes)
     _verdict_cache[key] = out
     return out
-
-
-def _verdict_uncached(N: FiniteGroup, evaluate) -> Verdict:
-    from .autgroups import prop_special_search, rose_criterion
-
-    notes = []
-    if is_abelian(N):
-        return Verdict(HOLDS, "abelian", [f"abelian of order {N.order}"])
-    if all_sylow_abelian(N):
-        return Verdict(
-            HOLDS, "sylow-abelian", ["every Sylow subgroup is abelian"]
-        )
-    meet = _zn_meet(N)
-    if meet.order > 1:
-        return Verdict(
-            FAILS,
-            "ZNthm",
-            [f"Z(N) meet N' has order {meet.order}"],
-        )
-    if is_metabelian(N):
-        return Verdict(
-            HOLDS,
-            "metabelian-trivial-ZcapD",
-            ["metabelian with Z(N) meet N' = 1"],
-        )
-    centerless = center(N).is_trivial()
-    if is_perfect(N) and centerless:
-        try:
-            if rose_criterion(N):
-                return Verdict(
-                    HOLDS, "perfect-split",
-                    ["perfect, centerless, inner automorphisms split off"],
-                )
-            return Verdict(
-                FAILS, "perfect-no-split",
-                ["perfect, centerless, inner automorphisms do not split off"],
-            )
-        except (AutBudgetError, SizeLimitError) as e:
-            notes.append(f"perfect rule skipped: {e}")
-    if centerless:
-        try:
-            if rose_criterion(N):
-                return Verdict(
-                    HOLDS, "rose", ["centerless, inner automorphisms split off"]
-                )
-        except (AutBudgetError, SizeLimitError) as e:
-            notes.append(f"rose rule skipped: {e}")
-        try:
-            hit = prop_special_search(N)
-            if hit is not None:
-                gamma, k = hit
-                return Verdict(
-                    FAILS,
-                    "prop-special",
-                    [
-                        f"automorphism with power {k} inner-derived while "
-                        f"(inner shift)^{k} never trivial"
-                    ],
-                )
-        except (AutBudgetError, SizeLimitError) as e:
-            notes.append(f"special-pair rule skipped: {e}")
-    try:
-        fired, evidence = _rule_composite(N, evaluate)
-        if fired:
-            return Verdict(HOLDS, "composite-2.8", evidence)
-    except (AutBudgetError, SizeLimitError) as e:
-        notes.append(f"composite rule skipped: {e}")
-    notes.append("no rule fired; the question is open for this group")
-    return Verdict(UNDECIDED, None, [], notes)
-
-
-def _budgeted(rule):
-    """rule() or None when it ran over an Aut or element budget."""
-    try:
-        return rule()
-    except (AutBudgetError, SizeLimitError):
-        return None
 
 
 def all_firings(N: FiniteGroup, sides=(HOLDS, FAILS)) -> dict:
@@ -235,39 +237,14 @@ def all_firings(N: FiniteGroup, sides=(HOLDS, FAILS)) -> dict:
 
     Used by the mutual-exclusion soundness check: no group may fire both
     a HOLDS rule and a FAILS rule.  The result holds exactly the rules of
-    ``sides``; the facts several rules share are computed once, and the
-    rose criterion only when a requested rule reads it.
+    ``sides``.
     """
-    from .autgroups import prop_special_search, rose_criterion
-
-    meet_nontrivial = _zn_meet(N).order > 1
-    centerless = center(N).is_trivial()
-    perfect_centerless = centerless and is_perfect(N)
-    rose = None
-    if (HOLDS in sides and centerless) or (FAILS in sides and perfect_centerless):
-        rose = _budgeted(lambda: rose_criterion(N))
-    perfect_skipped = perfect_centerless and rose is None
-    firings: dict = {}
-    if HOLDS in sides:
-        firings["abelian"] = is_abelian(N)
-        firings["sylow-abelian"] = all_sylow_abelian(N)
-        firings["metabelian-trivial-ZcapD"] = is_metabelian(N) and not meet_nontrivial
-        firings["perfect-split"] = (
-            None if perfect_skipped else bool(perfect_centerless and rose)
-        )
-        firings["rose"] = (
-            None if (centerless and rose is None) else bool(centerless and rose)
-        )
-        firings["composite-2.8"] = _budgeted(lambda: _rule_composite(N, verdict)[0])
-    if FAILS in sides:
-        firings["ZNthm"] = meet_nontrivial
-        firings["perfect-no-split"] = (
-            None if perfect_skipped else bool(perfect_centerless and rose is False)
-        )
-        firings["prop-special"] = (
-            _budgeted(lambda: prop_special_search(N) is not None)
-            if centerless else False
-        )
+    skipped = {}
+    firings = {}
+    for side, rule, label, test in RULES:
+        if side in sides:
+            fired = _run(N, label, test, skipped)
+            firings[rule] = None if label in skipped else bool(fired)
     return firings
 
 
@@ -286,12 +263,10 @@ def explain(v: Verdict) -> str:
         lines.append(f"  - {fact}")
     if v.status == UNDECIDED:
         skips = [n for n in v.notes if "skipped" in n]
-        skipped_rules = {
-            n.split(" rule skipped", 1)[0] for n in skips if " rule skipped" in n
-        }
+        skipped = {n.split(" rule skipped", 1)[0] for n in skips}
         evaluated = [
-            r for r in (*HOLDS_RULES, *FAILS_RULES)
-            if not any(r.startswith(s) for s in skipped_rules)
+            rule for want in (HOLDS, FAILS) for side, rule, label, _ in RULES
+            if side == want and label not in skipped
         ]
         lines.append("rules evaluated without firing: " + ", ".join(evaluated))
         lines.append("rules skipped for budget:")

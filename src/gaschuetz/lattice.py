@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, close_set, is_normal
+from .group import FiniteGroup, close_set, is_normal, normal_closure
 from .perm import identity_images, mult, perm_order
-from .structure import prime_factors
+from .structure import conjugacy_classes, prime_factors
 
 
 def _cyclic_subgroups(G: FiniteGroup):
@@ -99,9 +99,6 @@ def normal_subgroups_fast(G: FiniteGroup) -> list[FiniteGroup]:
     so closing the atom set under joins is exhaustive.  Avoids the full
     subgroup lattice; agrees with the lattice filter (tested).
     """
-    from .group import normal_closure
-    from .structure import conjugacy_classes
-
     got = G._cache.get("normals")
     if got is not None:
         return got

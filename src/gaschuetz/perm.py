@@ -41,11 +41,6 @@ def inverse(p):
     return tuple(inv)
 
 
-def conjugate(g, p):
-    """g * p * g^-1 as raw tuples."""
-    return mult(mult(g, p), inverse(g))
-
-
 def cycle_lengths(p):
     n = len(p)
     seen = [False] * n

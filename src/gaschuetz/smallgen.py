@@ -18,12 +18,25 @@ counts.
 from __future__ import annotations
 
 from .autgroups import aut_group
-from .constructors import alternating
+from .catalog import CatalogEntry, abelian_name, save_catalog
+from .constructors import (
+    alternating,
+    cyclic,
+    dihedral,
+    dihedral8_matrices,
+    direct_product,
+    elementary_semidirect,
+    quaternion8,
+    quaternion_matrices,
+    sl_2_3,
+    symmetric,
+    wreath_cyclic,
+)
 from .errors import GroupError
-from .group import FiniteGroup, close_set, reduce_generators
+from .group import FiniteGroup, close_set
 from .isomorphism import group_fingerprint, is_isomorphic
 from .perm import identity_images, inverse, mult
-from .structure import conjugacy_classes, prime_factors
+from .structure import conjugacy_classes, is_abelian, prime_factors
 
 # Aut(C2^4) = GL(4, 2) has 20160 elements, just over the default carrier
 # cap; generation raises it locally.
@@ -140,23 +153,8 @@ KNOWN_GROUP_COUNTS = {
 }
 
 
-def shrink_generators(G: FiniteGroup) -> FiniteGroup:
-    """Re-present a generated group with a reduced generating set."""
-    gens = reduce_generators(set(G.element_tuples), G.degree)
-    return FiniteGroup.from_raw(
-        G.degree, gens, elements=set(G.element_tuples)
-    )
-
-
 def _named_candidates(n: int):
     """Recognizable constructions of order n, tried as canonical names."""
-    from .constructors import (
-        dihedral,
-        quaternion8,
-        sl_2_3,
-        symmetric,
-    )
-
     out = []
     if n == 6:
         out.append(("S3", symmetric(3)))
@@ -181,18 +179,6 @@ def catalog_entries(max_order: int = 63, *, progress=None):
     matched against recognizable constructions, falling back to
     G<order>_<index>.
     """
-    from .catalog import CatalogEntry, abelian_name
-    from .constructors import (
-        dihedral8_matrices,
-        direct_product,
-        cyclic,
-        elementary_semidirect,
-        quaternion_matrices,
-        symmetric,
-        wreath_cyclic,
-    )
-    from .structure import is_abelian
-
     groups = generate_small_groups(max_order, progress=progress)
     entries = []
     used = set()
@@ -212,7 +198,7 @@ def catalog_entries(max_order: int = 63, *, progress=None):
             if name is None or name in used:
                 name = f"G{n}_{i}"
             used.add(name)
-            small = shrink_generators(G)
+            small = G.subgroup(G.element_tuples)
             entries.append(
                 CatalogEntry(
                     name=name,
@@ -249,8 +235,6 @@ def catalog_entries(max_order: int = 63, *, progress=None):
 
 def main(argv=None):
     import argparse
-
-    from .catalog import save_catalog
 
     ap = argparse.ArgumentParser(
         description="Regenerate the bundled small-group catalog."

@@ -174,22 +174,6 @@ def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
     return P
 
 
-def normalizer(G: FiniteGroup, P: FiniteGroup) -> FiniteGroup:
-    pset = P.element_set
-    pgens = P._raw_gens
-    members = set()
-    for t in G.element_tuples:
-        tinv = inverse(t)
-        if all(mult(mult(t, g), tinv) in pset for g in pgens):
-            members.add(t)
-    return G.subgroup(members)
-
-
-def centralizer(G: FiniteGroup, x) -> FiniteGroup:
-    raw = x.images if isinstance(x, Permutation) else tuple(x)
-    return G.subgroup({t for t in G.element_tuples if mult(t, raw) == mult(raw, t)})
-
-
 def centralizer_of_subgroup(G: FiniteGroup, A: FiniteGroup) -> FiniteGroup:
     agens = A._raw_gens
     return G.subgroup(

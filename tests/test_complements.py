@@ -130,7 +130,11 @@ def test_exhaustive_search_report_counts():
 
 
 def test_small_generating_set_sizes():
-    for G, bound in [(symmetric(4), 2), (quaternion8(), 2), (cyclic(12), 1)]:
+    # five irredundant declared generators: only the rebuild gets to one
+    c2310 = cyclic(2)
+    for n in (3, 5, 7, 11):
+        c2310 = direct_product(c2310, cyclic(n))
+    for G, bound in [(symmetric(4), 2), (quaternion8(), 2), (cyclic(12), 1), (c2310, 1)]:
         gens = small_generating_set(G)
         assert len(gens) <= bound
         assert len(close_set([g.images for g in gens], G.degree)) == G.order

@@ -10,11 +10,13 @@ from gaschuetz import (
     symmetric,
     wreath_cyclic,
 )
+from gaschuetz import engine
 from gaschuetz.constructors import elementary_semidirect, quaternion_matrices
 from gaschuetz.engine import (
     FAILS,
     FAILS_RULES,
     HOLDS,
+    RULES,
     UNDECIDED,
     Verdict,
     all_firings,
@@ -22,7 +24,7 @@ from gaschuetz.engine import (
     fired_statuses,
     verdict,
 )
-from gaschuetz.errors import GroupError
+from gaschuetz.errors import GroupError, SizeLimitError
 
 
 def test_verdict_rule_constants_enforced():
@@ -145,3 +147,64 @@ def test_rules_two_and_three_disjoint(small_catalog_groups):
             continue
         if all_sylow_abelian(G):
             assert _zn_meet(G).order == 1, entry.name
+
+
+# The verdict cache is process-global and keyed by element set: an
+# UNDECIDED S4 or A6 computed under a small budget must not outlive the
+# test that made it.
+@pytest.fixture
+def fresh_verdicts(monkeypatch):
+    monkeypatch.setattr(engine, "_verdict_cache", {})
+
+
+def test_explain_lists_skipped_rules_as_skipped(fresh_verdicts, monkeypatch):
+    monkeypatch.setenv("GASCHUETZ_AUT_CAP", "10")
+    text = explain(verdict(symmetric(4)))
+    evaluated = next(line for line in text.splitlines() if line.startswith("rules evaluated"))
+    assert evaluated.split(": ", 1)[1].split(", ") == [
+        "abelian", "sylow-abelian", "metabelian-trivial-ZcapD", "perfect-split",
+        "ZNthm", "perfect-no-split",
+    ]
+    assert "  - special-pair rule skipped: " in text
+
+
+@pytest.mark.parametrize(
+    "make, labels, unknown",
+    [
+        (lambda: symmetric(4), ["rose", "special-pair", "composite"],
+         {"rose", "prop-special", "composite-2.8"}),
+        (lambda: alternating(6), ["perfect", "rose", "special-pair"],
+         {"perfect-split", "perfect-no-split", "rose", "prop-special"}),
+    ],
+    ids=["S4", "A6"],
+)
+def test_budget_overrun_notes_and_firings(fresh_verdicts, monkeypatch, make, labels, unknown):
+    monkeypatch.setenv("GASCHUETZ_AUT_CAP", "10")
+    N = make()
+    v = verdict(N)
+    assert (v.status, v.rule, v.evidence) == (UNDECIDED, None, [])
+    assert [n.split(" rule skipped: ", 1)[0] for n in v.notes[:-1]] == labels
+    assert v.notes[-1] == "no rule fired; the question is open for this group"
+    firings = all_firings(N)
+    assert {r for r, fired in firings.items() if fired is None} == unknown
+    assert not any(firings.values())
+
+
+def test_cheap_rules_propagate_size_limit(fresh_verdicts, monkeypatch):
+    A6 = alternating(6)
+    monkeypatch.setenv("GASCHUETZ_ELEMENT_CAP", "300")
+    with pytest.raises(SizeLimitError):
+        all_firings(A6)
+
+
+def test_verdict_is_first_firing_rule(small_catalog_groups):
+    for entry, G in small_catalog_groups:
+        if G.order > 24:
+            continue
+        firings = all_firings(G)
+        first = next(
+            ((side, rule) for side, rule, _, _ in RULES if firings[rule] is True),
+            (UNDECIDED, None),
+        )
+        v = verdict(G)
+        assert (v.status, v.rule) == first, entry.name
