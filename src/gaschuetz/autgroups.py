@@ -118,9 +118,10 @@ class TransporterSearch:
 
 def aut_group(N: FiniteGroup, *, carrier_cap: int | None = None) -> AutGroup:
     """The full automorphism group of N; cached on N."""
-    got = N._cache.get("aut")
-    if got is not None:
-        return got
+    return N.cached("aut", lambda N: _aut_group(N, carrier_cap))
+
+
+def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
     if N.order > config.aut_base_cap():
         raise AutBudgetError(
             f"aut_group refused for |N| = {N.order} over cap {config.aut_base_cap()}"
@@ -133,9 +134,7 @@ def aut_group(N: FiniteGroup, *, carrier_cap: int | None = None) -> AutGroup:
 
     if n == 1:
         carrier = FiniteGroup.trivial(1)
-        out = AutGroup(N, carrier, carrier, 1)
-        N._cache["aut"] = out
-        return out
+        return AutGroup(N, carrier, carrier, 1)
 
     fp = _fingerprints(N)
     gens = reduce_generators(set(elems), degree)
@@ -203,9 +202,7 @@ def aut_group(N: FiniteGroup, *, carrier_cap: int | None = None) -> AutGroup:
     if not is_normal(inn, carrier):
         raise AutBudgetError("internal: Inn not normal in carrier")
 
-    out = AutGroup(N, carrier, inn, carrier.order // inn.order)
-    N._cache["aut"] = out
-    return out
+    return AutGroup(N, carrier, inn, carrier.order // inn.order)
 
 
 def is_characteristic(M: FiniteGroup, N: FiniteGroup) -> bool:

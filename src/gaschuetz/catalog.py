@@ -15,6 +15,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 
+from . import config
 from .constructors import (
     alternating,
     cyclic,
@@ -200,7 +201,7 @@ def _build_atom(tok: str) -> FiniteGroup:
     return alternating(n)
 
 
-def _canonical_semidirect(left_node, right_node, builder) -> FiniteGroup:
+def _canonical_semidirect(left_node, right_node) -> FiniteGroup:
     """Cp^2 : Q8 or Cp^2 : D8 with the fixed 2-dimensional matrix action."""
     ok = (
         left_node[0] == "^"
@@ -235,7 +236,7 @@ def _eval_node(node) -> FiniteGroup:
     if kind == "x":
         return direct_product(_eval_node(node[1]), _eval_node(node[2]))
     if kind == ":":
-        return _canonical_semidirect(node[1], node[2], None)
+        return _canonical_semidirect(node[1], node[2])
     if kind == "wr":
         right = node[2]
         if right[0] != "atom" or not right[1].startswith("C"):
@@ -282,8 +283,6 @@ def classify(entries, *, max_order=None, check_exclusion=True) -> dict:
     verdict and exclusion-check time (``exclusion_ms`` is None without
     the check).
     """
-    from . import config
-
     budget = config.time_budget_per_group()
     per_group = []
     counts = {"holds": 0, "fails": 0, "undecided": 0}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .autgroups import aut_group, is_complete, rose_criterion
@@ -71,15 +72,12 @@ def _emit(args, payload: dict, text: str) -> None:
 
 
 def _cmd_verdict(args) -> int:
-    import os
-
     entries = None
     if os.path.exists(args.target):
         entries = load_catalog(args.target)
         names = [e.name for e in entries]
     else:
         names = [args.target]
-    rc = 0
     for name in names:
         G = resolve_group(name, entries)
         v = verdict(G)
@@ -92,7 +90,7 @@ def _cmd_verdict(args) -> int:
             "notes": list(v.notes),
         }
         _emit(args, payload, f"{name} (order {G.order})\n{explain(v)}")
-    return rc
+    return 0
 
 
 def _cmd_complement(args) -> int:

@@ -28,6 +28,7 @@ from .group import (
     FiniteGroup,
     close_set,
     conjugate_by,
+    drop_redundant,
     is_normal,
     is_subgroup,
     orbit,
@@ -66,25 +67,15 @@ class ComplementReport:
 def small_generating_set(Q: FiniteGroup) -> list[Permutation]:
     """A short generating list for Q, deterministic.
 
-    Starts from the declared generators, drops redundant ones, and when
-    more than four remain tries ``reduce_generators`` on the element set.
+    Starts from the declared generators and drops the redundant ones with
+    the pass ``reduce_generators`` ends with; when more than four remain,
+    tries ``reduce_generators`` on the element set.
     """
     if Q.order == 1:
         return []
     ident = identity_images(Q.degree)
-    gens = []
-    for g in Q._raw_gens:
-        if g != ident and g not in gens:
-            gens.append(g)
-    changed = True
-    while changed and len(gens) > 1:
-        changed = False
-        for g in list(gens):
-            rest = [x for x in gens if x != g]
-            if rest and len(close_set(rest, Q.degree)) == Q.order:
-                gens = rest
-                changed = True
-                break
+    declared = dict.fromkeys(g for g in Q._raw_gens if g != ident)
+    gens = drop_redundant(list(declared), Q.degree, Q.order)
     if len(gens) > 4:
         rebuilt = reduce_generators(set(Q.element_tuples), Q.degree)
         if len(rebuilt) < len(gens):
@@ -110,8 +101,12 @@ def _orbit_reps(candidates, N: FiniteGroup):
     return reps
 
 
-def _search(G, N, *, collect_all=False, orbit_reduce=True):
-    """Core lift-tuple search.  Returns (report, all_found)."""
+def _search(G, N, *, collect_all=False):
+    """Core lift-tuple search.  Returns (report, all_found).
+
+    Without ``collect_all`` the search stops at the first complement and
+    its first lift ranges over N-conjugacy orbit representatives only.
+    """
     if not is_normal(N, G):
         raise NotNormalError("complement search requires N normal in G")
     degree = G.degree
@@ -144,10 +139,8 @@ def _search(G, N, *, collect_all=False, orbit_reduce=True):
         return report, []
 
     level_candidates = list(filtered)
-    if orbit_reduce and not collect_all:
+    if not collect_all:
         level_candidates[0] = _orbit_reps(filtered[0], N)
-
-    first_report = None
 
     def verify(K_elems, lifts):
         K = FiniteGroup.from_raw(degree, list(lifts), elements=K_elems)
@@ -159,7 +152,7 @@ def _search(G, N, *, collect_all=False, orbit_reduce=True):
         return K
 
     def dfs(level, lifts, closed):
-        nonlocal examined, first_report
+        nonlocal examined
         for x in level_candidates[level]:
             trial = close_set(
                 lifts + [x],
@@ -176,10 +169,6 @@ def _search(G, N, *, collect_all=False, orbit_reduce=True):
                 K = verify(trial, lifts + [x])
                 if K is None:
                     continue
-                if first_report is None:
-                    first_report = ComplementReport(
-                        True, K, full_space, examined
-                    )
                 key = K.element_set
                 if key not in found_keys:
                     found_keys.add(key)
@@ -192,11 +181,9 @@ def _search(G, N, *, collect_all=False, orbit_reduce=True):
         return False
 
     dfs(0, [], {ident})
-    if first_report is not None:
-        first_report.examined = examined
-        return first_report, found
-    report = ComplementReport(False, None, full_space, examined)
-    return report, []
+    if found:
+        return ComplementReport(True, found[0], full_space, examined), found
+    return ComplementReport(False, None, full_space, examined), []
 
 
 def find_complement(
@@ -222,7 +209,7 @@ def find_complement(
         raise NotNormalError("complement search requires N normal in G")
     Q, proj = quotient(G, R)
     nbar = Q.generated_subgroup([proj(g).images for g in N._raw_gens])
-    rep, found = _search(Q, nbar, collect_all=True, orbit_reduce=False)
+    rep, found = _search(Q, nbar, collect_all=True)
     meet = R.element_set & N.element_set
     ident = identity_images(G.degree)
     for kbar in found:
@@ -254,7 +241,7 @@ def find_complement(
 
 def exhaustive_search(G: FiniteGroup, N: FiniteGroup):
     """Full enumeration: (report, every complement), no orbit shortcuts."""
-    report, found = _search(G, N, collect_all=True, orbit_reduce=False)
+    report, found = _search(G, N, collect_all=True)
     return report, sorted(found, key=lambda K: K.element_tuples)
 
 

@@ -132,23 +132,13 @@ def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
     return False, evidence
 
 
-def _shared(N: FiniteGroup, key: str, compute):
-    """compute(N), kept in N._cache: an exact fact several rules read.
-
-    A budget error propagates and leaves nothing cached.
-    """
-    got = N._cache.get(key)
-    if got is None:
-        got = N._cache[key] = compute(N)
-    return got
-
-
+# Exact facts several rules read, kept on N.
 def _rose(N: FiniteGroup) -> bool:
-    return _shared(N, "rose", rose_criterion)
+    return N.cached("rose", rose_criterion)
 
 
 def _meet(N: FiniteGroup) -> FiniteGroup:
-    return _shared(N, "zn_meet", _zn_meet)
+    return N.cached("zn_meet", _zn_meet)
 
 
 def _prop_special(N: FiniteGroup):
@@ -213,7 +203,11 @@ def _run(N: FiniteGroup, label, test, skipped: dict):
 
 
 def verdict(N: FiniteGroup) -> Verdict:
-    """The first rule of RULES that fires; UNDECIDED is an honest output."""
+    """The first rule of RULES that fires; UNDECIDED is an honest output.
+
+    A verdict reached after a rule was skipped for budget depends on the
+    budget, so it is returned but not kept in the verdict cache.
+    """
     key = N.element_set
     got = _verdict_cache.get(key)
     if got is not None:
@@ -228,7 +222,8 @@ def verdict(N: FiniteGroup) -> Verdict:
         notes = [f"{label} rule skipped: {e}" for label, e in skipped.items()]
         notes.append("no rule fired; the question is open for this group")
         out = Verdict(UNDECIDED, None, [], notes)
-    _verdict_cache[key] = out
+    if not skipped:
+        _verdict_cache[key] = out
     return out
 
 

@@ -1,10 +1,10 @@
 """Finite permutation groups: closure, membership, normality.
 
 A ``FiniteGroup`` is a generator set together with a lazily computed,
-canonically sorted element set.  Values are immutable once built; the
-element cache is populated at most once (idempotent, so concurrent
-readers at worst duplicate work).  Groups beyond the configured element
-cap are refused with :class:`SizeLimitError` rather than enumerated.
+canonically sorted element set.  Values are immutable once built; every
+derived per-group fact is kept through ``FiniteGroup.cached``.  Groups
+beyond the configured element cap are refused with
+:class:`SizeLimitError` rather than enumerated.
 """
 
 from __future__ import annotations
@@ -154,15 +154,21 @@ class FiniteGroup:
 
     @property
     def elements(self):
-        got = self._cache.get("elements")
-        if got is None:
-            got = tuple(Permutation._wrap(t) for t in self.element_tuples)
-            self._cache["elements"] = got
-        return got
+        return self.cached(
+            "elements", lambda G: tuple(Permutation._wrap(t) for t in G.element_tuples)
+        )
 
-    def key(self):
-        """Canonical identity of the subgroup: its frozen element set."""
-        return self.element_set
+    def cached(self, key, compute):
+        """compute(self), kept under ``key``: the one memo of per-group facts.
+
+        Every fact kept here is exact and does not depend on any budget, so
+        computing it twice gives an equal value: concurrent readers at worst
+        duplicate work.  A compute that raises (a budget overrun) leaves
+        nothing stored, so a later call with a larger budget retries.
+        """
+        if key not in self._cache:
+            self._cache[key] = compute(self)
+        return self._cache[key]
 
     @property
     def identity(self) -> Permutation:
@@ -199,11 +205,12 @@ class FiniteGroup:
         return FiniteGroup.from_raw(self.degree, raw, elements=elems)
 
 
-def reduce_generators(elements, degree, *, limit=None):
+def reduce_generators(elements, degree):
     """Pick a small generating set for a known element set, greedily.
 
     Scans elements by decreasing order (ties broken canonically) and adds
-    one whenever it enlarges the generated subgroup.  Deterministic.
+    one whenever it enlarges the generated subgroup, then drops the picks
+    that later ones made redundant.  Deterministic.
     """
     ident = identity_images(degree)
     if len(elements) == 1:
@@ -218,15 +225,23 @@ def reduce_generators(elements, degree, *, limit=None):
         current = close_set(gens, degree)
         if len(current) == len(elements):
             break
-        if limit is not None and len(gens) >= limit:
-            break
-    # Drop any generator made redundant by later picks.
+    return drop_redundant(gens, degree, len(elements))
+
+
+def drop_redundant(gens, degree, order):
+    """gens, generating a group of ``order``, without the redundant ones.
+
+    One forward pass drops each generator that the others still generate
+    without.  Dropping a generator never makes a kept one redundant, so no
+    redundant generator is left, and the result equals that of rescanning
+    from the start after every drop.
+    """
     kept = list(gens)
-    for g in list(kept):
+    for g in gens:
         if len(kept) == 1:
             break
         trial = [x for x in kept if x != g]
-        if len(close_set(trial, degree)) == len(elements):
+        if len(close_set(trial, degree)) == order:
             kept = trial
     return kept
 
@@ -267,10 +282,7 @@ def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     if A.degree != B.degree:
         raise DegreeMismatchError("intersection across different degrees")
     small, big = (A, B) if A.order <= B.order else (B, A)
-    common = {t for t in small.element_tuples if t in big.element_set}
-    return FiniteGroup.from_raw(
-        A.degree, reduce_generators(common, A.degree), elements=common
-    )
+    return A.subgroup(t for t in small.element_tuples if t in big.element_set)
 
 
 def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
@@ -295,9 +307,7 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
             gens.extend(new)
             current = close_set(gens, G.degree, seed=current, cap=cap)
         added = list(new)
-    return FiniteGroup.from_raw(
-        G.degree, reduce_generators(current, G.degree), elements=current
-    )
+    return G.subgroup(current)
 
 
 def extend_images(gens, images, identity, image_identity, size, image_mult=mult):
@@ -357,13 +367,10 @@ class Homomorphism:
     """A map between groups, given by images of the source generators.
 
     Consistency is certified at construction: ``extend_images`` returns
-    the map's table iff the images extend to a homomorphism.  Trusted
-    internal builders (quotient projections) skip it and evaluate
-    elements their own way.
+    the map's table iff the images extend to a homomorphism.
     """
 
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, generator_images,
-                 *, _trusted=False):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, generator_images):
         if len(generator_images) != len(source.generators):
             raise GroupError("one image required per source generator")
         imgs = []
@@ -376,17 +383,15 @@ class Homomorphism:
         self.source = source
         self.target = target
         self.generator_images = tuple(imgs)
-        self._map = None
-        if not _trusted:
-            self._map = extend_images(
-                source._raw_gens,
-                [p.images for p in imgs],
-                identity_images(source.degree),
-                identity_images(target.degree),
-                source.order,
-            )
-            if self._map is None:
-                raise GroupError("generator images do not extend to a homomorphism")
+        self._map = extend_images(
+            source._raw_gens,
+            [p.images for p in imgs],
+            identity_images(source.degree),
+            identity_images(target.degree),
+            source.order,
+        )
+        if self._map is None:
+            raise GroupError("generator images do not extend to a homomorphism")
 
     def __call__(self, g):
         raw = g.images if isinstance(g, Permutation) else tuple(g)
@@ -399,9 +404,4 @@ class Homomorphism:
 
     def kernel(self) -> FiniteGroup:
         tident = identity_images(self.target.degree)
-        ker = {x for x, fx in self._map.items() if fx == tident}
-        return FiniteGroup.from_raw(
-            self.source.degree,
-            reduce_generators(ker, self.source.degree),
-            elements=ker,
-        )
+        return self.source.subgroup(x for x, fx in self._map.items() if fx == tident)

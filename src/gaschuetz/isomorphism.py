@@ -19,13 +19,15 @@ from .structure import (
 
 
 def group_fingerprint(G: FiniteGroup) -> tuple:
-    got = G._cache.get("fingerprint")
-    if got is not None:
-        return got
+    """Isomorphism invariants of G; cached on G."""
+    return G.cached("fingerprint", _fingerprint)
+
+
+def _fingerprint(G: FiniteGroup) -> tuple:
     orders = sorted(perm_order(t) for t in G.element_tuples)
     classes = conjugacy_classes(G)
     class_stats = sorted((len(c), perm_order(c[0])) for c in classes)
-    fp = (
+    return (
         G.order,
         tuple(orders),
         center(G).order,
@@ -33,8 +35,6 @@ def group_fingerprint(G: FiniteGroup) -> tuple:
         tuple(class_stats),
         is_abelian(G),
     )
-    G._cache["fingerprint"] = fp
-    return fp
 
 
 def _element_invariants(G: FiniteGroup):

@@ -1,10 +1,11 @@
 """Subgroup enumeration, Frattini subgroups, minimal supplements.
 
-Subgroups are enumerated by join growth: starting from the cyclic
-subgroups, every known subgroup is extended by canonical cyclic
-generators until nothing new appears.  Every subgroup is a join of
-cyclic subgroups, so the enumeration is exhaustive; it is guarded by
-the lattice order cap.
+Subgroups are enumerated by join growth: starting from the trivial
+group, every known subgroup is joined with each atom until nothing new
+appears.  Every subgroup is a join of cyclic subgroups and every normal
+subgroup a join of conjugacy-class normal closures, so with those atoms
+the enumeration is exhaustive; the full lattice is guarded by the
+lattice order cap.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ from .perm import identity_images, mult, perm_order
 from .structure import conjugacy_classes, prime_factors
 
 
-def _cyclic_subgroups(G: FiniteGroup):
-    """(canonical generator, element frozenset) for each cyclic subgroup."""
+def _cyclic_generators(G: FiniteGroup):
+    """The canonical generator of each nontrivial cyclic subgroup, sorted."""
     ident = identity_images(G.degree)
     by_key = {}
     for t in G.element_tuples:
@@ -33,53 +34,50 @@ def _cyclic_subgroups(G: FiniteGroup):
         key = frozenset(powers)
         order = len(powers)
         if key not in by_key:
-            gen = min(p for p in powers if perm_order(p) == order)
-            by_key[key] = gen
-    return sorted((gen, key) for key, gen in by_key.items())
+            by_key[key] = min(p for p in powers if perm_order(p) == order)
+    return sorted(by_key.values())
+
+
+def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
+    """Every join of atom subgroups of G, given by their generator lists.
+
+    Breadth-first from the trivial group: each subgroup found is joined
+    with every atom it does not contain, and a new join keeps the
+    generators it was built from.  Sorted by order, then elements.
+    """
+    degree = G.degree
+    ident = identity_images(degree)
+    trivial = FiniteGroup.from_raw(degree, [], elements={ident})
+    found = {trivial.element_set: trivial}
+    queue = [trivial]
+    for X in queue:  # the queue grows while it is walked
+        if X.order == G.order:
+            continue
+        xset = X.element_set
+        for agens in atoms:
+            if all(g in xset for g in agens):
+                continue
+            gens = list(X._raw_gens) + list(agens)
+            elems = close_set(gens, degree, seed=xset)
+            key = frozenset(elems)
+            if key not in found:
+                J = FiniteGroup.from_raw(degree, gens, elements=elems)
+                found[key] = J
+                queue.append(J)
+    return sorted(found.values(), key=lambda s: (s.order, s.element_tuples))
 
 
 def all_subgroups(G: FiniteGroup, cap: int | None = None) -> list[FiniteGroup]:
-    """Every subgroup of G, duplicate-free, canonically ordered."""
+    """Every subgroup of G, duplicate-free, canonically ordered; cached on G."""
     limit = cap if cap is not None else config.lattice_cap()
     if G.order > limit:
         raise SizeLimitError(
             f"subgroup enumeration refused over order {limit}",
             required_order=G.order,
         )
-    got = G._cache.get("subgroups")
-    if got is not None:
-        return got
-    degree = G.degree
-    ident = identity_images(degree)
-    trivial = FiniteGroup.from_raw(degree, [], elements={ident})
-    found = {frozenset({ident}): trivial}
-    cyclics = _cyclic_subgroups(G)
-    queue = []
-    for gen, key in cyclics:
-        if key not in found:
-            sub = FiniteGroup.from_raw(degree, [gen], elements=set(key))
-            found[key] = sub
-            queue.append(sub)
-    i = 0
-    while i < len(queue):
-        A = queue[i]
-        i += 1
-        if A.order == G.order:
-            continue
-        aset = A.element_set
-        agens = list(A._raw_gens)
-        for gen, _key in cyclics:
-            if gen in aset:
-                continue
-            elems = close_set(agens + [gen], degree, seed=aset)
-            key = frozenset(elems)
-            if key not in found:
-                sub = FiniteGroup.from_raw(degree, agens + [gen], elements=elems)
-                found[key] = sub
-                queue.append(sub)
-    subs = sorted(found.values(), key=lambda s: (s.order, s.element_tuples))
-    G._cache["subgroups"] = subs
-    return subs
+    return G.cached(
+        "subgroups", lambda G: _joins(G, [[gen] for gen in _cyclic_generators(G)])
+    )
 
 
 def subgroups_of_order(G: FiniteGroup, m: int) -> list[FiniteGroup]:
@@ -97,45 +95,28 @@ def normal_subgroups_fast(G: FiniteGroup) -> list[FiniteGroup]:
 
     Every normal subgroup is the join of the class closures it contains,
     so closing the atom set under joins is exhaustive.  Avoids the full
-    subgroup lattice; agrees with the lattice filter (tested).
+    subgroup lattice; agrees with the lattice filter (tested).  Cached on G.
     """
-    got = G._cache.get("normals")
-    if got is not None:
-        return got
-    degree = G.degree
-    ident = identity_images(degree)
+    return G.cached("normals", lambda G: _joins(G, _class_closures(G)))
+
+
+def _class_closures(G: FiniteGroup):
+    """Generators of the distinct normal closures of nontrivial classes."""
+    ident = identity_images(G.degree)
     atoms = {}
     for cls in conjugacy_classes(G):
-        if cls[0] == ident and len(cls) == 1:
-            continue
-        C = normal_closure(G, [cls[0]])
-        atoms.setdefault(C.element_set, C)
-    trivial = FiniteGroup.from_raw(degree, [], elements={ident})
-    found = {trivial.element_set: trivial}
-    frontier = [trivial]
-    while frontier:
-        nxt = []
-        for X in frontier:
-            for key, C in atoms.items():
-                if key <= X.element_set:
-                    continue
-                gens = list(X._raw_gens) + list(C._raw_gens)
-                elems = close_set(gens, degree, seed=X.element_set)
-                jkey = frozenset(elems)
-                if jkey not in found:
-                    J = FiniteGroup.from_raw(degree, gens, elements=elems)
-                    found[jkey] = J
-                    nxt.append(J)
-        frontier = nxt
-    subs = sorted(found.values(), key=lambda s: (s.order, s.element_tuples))
-    G._cache["normals"] = subs
-    return subs
+        if cls[0] != ident:
+            C = normal_closure(G, [cls[0]])
+            atoms.setdefault(C.element_set, C._raw_gens)
+    return list(atoms.values())
 
 
 def maximal_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
-    got = G._cache.get("maximals")
-    if got is not None:
-        return got
+    """The maximal subgroups, from the subgroup lattice; cached on G."""
+    return G.cached("maximals", _maximal_subgroups)
+
+
+def _maximal_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
     subs = [S for S in all_subgroups(G) if S.order < G.order]
     maximal = []
     for S in subs:
@@ -145,25 +126,22 @@ def maximal_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
         ):
             continue
         maximal.append(S)
-    G._cache["maximals"] = maximal
     return maximal
 
 
 def frattini(G: FiniteGroup) -> FiniteGroup:
-    """Intersection of all maximal subgroups."""
-    got = G._cache.get("frattini")
-    if got is not None:
-        return got
+    """Intersection of all maximal subgroups; cached on G."""
+    return G.cached("frattini", _frattini)
+
+
+def _frattini(G: FiniteGroup) -> FiniteGroup:
     maxes = maximal_subgroups(G)
     if not maxes:
-        out = G  # trivial group: empty intersection convention
-    else:
-        common = set(maxes[0].element_set)
-        for M in maxes[1:]:
-            common &= M.element_set
-        out = G.subgroup(common)
-    G._cache["frattini"] = out
-    return out
+        return G  # trivial group: empty intersection convention
+    common = set(maxes[0].element_set)
+    for M in maxes[1:]:
+        common &= M.element_set
+    return G.subgroup(common)
 
 
 def _product_order(A: FiniteGroup, B: FiniteGroup) -> int:

@@ -17,6 +17,8 @@ counts.
 
 from __future__ import annotations
 
+import argparse
+
 from .autgroups import aut_group
 from .catalog import CatalogEntry, abelian_name, save_catalog
 from .constructors import (
@@ -36,7 +38,7 @@ from .errors import GroupError
 from .group import FiniteGroup, close_set
 from .isomorphism import group_fingerprint, is_isomorphic
 from .perm import identity_images, inverse, mult
-from .structure import conjugacy_classes, is_abelian, prime_factors
+from .structure import center, conjugacy_classes, is_abelian, prime_factors
 
 # Aut(C2^4) = GL(4, 2) has 20160 elements, just over the default carrier
 # cap; generation raises it locally.
@@ -53,9 +55,7 @@ def extension_data(N: FiniteGroup, p: int):
         tinv = inverse(t)
         perm = tuple(idx[mult(mult(t, x), tinv)] for x in elems)
         conj_witness.setdefault(perm, t)
-    center_elems = [
-        t for t in elems if all(mult(t, g) == mult(g, t) for g in N._raw_gens)
-    ]
+    center_elems = center(N).element_tuples
     for cls in conjugacy_classes(aut.carrier):
         alpha = cls[0]
         alpha_p = alpha
@@ -234,8 +234,6 @@ def catalog_entries(max_order: int = 63, *, progress=None):
 
 
 def main(argv=None):
-    import argparse
-
     ap = argparse.ArgumentParser(
         description="Regenerate the bundled small-group catalog."
     )

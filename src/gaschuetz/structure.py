@@ -9,15 +9,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import GroupError, NotNormalError, NotPrimeError
-from .group import (
-    FiniteGroup,
-    Homomorphism,
-    conjugate_by,
-    is_normal,
-    normal_closure,
-    orbit,
-    reduce_generators,
-)
+from .group import FiniteGroup, conjugate_by, is_normal, normal_closure, orbit
 from .perm import Permutation, identity_images, inverse, mult, perm_order
 
 
@@ -73,15 +65,8 @@ def exponent(G: FiniteGroup) -> int:
 
 
 def center(G: FiniteGroup) -> FiniteGroup:
-    got = G._cache.get("center")
-    if got is None:
-        gens = G._raw_gens
-        cen = {
-            t for t in G.element_tuples if all(mult(t, g) == mult(g, t) for g in gens)
-        }
-        got = G.subgroup(cen)
-        G._cache["center"] = got
-    return got
+    """Z(G), the centralizer of G in itself; cached on G."""
+    return G.cached("center", lambda G: centralizer_of_subgroup(G, G))
 
 
 def _commutator(x, y):
@@ -102,11 +87,7 @@ def commutator_subgroup(G: FiniteGroup, A: FiniteGroup, B: FiniteGroup) -> Finit
 
 def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
     """[G, G], the normal closure of the generator commutators; cached on G."""
-    got = G._cache.get("derived")
-    if got is None:
-        got = commutator_subgroup(G, G, G)
-        G._cache["derived"] = got
-    return got
+    return G.cached("derived", lambda G: commutator_subgroup(G, G, G))
 
 
 def derived_series(G: FiniteGroup) -> list[FiniteGroup]:
@@ -129,26 +110,25 @@ def _p_part(t, p):
 
 
 def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
+    """A Sylow p-subgroup; cached on G."""
+    if not is_prime(p):
+        raise NotPrimeError(f"{p} is not prime")
+    return G.cached(("sylow", p), lambda G: _grow_sylow(G, p))
+
+
+def _grow_sylow(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup, grown from a p-element through normalizers.
 
     While P is not yet full, its normalizer contains a p-element outside
     P (standard Sylow theory), and adjoining it keeps a p-group.
     """
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    key = ("sylow", p)
-    got = G._cache.get(key)
-    if got is not None:
-        return got
     n = G.order
     target = 1
     while n % p == 0:
         target *= p
         n //= p
     if target == 1:
-        out = FiniteGroup.trivial(G.degree)
-        G._cache[key] = out
-        return out
+        return FiniteGroup.trivial(G.degree)
     seed = None
     for t in G.element_tuples:
         if perm_order(t) % p == 0:
@@ -170,7 +150,6 @@ def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
         if found is None:
             raise GroupError("sylow growth stalled (internal invariant violated)")
         P = G.generated_subgroup(list(pgens) + [found])
-    G._cache[key] = P
     return P
 
 
@@ -182,10 +161,11 @@ def centralizer_of_subgroup(G: FiniteGroup, A: FiniteGroup) -> FiniteGroup:
 
 
 def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
-    """Classes as sorted tuples of raw tuples, ordered by minimal member."""
-    got = G._cache.get("classes")
-    if got is not None:
-        return got
+    """Classes as sorted tuples of raw tuples, ordered by minimal member; cached."""
+    return G.cached("classes", _conjugacy_classes)
+
+
+def _conjugacy_classes(G: FiniteGroup) -> list[tuple]:
     gens = [(g, inverse(g)) for g in G._raw_gens]
     seen = set()
     classes = []
@@ -196,7 +176,6 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
         seen |= cls
         classes.append(tuple(sorted(cls)))
     classes.sort(key=lambda c: c[0])
-    G._cache["classes"] = classes
     return classes
 
 
@@ -223,33 +202,35 @@ def is_solvable(G: FiniteGroup) -> bool:
     return derived_series(G)[-1].order == 1
 
 
-class QuotientProjection(Homomorphism):
-    """Projection G -> G/N backed by the coset partition.
+class QuotientProjection:
+    """Projection G -> G/N, with G/N acting on the cosets of N.
 
     Image permutations are computed per element on demand, never as a
     full source-to-image table (the image degree is |G : N|, so a full
-    table would be quadratic in |G|).
+    table would be quadratic in |G|).  Cosets are numbered in the order
+    of their representatives.
     """
 
-    def __init__(self, source, target, gen_images, *, coset_of, reps, index_of):
-        super().__init__(source, target, gen_images, _trusted=True)
+    def __init__(self, source: FiniteGroup, coset_of: dict, reps: list):
+        self.source = source
         self.coset_of = coset_of
         self.coset_representatives = tuple(reps)
-        self._index_of = index_of
-        self.identity_coset = index_of[coset_of[identity_images(source.degree)]]
+        self._index_of = {rep: i for i, rep in enumerate(reps)}
+        self.identity_coset = self._index_of[coset_of[identity_images(source.degree)]]
         buckets = [[] for _ in reps]
         for x, rep in coset_of.items():
-            buckets[index_of[rep]].append(x)
+            buckets[self._index_of[rep]].append(x)
         self._members = [tuple(sorted(b)) for b in buckets]
         self._perm_cache = {}
 
     def _image_raw(self, raw):
         got = self._perm_cache.get(raw)
         if got is None:
-            if self.target.degree == 1:
+            reps = self.coset_representatives
+            if len(reps) == 1:
                 got = identity_images(1)
             else:
-                reps = self.coset_representatives
+                # left translation xN -> (g x)N, matching the group product
                 index_of = self._index_of
                 coset_of = self.coset_of
                 got = tuple(index_of[coset_of[mult(raw, rep)]] for rep in reps)
@@ -263,17 +244,14 @@ class QuotientProjection(Homomorphism):
 
     def kernel(self) -> FiniteGroup:
         ident_rep = self.coset_of[identity_images(self.source.degree)]
-        ker = {x for x, rep in self.coset_of.items() if rep == ident_rep}
-        return FiniteGroup.from_raw(
-            self.source.degree,
-            reduce_generators(ker, self.source.degree),
-            elements=ker,
+        return self.source.subgroup(
+            x for x, rep in self.coset_of.items() if rep == ident_rep
         )
 
     def fiber(self, q) -> tuple:
         """All preimages of a quotient element."""
         raw = q.images if isinstance(q, Permutation) else tuple(q)
-        if self.target.degree == 1:
+        if len(self._members) == 1:
             return self._members[0]
         return self._members[raw[self.identity_coset]]
 
@@ -288,10 +266,9 @@ def quotient(G: FiniteGroup, N: FiniteGroup):
     if not is_normal(N, G):
         raise NotNormalError("quotient by a non-normal subgroup")
     ngens = N._raw_gens
-    elems = G.element_tuples
     coset_of = {}
     reps = []
-    for t in elems:
+    for t in G.element_tuples:
         if t in coset_of:
             continue
         members = orbit(t, ngens, mult)
@@ -300,23 +277,12 @@ def quotient(G: FiniteGroup, N: FiniteGroup):
         for x in members:
             coset_of[x] = rep
     reps.sort()
-    index_of = {rep: i for i, rep in enumerate(reps)}
+    proj = QuotientProjection(G, coset_of, reps)
     m = len(reps)
     if m == 1:
-        Q = FiniteGroup.trivial(1)
-        qgen_perms = [Q.identity for _ in G.generators]
-    else:
-        def action(graw):
-            # left translation xN -> (g x)N, matching the group product
-            return tuple(index_of[coset_of[mult(graw, rep)]] for rep in reps)
-
-        qgens = [action(g) for g in G._raw_gens]
-        Q = FiniteGroup.from_raw(m, qgens, order=m)
-        qgen_perms = [Permutation._wrap(g) for g in qgens]
-    proj = QuotientProjection(
-        G, Q, qgen_perms, coset_of=coset_of, reps=reps, index_of=index_of
-    )
-    return Q, proj
+        return FiniteGroup.trivial(1), proj
+    qgens = [proj._image_raw(g) for g in G._raw_gens]
+    return FiniteGroup.from_raw(m, qgens, order=m), proj
 
 
 # -- predicates -----------------------------------------------------------

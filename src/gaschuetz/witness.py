@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from . import config
+from .autgroups import aut_group
 from .complements import (
     ComplementReport,
     Embedding,
@@ -415,8 +416,6 @@ def build_perfect(N: FiniteGroup, q: int) -> Embedding:
     centerless group already pushes this past any desk-scale cap, so the
     expected outcome is a size error reporting the required order.
     """
-    from .autgroups import aut_group
-
     if not center(N).is_trivial():
         raise PreconditionError("N must be centerless")
     if derived_subgroup(N).order != N.order:

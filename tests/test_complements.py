@@ -18,10 +18,10 @@ from gaschuetz.complements import (
     small_generating_set,
 )
 from gaschuetz.errors import NotNormalError, PreconditionError
-from gaschuetz.group import close_set, is_normal
-from gaschuetz.lattice import all_subgroups
-from gaschuetz.perm import Permutation, perm_order
-from gaschuetz.structure import sylow
+from gaschuetz.group import close_set, is_normal, reduce_generators
+from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
+from gaschuetz.perm import Permutation, identity_images, perm_order
+from gaschuetz.structure import quotient, sylow
 
 
 def oracle_has_complement(G, N):
@@ -138,6 +138,44 @@ def test_small_generating_set_sizes():
         gens = small_generating_set(G)
         assert len(gens) <= bound
         assert len(close_set([g.images for g in gens], G.degree)) == G.order
+
+
+def restart_prune_generating_set(Q):
+    """small_generating_set, its prune rescanning from the start after each drop."""
+    if Q.order == 1:
+        return []
+    ident = identity_images(Q.degree)
+    gens = []
+    for g in Q._raw_gens:
+        if g != ident and g not in gens:
+            gens.append(g)
+    changed = True
+    while changed and len(gens) > 1:
+        changed = False
+        for g in list(gens):
+            rest = [x for x in gens if x != g]
+            if rest and len(close_set(rest, Q.degree)) == Q.order:
+                gens = rest
+                changed = True
+                break
+    if len(gens) > 4:
+        rebuilt = reduce_generators(set(Q.element_tuples), Q.degree)
+        if len(rebuilt) < len(gens):
+            gens = rebuilt
+    return gens
+
+
+def test_drop_pass_matches_restart_prune(small_catalog_groups):
+    checked = 0
+    for entry, G in small_catalog_groups:
+        if G.order > 24:
+            continue
+        for N in normal_subgroups_fast(G):
+            Q, _ = quotient(G, N)
+            got = [g.images for g in small_generating_set(Q)]
+            assert got == restart_prune_generating_set(Q), (entry.name, N.order)
+            checked += 1
+    assert checked > 300
 
 
 def test_agreement_with_oracle_on_small_groups():

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 from gaschuetz import (
@@ -208,3 +211,32 @@ def test_verdict_is_first_firing_rule(small_catalog_groups):
         )
         v = verdict(G)
         assert (v.status, v.rule) == first, entry.name
+
+
+def test_budget_skipped_verdict_is_not_cached(fresh_verdicts, monkeypatch):
+    monkeypatch.setenv("GASCHUETZ_AUT_CAP", "10")
+    assert verdict(symmetric(4)).status == UNDECIDED
+    monkeypatch.delenv("GASCHUETZ_AUT_CAP")
+    v = verdict(symmetric(4))
+    assert (v.status, v.rule) == (HOLDS, "rose")
+
+
+def test_verdicts_agree_across_threads_on_shared_groups(
+    fresh_verdicts, monkeypatch, catalog_entries
+):
+    entries = [e for e in catalog_entries if e.group().order <= 24]
+    expected = [(v.status, v.rule) for v in map(verdict, (e.group() for e in entries))]
+    monkeypatch.setattr(engine, "_verdict_cache", {})
+    shared = [e.group() for e in entries]  # cold caches, read by every thread
+
+    def run(_):
+        return [(v.status, v.rule) for v in map(verdict, shared)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch often, so cache checks and stores interleave
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            runs = list(pool.map(run, range(4), timeout=300))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [expected] * 4
