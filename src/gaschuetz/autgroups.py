@@ -23,9 +23,11 @@ from dataclasses import dataclass
 from . import config
 from .complements import find_complement
 from .errors import AutBudgetError, PreconditionError
-from .group import FiniteGroup, close_set, extend_images, is_normal, reduce_generators
+from .group import (
+    FiniteGroup, conjugation_perm, element_perm, extend_images, is_normal, reduce_generators,
+)
 from .lattice import frattini
-from .perm import Permutation, identity_images, inverse, mult, perm_order
+from .perm import Permutation, identity_images, mult, perm_order
 from .structure import (
     center,
     conjugacy_classes,
@@ -99,6 +101,23 @@ class TransporterSearch:
         self.leaf_args = (identity, image_identity, n)  # validate's other arguments
         self.sigs = [[_word_sig(a, b) for b in gens] for a in gens]
 
+    @classmethod
+    def between(cls, G: FiniteGroup, H: FiniteGroup) -> "TransporterSearch":
+        """The search for maps G -> H, |G| = |H|.
+
+        The candidates for each of G's reduced generators are the elements of
+        H with its ``_fingerprints`` value; rarest lists go first, to prune early.
+        """
+        fp_g = _fingerprints(G)
+        fp_h = fp_g if H is G else _fingerprints(H)
+        gens = reduce_generators(set(G.element_tuples), G.degree)
+        cands = [sorted(t for t in H.element_tuples if fp_h[t] == fp_g[g]) for g in gens]
+        order_by = sorted(range(len(gens)), key=lambda i: (len(cands[i]), i))
+        return cls(
+            [gens[i] for i in order_by], [cands[i] for i in order_by],
+            identity_images(G.degree), identity_images(H.degree), G.order,
+        )
+
     def compatible(self, imgs, x):
         """Whether x may follow the image prefix imgs."""
         level = len(imgs)
@@ -127,25 +146,14 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
             f"aut_group refused for |N| = {N.order} over cap {config.aut_base_cap()}"
         )
     cap = carrier_cap if carrier_cap is not None else config.aut_carrier_cap()
-    elems = N.element_tuples
-    n = len(elems)
-    idx = {t: i for i, t in enumerate(elems)}
-    degree = N.degree
-
+    n = N.order
     if n == 1:
         carrier = FiniteGroup.trivial(1)
         return AutGroup(N, carrier, carrier, 1)
 
-    fp = _fingerprints(N)
-    gens = reduce_generators(set(elems), degree)
-    candidates = [sorted(t for t in elems if fp[t] == fp[g]) for g in gens]
-    # rarest candidate lists first: bad prefixes die earlier
-    order_by = sorted(range(len(gens)), key=lambda i: (len(candidates[i]), i))
-    gens = [gens[i] for i in order_by]
-    candidates = [candidates[i] for i in order_by]
+    search = TransporterSearch.between(N, N)
+    gens, candidates = search.gens, search.candidates
     m = len(gens)
-    ident = identity_images(degree)
-    search = TransporterSearch(gens, candidates, ident, ident, n)
     identity_auto = tuple(range(n))
 
     def stab_elements(k):
@@ -164,7 +172,7 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
                 table = search.first(prefix + [x])
                 if table is None:
                     continue
-                tau = tuple(idx[table[t]] for t in elems)
+                tau = element_perm(N, table.__getitem__)
             if tau == identity_auto:
                 out.extend(deeper)
             else:
@@ -183,16 +191,7 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
 
     carrier_gens = reduce_generators(auto_set, n) if len(auto_set) > 1 else []
     carrier = FiniteGroup.from_raw(n, carrier_gens, elements=auto_set)
-
-    # inner automorphisms: conjugation by each element
-    inn_set = set()
-    inn_gens = []
-    for g in N._raw_gens:
-        ginv = inverse(g)
-        p = tuple(idx[mult(mult(g, t), ginv)] for t in elems)
-        inn_gens.append(p)
-    inn_elems = close_set(inn_gens, n) if inn_gens else {identity_auto}
-    inn = FiniteGroup.from_raw(n, inn_gens, elements=inn_elems)
+    inn = carrier.generated_subgroup([conjugation_perm(N, g) for g in N._raw_gens])
 
     z = center(N).order
     if inn.order != N.order // z:
@@ -208,8 +207,7 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
 def is_characteristic(M: FiniteGroup, N: FiniteGroup) -> bool:
     """True iff every automorphism generator maps M's element set to itself."""
     aut = aut_group(N)
-    elems = N.element_tuples
-    idx = {t: i for i, t in enumerate(elems)}
+    idx = N.element_index
     mids = {idx[t] for t in M.element_tuples}
     for gamma in aut.carrier._raw_gens:
         if {gamma[i] for i in mids} != mids:

@@ -77,11 +77,17 @@ def load_catalog(path) -> list[CatalogEntry]:
         except json.JSONDecodeError as e:
             raise CatalogError(f"line {lineno}: invalid JSON: {e}", line=lineno)
         try:
+            degree, gens, tags = obj["degree"], obj["generators"], obj.get("tags", [])
+            if type(degree) is not int or degree < 1:
+                raise ValueError(f"degree must be an integer >= 1, not {degree!r}")
+            if not (type(gens) is list and type(tags) is list and all(
+                    type(g) is list and all(type(x) is int for x in g) for g in gens)):
+                raise TypeError("generators must be lists of integers, tags a list")
             entry = CatalogEntry(
                 name=str(obj["name"]),
-                degree=int(obj["degree"]),
-                generators=[[int(x) for x in g] for g in obj["generators"]],
-                tags=[str(t) for t in obj.get("tags", [])],
+                degree=degree,
+                generators=[list(g) for g in gens],
+                tags=[str(t) for t in tags],
             )
         except (KeyError, TypeError, ValueError) as e:
             raise CatalogError(f"line {lineno}: malformed entry: {e}", line=lineno)

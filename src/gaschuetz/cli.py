@@ -30,6 +30,13 @@ from .structure import center, derived_subgroup, sylow
 from .witness import baer_bundle, build_znthm, verify_znthm
 
 
+def _selector_number(selector: str, prefix: str) -> int:
+    digits = selector[len(prefix):]
+    if not digits.isdecimal():
+        raise UnknownNameError(f"bad selector {selector!r}: expected {prefix}<number>")
+    return int(digits)
+
+
 def _resolve_normal(G: FiniteGroup, selector: str) -> FiniteGroup:
     """A normal subgroup of G named by keyword, order, or isomorphism type."""
     if selector == "derived":
@@ -39,9 +46,9 @@ def _resolve_normal(G: FiniteGroup, selector: str) -> FiniteGroup:
     if selector == "frattini":
         return frattini(G)
     if selector.startswith("sylow"):
-        return sylow(G, int(selector[len("sylow"):]))
+        return sylow(G, _selector_number(selector, "sylow"))
     if selector.startswith("order:"):
-        want = int(selector.split(":", 1)[1])
+        want = _selector_number(selector, "order:")
         matches = [N for N in normal_subgroups_fast(G) if N.order == want]
         if len(matches) != 1:
             raise UnknownNameError(

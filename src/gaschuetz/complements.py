@@ -117,7 +117,7 @@ def _search(G, N, *, collect_all=False):
         report = ComplementReport(True, K, 1, 1)
         return report, [K]
     if index == 1:
-        K = FiniteGroup.from_raw(degree, [], elements={ident})
+        K = FiniteGroup.trivial(degree)
         report = ComplementReport(True, K, 1, 1)
         return report, [K]
     Q, proj = quotient(G, N)

@@ -13,11 +13,12 @@ Realization choices:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from math import factorial
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, extend_images
+from .group import FiniteGroup, element_perm, extend_images
 from .perm import Permutation, identity_images, inverse, mult
 from .structure import center, quotient
 
@@ -310,8 +311,7 @@ class SemidirectProduct:
                 required_order=order,
             )
         self.spec = action
-        self._elems = N.element_tuples
-        self._idx = {t: i for i, t in enumerate(self._elems)}
+        self._N = N
         self._total = N.order + H.degree
         n_gens = [self._n_point_perm(g) for g in N._raw_gens]
         h_gens = [
@@ -324,16 +324,12 @@ class SemidirectProduct:
 
     def _n_point_perm(self, raw):
         rinv = inverse(raw)
-        out = list(range(self._total))
-        for i, t in enumerate(self._elems):
-            out[i] = self._idx[mult(t, rinv)]
-        return tuple(out)
+        n_part = element_perm(self._N, lambda t: mult(t, rinv))
+        return n_part + tuple(range(self._N.order, self._total))
 
     def _h_point_perm(self, raw, aut):
-        n = len(self._elems)
-        out = [self._idx[aut[t]] for t in self._elems]
-        out += [n + x for x in raw]
-        return tuple(out)
+        n = self._N.order
+        return element_perm(self._N, aut.__getitem__) + tuple(n + x for x in raw)
 
     def embed_n(self, x) -> Permutation:
         raw = x.images if isinstance(x, Permutation) else tuple(x)
@@ -508,12 +504,7 @@ def regular_representation(G: FiniteGroup) -> FiniteGroup:
     n = G.order
     if n > config.element_cap():
         raise SizeLimitError(f"regular representation of order {n}", required_order=n)
-    elems = G.element_tuples
-    idx = {t: i for i, t in enumerate(elems)}
-    gens = [
-        tuple(idx[mult(g, t)] for t in elems)
-        for g in G._raw_gens
-    ]
+    gens = [element_perm(G, partial(mult, g)) for g in G._raw_gens]
     if not gens:
         return FiniteGroup.trivial(1)
     return FiniteGroup.from_raw(n, gens, order=n)

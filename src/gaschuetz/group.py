@@ -17,45 +17,24 @@ from .perm import Permutation, identity_images, inverse, mult, perm_order
 def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=None):
     """Breadth-first closure of raw image tuples under right multiplication.
 
-    seed: optional starting element set (already closed under the group
-        operation among themselves, e.g. an existing subgroup).
+    seed: optional starting element set, already closed (e.g. an
+        existing subgroup); its elements are not checked again.
     cap: hard limit; exceeding it raises SizeLimitError.
     abort_over: soft limit; exceeding it returns None (search pruning).
     forbidden: set of raw tuples; touching one returns None immediately
         (the identity is never treated as forbidden).
 
-    Returns the closed set of raw tuples, or None if aborted.
+    Returns the closed set of raw tuples, or None if aborted.  Each
+    generator is reached as 1 g and checked like any other new element.
     """
     ident = identity_images(degree)
     gens = [g for g in gens if g != ident]
     for g in gens:
         if len(g) != degree:
             raise DegreeMismatchError("generator degree mismatch")
-    if seed is None:
-        elements = {ident}
-        frontier = []
-        for g in gens:
-            if g not in elements:
-                elements.add(g)
-                frontier.append(g)
-    else:
-        elements = set(seed)
-        elements.add(ident)
-        frontier = list(elements)
-        for g in gens:
-            if g not in elements:
-                elements.add(g)
-                frontier.append(g)
-    if forbidden is not None:
-        for x in elements:
-            if x != ident and x in forbidden:
-                return None
-    if cap is not None and len(elements) > cap:
-        raise SizeLimitError(
-            f"group exceeds element cap {cap}", required_order=len(elements)
-        )
-    if abort_over is not None and len(elements) > abort_over:
-        return None
+    elements = set(seed or ())
+    elements.add(ident)
+    frontier = list(elements)
     while frontier:
         new_frontier = []
         for x in frontier:
@@ -156,6 +135,13 @@ class FiniteGroup:
     def elements(self):
         return self.cached(
             "elements", lambda G: tuple(Permutation._wrap(t) for t in G.element_tuples)
+        )
+
+    @property
+    def element_index(self):
+        """{element tuple: its position in canonical order}; 0 is the identity."""
+        return self.cached(
+            "element_index", lambda G: {t: i for i, t in enumerate(G.element_tuples)}
         )
 
     def cached(self, key, compute):
@@ -361,6 +347,18 @@ def conjugate_by(x, pair):
     """g x g^-1 for pair = (g, g^-1): conjugation as an ``orbit`` action."""
     g, ginv = pair
     return mult(mult(g, x), ginv)
+
+
+def element_perm(G: FiniteGroup, f):
+    """The permutation of G's element indices that the element map f induces."""
+    idx = G.element_index
+    return tuple(idx[f(t)] for t in G.element_tuples)
+
+
+def conjugation_perm(G: FiniteGroup, g):
+    """Conjugation x -> g x g^-1 as a permutation of G's element indices."""
+    pair = (g, inverse(g))
+    return element_perm(G, lambda x: conjugate_by(x, pair))
 
 
 class Homomorphism:

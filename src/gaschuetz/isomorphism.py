@@ -8,8 +8,8 @@ transporter backtracking, run from G's generators into H.
 from __future__ import annotations
 
 from .autgroups import TransporterSearch
-from .group import FiniteGroup, reduce_generators
-from .perm import identity_images, perm_order
+from .group import FiniteGroup
+from .perm import perm_order
 from .structure import (
     center,
     conjugacy_classes,
@@ -37,15 +37,6 @@ def _fingerprint(G: FiniteGroup) -> tuple:
     )
 
 
-def _element_invariants(G: FiniteGroup):
-    inv = {}
-    for cls in conjugacy_classes(G):
-        size = len(cls)
-        for t in cls:
-            inv[t] = (perm_order(t), size)
-    return inv
-
-
 def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     if G.order != H.order:
         return False
@@ -54,16 +45,4 @@ def is_isomorphic(G: FiniteGroup, H: FiniteGroup) -> bool:
     if is_abelian(G):
         # same element-order profile already implies isomorphism
         return True
-    n = G.order
-    gens = reduce_generators(set(G.element_tuples), G.degree)
-    inv_g = _element_invariants(G)
-    inv_h = _element_invariants(H)
-    candidates = [
-        sorted(t for t in H.element_tuples if inv_h[t] == inv_g[g]) for g in gens
-    ]
-    if any(not c for c in candidates):
-        return False
-    search = TransporterSearch(
-        gens, candidates, identity_images(G.degree), identity_images(H.degree), n
-    )
-    return search.first([]) is not None
+    return TransporterSearch.between(G, H).first([]) is not None

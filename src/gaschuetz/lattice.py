@@ -46,8 +46,7 @@ def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
     generators it was built from.  Sorted by order, then elements.
     """
     degree = G.degree
-    ident = identity_images(degree)
-    trivial = FiniteGroup.from_raw(degree, [], elements={ident})
+    trivial = FiniteGroup.trivial(degree)
     found = {trivial.element_set: trivial}
     queue = [trivial]
     for X in queue:  # the queue grows while it is walked

@@ -35,9 +35,9 @@ from .constructors import (
     wreath_cyclic,
 )
 from .errors import GroupError
-from .group import FiniteGroup, close_set
+from .group import FiniteGroup, close_set, conjugation_perm
 from .isomorphism import group_fingerprint, is_isomorphic
-from .perm import identity_images, inverse, mult
+from .perm import identity_images, mult
 from .structure import center, conjugacy_classes, is_abelian, prime_factors
 
 # Aut(C2^4) = GL(4, 2) has 20160 elements, just over the default carrier
@@ -49,12 +49,9 @@ def extension_data(N: FiniteGroup, p: int):
     """Yield (alpha element map, z) pairs describing the C_p extensions of N."""
     aut = aut_group(N, carrier_cap=GENERATION_CARRIER_CAP)
     elems = N.element_tuples
-    idx = {t: i for i, t in enumerate(elems)}
     conj_witness = {}
     for t in elems:
-        tinv = inverse(t)
-        perm = tuple(idx[mult(mult(t, x), tinv)] for x in elems)
-        conj_witness.setdefault(perm, t)
+        conj_witness.setdefault(conjugation_perm(N, t), t)
     center_elems = center(N).element_tuples
     for cls in conjugacy_classes(aut.carrier):
         alpha = cls[0]
@@ -70,9 +67,7 @@ def extension_data(N: FiniteGroup, p: int):
             if alpha_map[z] != z:
                 continue
             # paranoia: conjugation by z must be exactly alpha^p
-            zinv = inverse(z)
-            conj_z = tuple(idx[mult(mult(z, x), zinv)] for x in elems)
-            if conj_z != alpha_p:
+            if conjugation_perm(N, z) != alpha_p:
                 raise GroupError("internal: conjugation witness drifted")
             yield alpha_map, z
 
@@ -81,7 +76,7 @@ def cyclic_extension(N: FiniteGroup, p: int, alpha_map: dict, z) -> FiniteGroup:
     """The extension of N by a cyclic group of order p, left-regular."""
     elems = N.element_tuples
     k = len(elems)
-    idx = {t: i for i, t in enumerate(elems)}
+    idx = N.element_index
     z = z if isinstance(z, tuple) else z.images
     alpha_pows = [{t: t for t in elems}]
     for _ in range(p - 1):

@@ -47,7 +47,7 @@ from .constructors import (
     wreath_cyclic,
 )
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, close_set, intersection, is_normal, is_subgroup
+from .group import FiniteGroup, intersection, is_normal, is_subgroup
 from .perm import Permutation, identity_images, mult, perm_order
 from .structure import (
     center,
@@ -118,9 +118,7 @@ class _WreathCentral:
 
     def saturated(self, pair_gens) -> FiniteGroup:
         """<pair_gens, Z0> inside P: the full preimage of the image subgroup."""
-        gens = list(pair_gens) + list(self.z0._raw_gens)
-        elems = close_set(gens, self.P.degree, cap=config.element_cap())
-        return FiniteGroup.from_raw(self.P.degree, gens, elements=elems)
+        return self.P.generated_subgroup(list(pair_gens) + list(self.z0._raw_gens))
 
     def image_group(self, pair_gens, order) -> FiniteGroup:
         gens = [self.proj(g).images for g in pair_gens]

@@ -51,6 +51,28 @@ def test_duplicate_name_rejected(tmp_path):
     assert ei.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "fields",
+    [
+        '"degree": 0, "generators": [], "tags": []',
+        '"degree": -1, "generators": [], "tags": []',
+        '"degree": 3, "generators": ["120"], "tags": []',
+        '"degree": 3, "generators": "120", "tags": []',
+        '"degree": 2, "generators": [[1.5, 0]], "tags": []',
+        '"degree": 2, "generators": [[1, 0]], "tags": "order=2"',
+    ],
+)
+def test_malformed_field_types_rejected(tmp_path, fields):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(
+        '{"name": "ok", "degree": 2, "generators": [[1, 0]], "tags": []}\n'
+        '{"name": "bad", ' + fields + "}\n"
+    )
+    with pytest.raises(CatalogError) as ei:
+        load_catalog(path)
+    assert ei.value.line == 2 and "line 2" in str(ei.value)
+
+
 def test_invalid_json_rejected(tmp_path):
     path = tmp_path / "nj.jsonl"
     path.write_text("{nope\n")

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from gaschuetz.cli import main
 
 
@@ -131,3 +133,25 @@ def test_missing_catalog_exit_code(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     rc, _, err = run(capsys, "classify", "--catalog", str(missing))
     assert rc == 2 and err.startswith("error: cannot read catalog") and str(missing) in err
+
+
+@pytest.mark.parametrize(
+    "selector, code, message",
+    [
+        ("sylow", 2, "bad selector 'sylow'"),
+        ("sylowx", 2, "bad selector 'sylowx'"),
+        ("order:", 2, "bad selector 'order:'"),
+        ("order:abc", 2, "bad selector 'order:abc'"),
+        ("sylow4", 1, "4 is not prime"),
+    ],
+)
+def test_bad_normal_selector_exit_code(capsys, selector, code, message):
+    rc, _, err = run(capsys, "complement", "--group", "S4", "--normal", selector)
+    assert rc == code and err.startswith("error: ") and message in err
+
+
+def test_malformed_catalog_entry_exit_code(tmp_path, capsys):
+    path = tmp_path / "zero.jsonl"
+    path.write_text('{"name": "zero", "degree": 0, "generators": [], "tags": []}\n')
+    rc, _, err = run(capsys, "classify", "--catalog", str(path))
+    assert rc == 2 and err.startswith("error: line 1") and "degree" in err

@@ -23,7 +23,7 @@ from gaschuetz.errors import (
     SizeLimitError,
 )
 from gaschuetz.group import close_set, reduce_generators
-from gaschuetz.perm import Permutation
+from gaschuetz.perm import Permutation, identity_images
 
 
 def brute_closure(gens, degree):
@@ -165,3 +165,38 @@ def test_homomorphism_respects_all_products():
     for a, b in itertools.product(S3.elements, repeat=2):
         assert sign(a * b) == sign(a) * sign(b)
     assert sign.kernel().order == 3
+
+
+def test_close_set_matches_naive_closure(small_catalog_groups):
+    """close_set against brute_closure: the set, None or SizeLimitError."""
+
+    def naive(gens, degree):
+        return brute_closure([Permutation(g) for g in gens], degree)
+
+    for entry, G in small_catalog_groups:
+        # the order comes from the catalog tag, not from close_set itself
+        n, d = int(entry.tags[0].removeprefix("order=")), G.degree
+        if not 2 <= n <= 24:
+            continue
+        gens = list(G._raw_gens)
+        full = naive(gens, d)
+        assert len(full) == n
+        assert close_set(gens, d) == full
+        # a closed subgroup seed plus one extra element
+        ident = identity_images(d)
+        h = min(full - {ident})
+        seed = naive([h], d)
+        for x in sorted(full - seed):
+            assert close_set([h, x], d, seed=seed) == naive([h, x], d)
+        # forbidden: touched by a generator, or only by a product
+        assert close_set(gens, d, forbidden={gens[0]}) is None
+        products = sorted(full - set(gens) - {ident})
+        if products:
+            assert close_set(gens, d, forbidden={products[0]}) is None
+        # limits just below and at the order
+        assert close_set(gens, d, abort_over=n - 1) is None
+        assert close_set(gens, d, abort_over=n) == full
+        with pytest.raises(SizeLimitError) as ei:
+            close_set(gens, d, cap=n - 1)
+        assert ei.value.required_order == n
+        assert close_set(gens, d, cap=n) == full

@@ -1,5 +1,7 @@
 from gaschuetz import cyclic, dihedral, direct_product, quaternion8, symmetric
+from gaschuetz.group import FiniteGroup
 from gaschuetz.isomorphism import group_fingerprint, is_isomorphic
+from gaschuetz.perm import inverse, mult
 from gaschuetz.smallgen import (
     KNOWN_GROUP_COUNTS,
     cyclic_extension,
@@ -93,3 +95,16 @@ def test_named_entries_are_what_they_claim(catalog_entries):
     assert by_name["S3wrC2"].group().order == 72
     assert by_name["C5^2:Q8"].group().order == 200
     assert by_name["(C3^2:Q8)xC2"].group().order == 144
+
+
+def test_is_isomorphic_against_catalog_classes(small_catalog_groups):
+    """The catalog holds one group per isomorphism class of each order."""
+    groups = [(e.name, G) for e, G in small_catalog_groups if G.order <= 24]
+    for i, (name, G) in enumerate(groups):
+        for j, (other, H) in enumerate(groups):
+            assert is_isomorphic(G, H) == (i == j), (name, other)
+        # a copy with every generator conjugated by the point rotation
+        d = G.degree
+        rot = tuple((p + 1) % d for p in range(d))
+        gens = [mult(mult(rot, g), inverse(rot)) for g in G._raw_gens]
+        assert is_isomorphic(G, FiniteGroup.from_raw(d, gens)), name
