@@ -1,13 +1,13 @@
 """Automorphism groups as permutation groups on the element set.
 
 aut_group backtracks over images of a small generating set of N.
-Candidate images are filtered by cheap invariants (element order, power
-order profile, centralizer size) and pruned by word-order signatures; a
-full assignment is accepted iff the generator images extend without
-conflict to a table of |N| elements with |N| distinct values -- that
-table is then the graph of the automorphism, so acceptance is exact, not
-heuristic.  The same search, run between two groups, decides
-isomorphism (``TransporterSearch``).
+Candidate images are filtered by cheap invariants (element order,
+centralizer size) and pruned by word-order signatures; a full assignment
+is accepted iff the generator images extend without conflict to a table
+of |N| elements with |N| distinct values -- that table is then the graph
+of the automorphism, so acceptance is exact, not heuristic.  The same
+search, run between two groups, decides isomorphism
+(``TransporterSearch``).
 
 The enumeration follows the stabilizer chain of the generator base:
 automorphisms fixing g_0, ..., g_{k-1} and sending g_k to x form a left
@@ -28,12 +28,7 @@ from .group import (
 )
 from .lattice import frattini
 from .perm import Permutation, identity_images, mult, perm_order
-from .structure import (
-    center,
-    conjugacy_classes,
-    derived_subgroup,
-    exponent,
-)
+from .structure import center, cosets, derived_subgroup, element_fingerprints, exponent
 
 
 @dataclass
@@ -42,25 +37,6 @@ class AutGroup:
     carrier: FiniteGroup       # acts on the |N| elements of N
     inn: FiniteGroup           # conjugation images, normal in carrier
     out_order: int
-
-
-def _fingerprints(N: FiniteGroup):
-    """order, power order profile, centralizer size -- per element."""
-    elems = N.element_tuples
-    cls_size = {}
-    for cls in conjugacy_classes(N):
-        for t in cls:
-            cls_size[t] = len(cls)
-    fp = {}
-    for t in elems:
-        o = perm_order(t)
-        powers = []
-        x = t
-        for _ in range(o - 1):
-            powers.append(perm_order(x))
-            x = mult(x, t)
-        fp[t] = (o, tuple(sorted(powers)), N.order // cls_size[t])
-    return fp
 
 
 def _word_sig(a, b):
@@ -106,10 +82,10 @@ class TransporterSearch:
         """The search for maps G -> H, |G| = |H|.
 
         The candidates for each of G's reduced generators are the elements of
-        H with its ``_fingerprints`` value; rarest lists go first, to prune early.
+        H with its ``element_fingerprints`` value; rarest lists go first, to
+        prune early.
         """
-        fp_g = _fingerprints(G)
-        fp_h = fp_g if H is G else _fingerprints(H)
+        fp_g, fp_h = element_fingerprints(G), element_fingerprints(H)
         gens = reduce_generators(set(G.element_tuples), G.degree)
         cands = [sorted(t for t in H.element_tuples if fp_h[t] == fp_g[g]) for g in gens]
         order_by = sorted(range(len(gens)), key=lambda i: (len(cands[i]), i))
@@ -178,10 +154,7 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
             else:
                 out.extend(mult(tau, sigma) for sigma in deeper)
             if len(out) > cap:
-                raise AutBudgetError(
-                    f"automorphism group exceeds carrier cap {cap}",
-                    estimate=len(out),
-                )
+                raise AutBudgetError(f"automorphism group exceeds carrier cap {cap}")
         return out
 
     autos = stab_elements(0)
@@ -243,12 +216,12 @@ def gaschuetz_eick_iii(N: FiniteGroup) -> bool:
 def prop_special_search(N: FiniteGroup):
     """Search for (gamma, k): gamma^k inner-derived, (delta gamma)^k != 1 always.
 
-    Scans coset representatives of Inn in Aut; the all-delta condition is
-    constant on each coset, and when it holds the coset is swept for a
-    member whose k-th power lands in Inn(N)'.  Returns (gamma, k) with
-    both conditions re-verified, or None when the whole space is
-    exhausted.  k is capped at exponent(Aut(N)): both conditions are
-    periodic in k with that period.
+    Scans the cosets of Inn in Aut but Inn itself (delta = gamma^-1 kills
+    every k); the all-delta condition is constant on each coset, and when
+    it holds the coset is swept for a member whose k-th power lands in
+    Inn(N)'.  Returns (gamma, k) with both conditions re-verified, or None
+    when the whole space is exhausted.  k is capped at exponent(Aut(N)):
+    both conditions are periodic in k with that period.
     """
     if not center(N).is_trivial():
         raise PreconditionError("search requires a centerless group")
@@ -257,16 +230,10 @@ def prop_special_search(N: FiniteGroup):
     if carrier.order == inn.order:
         return None
     inn_derived = derived_subgroup(inn).element_set
-    inn_elems = inn.element_tuples
     exp = exponent(carrier)
-    seen = set()
-    for g0 in carrier.element_tuples:
-        if g0 in seen:
-            continue
-        coset = sorted(mult(d, g0) for d in inn_elems)
-        seen.update(coset)
-        if g0 in inn.element_set:
-            continue  # delta = gamma^-1 kills every k
+    walk = cosets(carrier, inn)
+    next(walk)  # Inn itself
+    for coset in walk:
         orders = sorted({perm_order(t) for t in coset})
         good_k = [k for k in range(1, exp + 1) if all(k % o for o in orders)]
         if not good_k:

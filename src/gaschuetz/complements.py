@@ -211,8 +211,8 @@ def find_complement(
     nbar = Q.generated_subgroup([proj(g).images for g in N._raw_gens])
     rep, found = _search(Q, nbar, collect_all=True)
     meet = R.element_set & N.element_set
-    ident = identity_images(G.degree)
-    for kbar in found:
+    # every pullback contains R, so it can avoid N only when R does
+    for kbar in (found if len(meet) == 1 else []):
         # the full preimage of kbar: kernel generators plus one lift each
         lifts = list(R._raw_gens)
         for q in kbar._raw_gens:

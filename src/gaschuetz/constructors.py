@@ -19,7 +19,7 @@ from math import factorial
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
 from .group import FiniteGroup, element_perm, extend_images
-from .perm import Permutation, identity_images, inverse, mult
+from .perm import Permutation, identity_images, inverse, mult, power
 from .structure import center, quotient
 
 
@@ -478,15 +478,9 @@ def elementary_semidirect(p: int, mats) -> SemidirectProduct:
     target = direct_product(cyclic(p), cyclic(p))
     acting = matrix_group(mats, p)
     e1, e2 = target._raw_gens
-    ident = identity_images(target.degree)
 
     def vec_elem(a, b):
-        out = ident
-        for _ in range(a % p):
-            out = mult(out, e1)
-        for _ in range(b % p):
-            out = mult(out, e2)
-        return Permutation._wrap(out)
+        return Permutation._wrap(mult(power(e1, a % p), power(e2, b % p)))
 
     images = []
     for M in mats:

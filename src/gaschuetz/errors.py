@@ -40,10 +40,6 @@ class PreconditionError(GroupError):
 class AutBudgetError(GroupError):
     """Automorphism group computation refused: over the configured budget."""
 
-    def __init__(self, message, estimate=None):
-        super().__init__(message)
-        self.estimate = estimate
-
 
 class CatalogError(GroupError):
     """Catalog file is unreadable or malformed; carries the offending line number."""

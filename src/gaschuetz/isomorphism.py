@@ -1,6 +1,6 @@
 """Isomorphism testing by fingerprints plus generator-image backtracking.
 
-Fingerprints (order profile, center, derived series, class structure)
+Fingerprints (element orders with centralizer sizes, derived series)
 settle most pairs; survivors go through the automorphism search's
 transporter backtracking, run from G's generators into H.
 """
@@ -9,13 +9,7 @@ from __future__ import annotations
 
 from .autgroups import TransporterSearch
 from .group import FiniteGroup
-from .perm import perm_order
-from .structure import (
-    center,
-    conjugacy_classes,
-    derived_series,
-    is_abelian,
-)
+from .structure import derived_series, element_fingerprints, is_abelian
 
 
 def group_fingerprint(G: FiniteGroup) -> tuple:
@@ -24,16 +18,14 @@ def group_fingerprint(G: FiniteGroup) -> tuple:
 
 
 def _fingerprint(G: FiniteGroup) -> tuple:
-    orders = sorted(perm_order(t) for t in G.element_tuples)
-    classes = conjugacy_classes(G)
-    class_stats = sorted((len(c), perm_order(c[0])) for c in classes)
+    """(sorted element fingerprints, derived-series orders).
+
+    The element multiset fixes |G|, the order profile, the class sizes
+    per order, |Z(G)| and commutativity.
+    """
     return (
-        G.order,
-        tuple(orders),
-        center(G).order,
+        tuple(sorted(element_fingerprints(G).values())),
         tuple(S.order for S in derived_series(G)),
-        tuple(class_stats),
-        is_abelian(G),
     )
 
 

@@ -10,10 +10,12 @@ lattice order cap.
 
 from __future__ import annotations
 
+from math import gcd
+
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
 from .group import FiniteGroup, close_set, is_normal, normal_closure
-from .perm import identity_images, mult, perm_order
+from .perm import identity_images, mult
 from .structure import conjugacy_classes, prime_factors
 
 
@@ -34,7 +36,8 @@ def _cyclic_generators(G: FiniteGroup):
         key = frozenset(powers)
         order = len(powers)
         if key not in by_key:
-            by_key[key] = min(p for p in powers if perm_order(p) == order)
+            # t^i generates <t> exactly when gcd(i, |t|) = 1
+            by_key[key] = min(powers[i] for i in range(1, order) if gcd(i, order) == 1)
     return sorted(by_key.values())
 
 
@@ -66,9 +69,9 @@ def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
     return sorted(found.values(), key=lambda s: (s.order, s.element_tuples))
 
 
-def all_subgroups(G: FiniteGroup, cap: int | None = None) -> list[FiniteGroup]:
+def all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
     """Every subgroup of G, duplicate-free, canonically ordered; cached on G."""
-    limit = cap if cap is not None else config.lattice_cap()
+    limit = config.lattice_cap()
     if G.order > limit:
         raise SizeLimitError(
             f"subgroup enumeration refused over order {limit}",

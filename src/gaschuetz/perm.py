@@ -58,6 +58,18 @@ def cycle_lengths(p):
     return out
 
 
+def power(p, k: int):
+    """p^k for k >= 0 by square-and-multiply; p^0 is the identity."""
+    result = None
+    while True:
+        if k & 1:
+            result = p if result is None else mult(result, p)
+        k >>= 1
+        if not k:
+            return identity_images(len(p)) if result is None else result
+        p = mult(p, p)
+
+
 def perm_order(p) -> int:
     return lcm(*cycle_lengths(p)) if p else 1
 
@@ -134,14 +146,7 @@ class Permutation:
     def __pow__(self, k: int) -> "Permutation":
         if k < 0:
             return self.inv() ** (-k)
-        result = identity_images(len(self.images))
-        base = self.images
-        while k:
-            if k & 1:
-                result = mult(result, base)
-            base = mult(base, base)
-            k >>= 1
-        return Permutation._wrap(result)
+        return Permutation._wrap(power(self.images, k))
 
     def order(self) -> int:
         return perm_order(self.images)

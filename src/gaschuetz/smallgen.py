@@ -36,8 +36,8 @@ from .constructors import (
 )
 from .errors import GroupError
 from .group import FiniteGroup, close_set, conjugation_perm
-from .isomorphism import group_fingerprint, is_isomorphic
-from .perm import identity_images, mult
+from .isomorphism import is_isomorphic
+from .perm import identity_images, mult, power
 from .structure import center, conjugacy_classes, is_abelian, prime_factors
 
 # Aut(C2^4) = GL(4, 2) has 20160 elements, just over the default carrier
@@ -55,9 +55,7 @@ def extension_data(N: FiniteGroup, p: int):
     center_elems = center(N).element_tuples
     for cls in conjugacy_classes(aut.carrier):
         alpha = cls[0]
-        alpha_p = alpha
-        for _ in range(p - 1):
-            alpha_p = mult(alpha, alpha_p)
+        alpha_p = power(alpha, p)
         witness = conj_witness.get(alpha_p)
         if witness is None:
             continue  # alpha^p not inner: no compatible z
@@ -106,13 +104,10 @@ def cyclic_extension(N: FiniteGroup, p: int, alpha_map: dict, z) -> FiniteGroup:
     return G
 
 
-def _dedup_add(found, fingerprints, G) -> bool:
-    fp = group_fingerprint(G)
-    for i, H in enumerate(found):
-        if fingerprints[i] == fp and is_isomorphic(G, H):
-            return False
+def _dedup_add(found, G) -> bool:
+    if any(is_isomorphic(G, H) for H in found):
+        return False
     found.append(G)
-    fingerprints.append(fp)
     return True
 
 
@@ -121,14 +116,13 @@ def generate_small_groups(max_order: int, *, progress=None) -> dict[int, list[Fi
     groups: dict[int, list[FiniteGroup]] = {1: [FiniteGroup.trivial(1)]}
     for n in range(2, max_order + 1):
         found: list[FiniteGroup] = []
-        fps: list[tuple] = []
         if n == 60:
-            _dedup_add(found, fps, alternating(5))
+            _dedup_add(found, alternating(5))
         for p in sorted(set(prime_factors(n))):
             for N in groups[n // p]:
                 for alpha_map, z in extension_data(N, p):
                     G = cyclic_extension(N, p, alpha_map, z)
-                    _dedup_add(found, fps, G)
+                    _dedup_add(found, G)
         groups[n] = found
         if progress is not None:
             progress(n, len(found))

@@ -10,7 +10,7 @@ from math import gcd, lcm
 
 from .errors import GroupError, NotNormalError, NotPrimeError
 from .group import FiniteGroup, conjugate_by, is_normal, normal_closure, orbit
-from .perm import Permutation, identity_images, inverse, mult, perm_order
+from .perm import Permutation, inverse, mult, perm_order, power
 
 
 def is_prime(p: int) -> bool:
@@ -106,7 +106,7 @@ def _p_part(t, p):
     m = o
     while m % p == 0:
         m //= p
-    return (Permutation._wrap(t) ** m).images
+    return power(t, m)
 
 
 def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
@@ -179,6 +179,20 @@ def _conjugacy_classes(G: FiniteGroup) -> list[tuple]:
     return classes
 
 
+def element_fingerprints(G: FiniteGroup) -> dict:
+    """{t: (order of t, |C_G(t)|)} for every element; cached on G."""
+    return G.cached("element_fingerprints", _element_fingerprints)
+
+
+def _element_fingerprints(G: FiniteGroup) -> dict:
+    fp = {}
+    for cls in conjugacy_classes(G):
+        value = (perm_order(cls[0]), G.order // len(cls))
+        for t in cls:
+            fp[t] = value
+    return fp
+
+
 def o_p_residual(G: FiniteGroup, p: int) -> FiniteGroup:
     """O^p(G): normal closure of all elements of order coprime to p."""
     if not is_prime(p):
@@ -202,38 +216,42 @@ def is_solvable(G: FiniteGroup) -> bool:
     return derived_series(G)[-1].order == 1
 
 
+def cosets(G: FiniteGroup, N: FiniteGroup):
+    """The cosets t N of N in G, each a sorted tuple, lazily.
+
+    G's elements are walked in canonical order and each coset is yielded
+    when its least member is met, so the first coset is N itself.
+    """
+    nelems = N.element_tuples
+    seen = set()
+    for t in G.element_tuples:
+        if t not in seen:
+            coset = tuple(sorted(mult(t, n) for n in nelems))
+            seen.update(coset)
+            yield coset
+
+
 class QuotientProjection:
     """Projection G -> G/N, with G/N acting on the cosets of N.
 
     Image permutations are computed per element on demand, never as a
     full source-to-image table (the image degree is |G : N|, so a full
     table would be quadratic in |G|).  Cosets are numbered in the order
-    of their representatives.
+    of their least members, as ``cosets`` yields them; coset 0 is N.
     """
 
-    def __init__(self, source: FiniteGroup, coset_of: dict, reps: list):
+    def __init__(self, source: FiniteGroup, cosets: list):
         self.source = source
-        self.coset_of = coset_of
-        self.coset_representatives = tuple(reps)
-        self._index_of = {rep: i for i, rep in enumerate(reps)}
-        self.identity_coset = self._index_of[coset_of[identity_images(source.degree)]]
-        buckets = [[] for _ in reps]
-        for x, rep in coset_of.items():
-            buckets[self._index_of[rep]].append(x)
-        self._members = [tuple(sorted(b)) for b in buckets]
+        self.cosets = cosets
+        self._index_of = {x: i for i, coset in enumerate(cosets) for x in coset}
         self._perm_cache = {}
 
     def _image_raw(self, raw):
         got = self._perm_cache.get(raw)
         if got is None:
-            reps = self.coset_representatives
-            if len(reps) == 1:
-                got = identity_images(1)
-            else:
-                # left translation xN -> (g x)N, matching the group product
-                index_of = self._index_of
-                coset_of = self.coset_of
-                got = tuple(index_of[coset_of[mult(raw, rep)]] for rep in reps)
+            # left translation xN -> (g x)N, matching the group product
+            index_of = self._index_of
+            got = tuple(index_of[mult(raw, coset[0])] for coset in self.cosets)
             if len(self._perm_cache) < 4096:
                 self._perm_cache[raw] = got
         return got
@@ -243,42 +261,24 @@ class QuotientProjection:
         return Permutation._wrap(self._image_raw(raw))
 
     def kernel(self) -> FiniteGroup:
-        ident_rep = self.coset_of[identity_images(self.source.degree)]
-        return self.source.subgroup(
-            x for x, rep in self.coset_of.items() if rep == ident_rep
-        )
+        return self.source.subgroup(self.cosets[0])
 
     def fiber(self, q) -> tuple:
-        """All preimages of a quotient element."""
+        """All preimages of a quotient element: the image of coset 0."""
         raw = q.images if isinstance(q, Permutation) else tuple(q)
-        if len(self._members) == 1:
-            return self._members[0]
-        return self._members[raw[self.identity_coset]]
+        return self.cosets[raw[0]]
 
 
 def quotient(G: FiniteGroup, N: FiniteGroup):
     """G/N acting on the |G : N| cosets of N, plus the projection.
 
-    Cosets are indexed by their minimal representative in canonical
-    order, so the construction is deterministic.  The projection's
-    kernel is exactly N.
+    Cosets are indexed by their least member in canonical order, so the
+    construction is deterministic.  The projection's kernel is exactly N.
     """
     if not is_normal(N, G):
         raise NotNormalError("quotient by a non-normal subgroup")
-    ngens = N._raw_gens
-    coset_of = {}
-    reps = []
-    for t in G.element_tuples:
-        if t in coset_of:
-            continue
-        members = orbit(t, ngens, mult)
-        rep = min(members)
-        reps.append(rep)
-        for x in members:
-            coset_of[x] = rep
-    reps.sort()
-    proj = QuotientProjection(G, coset_of, reps)
-    m = len(reps)
+    proj = QuotientProjection(G, list(cosets(G, N)))
+    m = len(proj.cosets)
     if m == 1:
         return FiniteGroup.trivial(1), proj
     qgens = [proj._image_raw(g) for g in G._raw_gens]

@@ -146,7 +146,7 @@ def build_znthm(N: FiniteGroup, q: int) -> WitnessBundle:
         raise PreconditionError(f"q = {q} must be coprime to |N| = {N.order}")
     zorder = z.order()
     required = N.order ** (q + 1) * q // zorder
-    if N.order ** q * q > config.element_cap() or N.order * (N.order ** q * q) > config.element_cap():
+    if N.order * (N.order ** q * q) > config.element_cap():
         raise SizeLimitError(
             f"construction needs a direct product of order "
             f"{N.order ** (q + 1) * q}; the quotient would have order {required}",
@@ -245,7 +245,7 @@ def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> Witness
         raise GroupError("solvability of H disagrees with N")
 
     # nonexistence, reduced to G/R with R the image of the base derived subgroup
-    report = _reduced_nonexistence(world, c)
+    report = _reduced_nonexistence(world, c, n_hat)
     if report.exists:
         raise GroupError("reduced search found a complement of N in G")
     bundle.nonexistence = report
@@ -267,7 +267,7 @@ def _is_cyclic(G: FiniteGroup) -> bool:
     return any(perm_order(t) == G.order for t in G.element_tuples)
 
 
-def _reduced_nonexistence(world: _WreathCentral, c) -> ComplementReport:
+def _reduced_nonexistence(world: _WreathCentral, c, n_hat: FiniteGroup) -> ComplementReport:
     """Exhaustive search in G/R plus the pullback obstruction.
 
     Any complement of N in G contains, after conjugation, the image R of
@@ -275,7 +275,8 @@ def _reduced_nonexistence(world: _WreathCentral, c) -> ComplementReport:
     complements of NR/R in G/R.  R meets N nontrivially (it contains the
     identified central element), so every pullback meets N and no
     complement survives.  The quotient search is run exhaustively so the
-    certificate does not rest on the emptiness claim alone.
+    certificate does not rest on the emptiness claim alone.  n_hat is the
+    saturated preimage of N that ``verify_znthm`` has built.
     """
     P = world.P
     d_hat = FiniteGroup.from_raw(
@@ -285,8 +286,7 @@ def _reduced_nonexistence(world: _WreathCentral, c) -> ComplementReport:
     )
     d_derived = derived_subgroup(d_hat)
     r_hat = world.saturated(d_derived._raw_gens)
-    n_sat = world.saturated(c["n_pairs"])
-    meet = r_hat.element_set & n_sat.element_set
+    meet = r_hat.element_set & n_hat.element_set
     z_members = len(meet)
     if z_members <= world.z0.order:
         raise GroupError(

@@ -18,7 +18,7 @@ from gaschuetz.complements import (
     small_generating_set,
 )
 from gaschuetz.errors import NotNormalError, PreconditionError
-from gaschuetz.group import close_set, is_normal, reduce_generators
+from gaschuetz.group import FiniteGroup, close_set, is_normal, reduce_generators
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import Permutation, identity_images, perm_order
 from gaschuetz.structure import quotient, sylow
@@ -217,6 +217,28 @@ def test_hinted_search_negative_when_hint_meets_n():
     r = find_complement(Q8, Z, contained_in_hint=Z)
     assert not r.exists
     assert find_complement(Q8, Z).exists is False  # plain search agrees
+
+
+def test_hinted_search_builds_no_pullback_when_hint_meets_n(monkeypatch):
+    # every pullback contains R, and R meets N: none can avoid N, so no
+    # subgroup of Q8 itself is closed
+    Q8 = quaternion8()
+    Z = center(Q8)
+    receivers = []
+    generated_subgroup = FiniteGroup.generated_subgroup
+
+    def recording(self, gens):
+        receivers.append(self)
+        return generated_subgroup(self, gens)
+
+    monkeypatch.setattr(FiniteGroup, "generated_subgroup", recording)
+    r = find_complement(Q8, Z, contained_in_hint=Z)
+    assert not r.exists
+    assert r.evidence == [
+        "the hinted subgroup meets N, so no complement can contain it",
+        "1 quotient complement(s), none pulling back clear of N",
+    ]
+    assert receivers and all(G is not Q8 for G in receivers)
 
 
 def test_hinted_search_trivial_hint_is_plain():

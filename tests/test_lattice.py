@@ -89,9 +89,10 @@ def test_subgroups_of_order():
     assert subgroups_of_order(cyclic(6), 4) == []
 
 
-def test_size_cap():
+def test_size_cap(monkeypatch):
+    monkeypatch.setenv("GASCHUETZ_LATTICE_CAP", "10")
     with pytest.raises(SizeLimitError):
-        all_subgroups(symmetric(4), cap=10)
+        all_subgroups(symmetric(4))
 
 
 def test_normal_subgroup_paths_agree(small_catalog_groups):

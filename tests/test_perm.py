@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gaschuetz.errors import DegreeMismatchError, MalformedPermutationError
-from gaschuetz.perm import Permutation, cycles_of, perm_order
+from gaschuetz.perm import Permutation, cycles_of, identity_images, mult, perm_order, power
 
 
 def perms(max_degree=8):
@@ -91,3 +91,15 @@ def test_canonical_ordering_is_lexicographic():
 def test_identity():
     e = Permutation.identity(4)
     assert e.is_identity() and e.order() == 1 and e.degree == 4
+
+
+@given(perms())
+def test_power_matches_repeated_products(p):
+    raw, raw_inv = p.images, p.inv().images
+    expected = expected_inv = identity_images(len(raw))
+    for k in range(2 * p.order() + 1):
+        assert power(raw, k) == expected
+        assert (p ** k).images == expected
+        assert (p ** -k).images == expected_inv
+        expected = mult(expected, raw)
+        expected_inv = mult(expected_inv, raw_inv)

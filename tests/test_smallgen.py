@@ -1,14 +1,19 @@
 from gaschuetz import cyclic, dihedral, direct_product, quaternion8, symmetric
 from gaschuetz.group import FiniteGroup
 from gaschuetz.isomorphism import group_fingerprint, is_isomorphic
-from gaschuetz.perm import inverse, mult
+from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.smallgen import (
     KNOWN_GROUP_COUNTS,
     cyclic_extension,
     extension_data,
     generate_small_groups,
 )
-from gaschuetz.structure import is_abelian
+from gaschuetz.structure import (
+    center,
+    conjugacy_classes,
+    derived_series,
+    is_abelian,
+)
 
 
 def test_generation_matches_published_counts_to_24():
@@ -60,6 +65,28 @@ def test_is_isomorphic_positive_and_negative():
 
 def test_fingerprint_separates_same_order_groups():
     assert group_fingerprint(quaternion8()) != group_fingerprint(dihedral(8))
+
+
+def _six_part_fingerprint(G):
+    """Order, order profile, |Z|, derived series, class statistics, abelian."""
+    return (
+        G.order,
+        tuple(sorted(perm_order(t) for t in G.element_tuples)),
+        center(G).order,
+        tuple(S.order for S in derived_series(G)),
+        tuple(sorted((len(c), perm_order(c[0])) for c in conjugacy_classes(G))),
+        is_abelian(G),
+    )
+
+
+def test_fingerprint_partition_matches_six_part_invariant(catalog_groups):
+    def partition(key):
+        blocks = {}
+        for entry, G in catalog_groups:
+            blocks.setdefault((G.order, key(G)), set()).add(entry.name)
+        return sorted(sorted(b) for b in blocks.values())
+
+    assert partition(group_fingerprint) == partition(_six_part_fingerprint)
 
 
 def test_bundled_catalog_is_complete_to_63(small_catalog_groups):

@@ -26,14 +26,16 @@ from gaschuetz import (
     symmetric,
 )
 from gaschuetz.errors import NotNormalError, NotPrimeError
-from gaschuetz.group import close_set
-from gaschuetz.lattice import all_subgroups
+from gaschuetz.group import close_set, orbit
+from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.structure import (
     PrimeSet,
     all_sylow_abelian,
     commutator_subgroup,
     conjugacy_classes,
+    cosets,
+    element_fingerprints,
     is_solvable,
     prime_factors,
 )
@@ -264,6 +266,55 @@ def test_quotient_projection_is_homomorphism():
     assert Q.order == 6
     for a, b in itertools.product(S4.elements[:8], S4.elements[-8:]):
         assert proj(a * b) == proj(a) * proj(b)
+
+
+def _orbit_walk_cosets(G, N):
+    """The cosets of N as orbits of N's generators, numbered by least member."""
+    coset_of = {}
+    for t in G.element_tuples:
+        if t not in coset_of:
+            members = orbit(t, N._raw_gens, mult)
+            rep = min(members)
+            for x in members:
+                coset_of[x] = rep
+    reps = sorted(set(coset_of.values()))
+    members = [tuple(sorted(x for x in coset_of if coset_of[x] == r)) for r in reps]
+    index_of = {r: i for i, r in enumerate(reps)}
+    images = [
+        tuple(index_of[coset_of[mult(g, r)]] for r in reps) for g in G._raw_gens
+    ]
+    return members, images
+
+
+def test_cosets_match_orbit_walk(small_catalog_groups):
+    for entry, G in small_catalog_groups:
+        if G.order > 24:
+            continue
+        for N in normal_subgroups_fast(G):
+            members, images = _orbit_walk_cosets(G, N)
+            assert list(cosets(G, N)) == members, entry.name
+            Q, proj = quotient(G, N)
+            if len(members) == 1:
+                assert Q.order == 1 and Q._raw_gens == ()
+            else:
+                assert list(Q._raw_gens) == images, entry.name
+            for q in Q._raw_gens:
+                assert proj.fiber(q) == members[q[0]]
+            K, oracle = proj.kernel(), G.subgroup(members[0])
+            assert K.element_tuples == oracle.element_tuples == N.element_tuples
+            assert K._raw_gens == oracle._raw_gens
+
+
+def test_element_fingerprints_match_direct_count(small_catalog_groups):
+    for entry, G in small_catalog_groups:
+        if G.order > 24:
+            continue
+        elems = G.element_tuples
+        direct = {
+            t: (perm_order(t), sum(mult(t, x) == mult(x, t) for x in elems))
+            for t in elems
+        }
+        assert element_fingerprints(G) == direct, entry.name
 
 
 # -- predicates -----------------------------------------------------------------
