@@ -182,6 +182,8 @@ class _Parser:
             k = self.take()
             if not k or not k.isdigit():
                 raise UnknownNameError("power must be an integer")
+            if int(k) < 1:
+                raise UnknownNameError("power must be at least 1")
             node = ("^", node, int(k))
         return node
 

@@ -40,6 +40,12 @@ def pair_perm(a_raw, b_raw):
     return tuple(a_raw) + tuple(x + da for x in b_raw)
 
 
+def _refuse_over_cap(order: int, message: str) -> None:
+    """Raise SizeLimitError(message) when order exceeds the element cap."""
+    if order > config.element_cap():
+        raise SizeLimitError(message, required_order=order)
+
+
 # -- named groups -----------------------------------------------------------
 
 
@@ -48,8 +54,7 @@ def cyclic(n: int) -> FiniteGroup:
         raise GroupError("cyclic group order must be positive")
     if n == 1:
         return FiniteGroup.trivial(1)
-    if n > config.element_cap():
-        raise SizeLimitError(f"cyclic({n}) over element cap", required_order=n)
+    _refuse_over_cap(n, f"cyclic({n}) over element cap")
     rot = tuple((i + 1) % n for i in range(n))
     return FiniteGroup.from_raw(n, [rot], order=n)
 
@@ -100,8 +105,7 @@ def symmetric(n: int) -> FiniteGroup:
     if n == 1:
         return FiniteGroup.trivial(1)
     order = factorial(n)
-    if order > config.element_cap():
-        raise SizeLimitError(f"symmetric({n}) over element cap", required_order=order)
+    _refuse_over_cap(order, f"symmetric({n}) over element cap")
     gens = [Permutation.from_cycles(n, [(0, 1)])]
     if n > 2:
         gens.append(Permutation.from_cycles(n, [tuple(range(n))]))
@@ -112,10 +116,7 @@ def alternating(n: int) -> FiniteGroup:
     if n < 3:
         return FiniteGroup.trivial(max(n, 1))
     order = factorial(n) // 2
-    if order > config.element_cap():
-        raise SizeLimitError(
-            f"alternating({n}) over element cap", required_order=order
-        )
+    _refuse_over_cap(order, f"alternating({n}) over element cap")
     gens = [Permutation.from_cycles(n, [(0, 1, 2)])]
     if n > 3:
         cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
@@ -205,11 +206,7 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     known = None
     if A._order is not None and B._order is not None:
         known = A._order * B._order
-        if known > config.element_cap():
-            raise SizeLimitError(
-                f"direct product of order {known} over element cap",
-                required_order=known,
-            )
+        _refuse_over_cap(known, f"direct product of order {known} over element cap")
     return FiniteGroup.from_raw(total, gens, order=known)
 
 
@@ -223,18 +220,14 @@ def direct_power(A: FiniteGroup, k: int) -> FiniteGroup:
 # -- actions and semidirect products -----------------------------------------
 
 
-def _compose_maps(f, g):
-    """f o g for element maps given as dicts: apply g first, matching perm.mult."""
-    return {t: f[gt] for t, gt in g.items()}
-
-
 @dataclass
 class ActionSpec:
     """A homomorphism acting -> Aut(target), one automorphism per generator.
 
-    Each automorphism is given by its images of the target's generators;
-    both the automorphism property and the homomorphism property are
-    certified at construction.
+    Each automorphism is given by its images of the target's generators
+    and kept as the permutation it induces on the target's element
+    indices; both the automorphism property and the homomorphism
+    property are certified at construction.
     """
 
     acting: FiniteGroup
@@ -261,9 +254,8 @@ class ActionSpec:
             acting._raw_gens,
             self._aut_maps,
             identity_images(acting.degree),
-            {t: t for t in target.element_tuples},
+            identity_images(target.order),
             acting.order,
-            image_mult=_compose_maps,
         )
         if self._table is None:
             raise PreconditionError(
@@ -271,7 +263,7 @@ class ActionSpec:
             )
 
     def _as_automorphism(self, row):
-        """Turn generator images into the full element map; verify bijectivity."""
+        """Turn generator images into the element index permutation; verify bijectivity."""
         t = self.target
         if len(row) != len(t.generators):
             raise GroupError("one image required per source generator")
@@ -281,10 +273,10 @@ class ActionSpec:
             raise GroupError("generator images do not extend to a homomorphism")
         if len(set(table.values())) != len(table):
             raise PreconditionError("generator images define a non-bijective map")
-        return table
+        return element_perm(t, table.__getitem__)
 
     def automorphism_of(self, h):
-        """Element map of the automorphism attached to an arbitrary element."""
+        """Index permutation of the automorphism attached to an arbitrary element."""
         raw = h.images if isinstance(h, Permutation) else tuple(h)
         return self._table[raw]
 
@@ -305,11 +297,7 @@ class SemidirectProduct:
         if action.target is not N or action.acting is not H:
             raise PreconditionError("action does not match the given factors")
         order = N.order * H.order
-        if order > config.element_cap():
-            raise SizeLimitError(
-                f"semidirect product of order {order} over element cap",
-                required_order=order,
-            )
+        _refuse_over_cap(order, f"semidirect product of order {order} over element cap")
         self.spec = action
         self._N = N
         self._total = N.order + H.degree
@@ -329,7 +317,7 @@ class SemidirectProduct:
 
     def _h_point_perm(self, raw, aut):
         n = self._N.order
-        return element_perm(self._N, aut.__getitem__) + tuple(n + x for x in raw)
+        return aut + tuple(n + x for x in raw)
 
     def embed_n(self, x) -> Permutation:
         raw = x.images if isinstance(x, Permutation) else tuple(x)
@@ -380,11 +368,7 @@ class CentralProduct:
     def __init__(self, A: FiniteGroup, B: FiniteGroup, z, zbar):
         self.ident = CentralIdentification.check(A, B, z, zbar)
         order = A.order * B.order
-        if order > config.element_cap():
-            raise SizeLimitError(
-                f"central product needs a direct product of order {order}",
-                required_order=order,
-            )
+        _refuse_over_cap(order, f"central product needs a direct product of order {order}")
         self._da, self._db = A.degree, B.degree
         self.product = direct_product(A, B)
         diag = pair_perm(self.ident.left.images, self.ident.right.images)
@@ -444,10 +428,7 @@ def wreath_cyclic(N: FiniteGroup, q: int) -> WreathProduct:
     if q < 1:
         raise PreconditionError("wreath power must be >= 1")
     order = N.order ** q * q
-    if order > config.element_cap():
-        raise SizeLimitError(
-            f"wreath product would have order {order}", required_order=order
-        )
+    _refuse_over_cap(order, f"wreath product would have order {order}")
     d = N.degree
     total = d * q
     base_gens = []
@@ -496,8 +477,7 @@ def elementary_semidirect(p: int, mats) -> SemidirectProduct:
 def regular_representation(G: FiniteGroup) -> FiniteGroup:
     """Left-regular action on the element set; degree |G|."""
     n = G.order
-    if n > config.element_cap():
-        raise SizeLimitError(f"regular representation of order {n}", required_order=n)
+    _refuse_over_cap(n, f"regular representation of order {n}")
     gens = [element_perm(G, partial(mult, g)) for g in G._raw_gens]
     if not gens:
         return FiniteGroup.trivial(1)

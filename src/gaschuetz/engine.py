@@ -21,11 +21,12 @@ from math import gcd
 from .autgroups import aut_group, is_characteristic, prop_special_search, rose_criterion
 from .complements import find_complement
 from .errors import AutBudgetError, GroupError, SizeLimitError
-from .group import FiniteGroup, intersection
+from .group import FiniteGroup
 from .lattice import normal_subgroups_fast
 from .structure import (
     all_sylow_abelian,
     center,
+    center_meet_derived,
     derived_subgroup,
     is_abelian,
     is_metabelian,
@@ -53,10 +54,6 @@ class Verdict:
 
 
 _verdict_cache: dict = {}
-
-
-def _zn_meet(N: FiniteGroup) -> FiniteGroup:
-    return intersection(center(N), derived_subgroup(N))
 
 
 def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
@@ -137,10 +134,6 @@ def _rose(N: FiniteGroup) -> bool:
     return N.cached("rose", rose_criterion)
 
 
-def _meet(N: FiniteGroup) -> FiniteGroup:
-    return N.cached("zn_meet", _zn_meet)
-
-
 def _prop_special(N: FiniteGroup):
     hit = center(N).is_trivial() and prop_special_search(N)
     return hit and [
@@ -166,9 +159,10 @@ RULES = (
     (HOLDS, "sylow-abelian", None,
      lambda N: all_sylow_abelian(N) and ["every Sylow subgroup is abelian"]),
     (FAILS, "ZNthm", None,
-     lambda N: _meet(N).order > 1 and [f"Z(N) meet N' has order {_meet(N).order}"]),
+     lambda N: center_meet_derived(N).order > 1
+     and [f"Z(N) meet N' has order {center_meet_derived(N).order}"]),
     (HOLDS, "metabelian-trivial-ZcapD", None,
-     lambda N: _meet(N).order == 1 and is_metabelian(N)
+     lambda N: center_meet_derived(N).order == 1 and is_metabelian(N)
      and ["metabelian with Z(N) meet N' = 1"]),
     (HOLDS, "perfect-split", "perfect",
      lambda N: center(N).is_trivial() and is_perfect(N) and _rose(N)

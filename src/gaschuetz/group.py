@@ -296,11 +296,11 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     return G.subgroup(current)
 
 
-def extend_images(gens, images, identity, image_identity, size, image_mult=mult):
+def extend_images(gens, images, identity, image_identity, size):
     """The table {x: f(x)} of the map sending gens[i] to images[i], or None.
 
     Walks products of the generators breadth-first, setting
-    f(x g) = image_mult(f(x), f(g)).  A conflict-free table is closed
+    f(x g) = f(x) f(g).  A conflict-free table is closed
     under every (generator, image) pair, so when it covers ``size``
     elements it is the graph of a homomorphism.  The first conflicting
     edge, or a table of another size, gives None.
@@ -313,7 +313,7 @@ def extend_images(gens, images, identity, image_identity, size, image_mult=mult)
         for x, fx in frontier:
             for g, h in pairs:
                 y = mult(x, g)
-                fy = image_mult(fx, h)
+                fy = mult(fx, h)
                 known = table.get(y)
                 if known is None:
                     table[y] = fy

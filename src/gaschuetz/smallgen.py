@@ -20,20 +20,7 @@ from __future__ import annotations
 import argparse
 
 from .autgroups import aut_group
-from .catalog import CatalogEntry, abelian_name, save_catalog
-from .constructors import (
-    alternating,
-    cyclic,
-    dihedral,
-    dihedral8_matrices,
-    direct_product,
-    elementary_semidirect,
-    quaternion8,
-    quaternion_matrices,
-    sl_2_3,
-    symmetric,
-    wreath_cyclic,
-)
+from .catalog import CatalogEntry, abelian_name, build_named_group, save_catalog
 from .errors import GroupError
 from .group import FiniteGroup, close_set, conjugation_perm
 from .isomorphism import is_isomorphic
@@ -46,11 +33,15 @@ GENERATION_CARRIER_CAP = 30_000
 
 
 def extension_data(N: FiniteGroup, p: int):
-    """Yield (alpha element map, z) pairs describing the C_p extensions of N."""
+    """Yield (alpha, z) pairs describing the C_p extensions of N.
+
+    alpha is an element of the Aut carrier: a permutation of N's element
+    indices.
+    """
     aut = aut_group(N, carrier_cap=GENERATION_CARRIER_CAP)
-    elems = N.element_tuples
+    idx = N.element_index
     conj_witness = {}
-    for t in elems:
+    for t in N.element_tuples:
         conj_witness.setdefault(conjugation_perm(N, t), t)
     center_elems = center(N).element_tuples
     for cls in conjugacy_classes(aut.carrier):
@@ -59,27 +50,23 @@ def extension_data(N: FiniteGroup, p: int):
         witness = conj_witness.get(alpha_p)
         if witness is None:
             continue  # alpha^p not inner: no compatible z
-        alpha_map = {elems[i]: elems[alpha[i]] for i in range(len(elems))}
         for zc in center_elems:
             z = mult(witness, zc)
-            if alpha_map[z] != z:
+            if alpha[idx[z]] != idx[z]:
                 continue
             # paranoia: conjugation by z must be exactly alpha^p
             if conjugation_perm(N, z) != alpha_p:
                 raise GroupError("internal: conjugation witness drifted")
-            yield alpha_map, z
+            yield alpha, z
 
 
-def cyclic_extension(N: FiniteGroup, p: int, alpha_map: dict, z) -> FiniteGroup:
+def cyclic_extension(N: FiniteGroup, p: int, alpha, z) -> FiniteGroup:
     """The extension of N by a cyclic group of order p, left-regular."""
     elems = N.element_tuples
     k = len(elems)
     idx = N.element_index
     z = z if isinstance(z, tuple) else z.images
-    alpha_pows = [{t: t for t in elems}]
-    for _ in range(p - 1):
-        prev = alpha_pows[-1]
-        alpha_pows.append({t: alpha_map[prev[t]] for t in elems})
+    alpha_pows = [power(alpha, j) for j in range(p)]
 
     def point(t, i):
         return i * k + idx[t]
@@ -90,7 +77,7 @@ def cyclic_extension(N: FiniteGroup, p: int, alpha_map: dict, z) -> FiniteGroup:
         aj = alpha_pows[j]
         for i in range(p):
             for t in elems:
-                word = mult(a, aj[t])
+                word = mult(a, elems[aj[idx[t]]])
                 if i + j >= p:
                     word = mult(word, z)
                 out[point(t, i)] = point(word, (i + j) % p)
@@ -117,11 +104,11 @@ def generate_small_groups(max_order: int, *, progress=None) -> dict[int, list[Fi
     for n in range(2, max_order + 1):
         found: list[FiniteGroup] = []
         if n == 60:
-            _dedup_add(found, alternating(5))
+            _dedup_add(found, build_named_group("A5"))
         for p in sorted(set(prime_factors(n))):
             for N in groups[n // p]:
-                for alpha_map, z in extension_data(N, p):
-                    G = cyclic_extension(N, p, alpha_map, z)
+                for alpha, z in extension_data(N, p):
+                    G = cyclic_extension(N, p, alpha, z)
                     _dedup_add(found, G)
         groups[n] = found
         if progress is not None:
@@ -142,23 +129,20 @@ KNOWN_GROUP_COUNTS = {
 }
 
 
+# Grammar names tried, in this order, as canonical names of nonabelian
+# generated groups; D<n> follows them at every even order n >= 6.
+_NAMED_BY_ORDER = {6: ["S3"], 8: ["Q8"], 12: ["A4"], 24: ["S4", "SL23"], 60: ["A5"]}
+
+# Catalog groups beyond the generated orders, built from their names.
+_NAMED_LARGE = ("S5", "A6", "C3^2:Q8", "C5^2:Q8", "C5^2:D8", "S3wrC2", "(C3^2:Q8)xC2")
+
+
 def _named_candidates(n: int):
     """Recognizable constructions of order n, tried as canonical names."""
-    out = []
-    if n == 6:
-        out.append(("S3", symmetric(3)))
-    if n == 12:
-        out.append(("A4", alternating(4)))
-    if n == 24:
-        out.append(("S4", symmetric(4)))
-        out.append(("SL23", sl_2_3()))
-    if n == 60:
-        out.append(("A5", alternating(5)))
-    if n == 8:
-        out.append(("Q8", quaternion8()))
+    names = list(_NAMED_BY_ORDER.get(n, []))
     if n % 2 == 0 and n >= 6:
-        out.append((f"D{n}", dihedral(n)))
-    return out
+        names.append(f"D{n}")
+    return [(name, build_named_group(name)) for name in names]
 
 
 def catalog_entries(max_order: int = 63, *, progress=None):
@@ -196,21 +180,8 @@ def catalog_entries(max_order: int = 63, *, progress=None):
                     tags=tags,
                 )
             )
-    large = [
-        ("S5", symmetric(5)),
-        ("A6", alternating(6)),
-        ("C3^2:Q8", elementary_semidirect(3, quaternion_matrices(3)).group),
-        ("C5^2:Q8", elementary_semidirect(5, quaternion_matrices(5)).group),
-        ("C5^2:D8", elementary_semidirect(5, dihedral8_matrices(5)).group),
-        ("S3wrC2", wreath_cyclic(symmetric(3), 2).group),
-        (
-            "(C3^2:Q8)xC2",
-            direct_product(
-                elementary_semidirect(3, quaternion_matrices(3)).group, cyclic(2)
-            ),
-        ),
-    ]
-    for name, G in large:
+    for name in _NAMED_LARGE:
+        G = build_named_group(name)
         entries.append(
             CatalogEntry(
                 name=name,

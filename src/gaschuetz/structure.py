@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import GroupError, NotNormalError, NotPrimeError
-from .group import FiniteGroup, conjugate_by, is_normal, normal_closure, orbit
+from .group import FiniteGroup, conjugate_by, intersection, is_normal, normal_closure, orbit
 from .perm import Permutation, inverse, mult, perm_order, power
 
 
@@ -88,6 +88,11 @@ def commutator_subgroup(G: FiniteGroup, A: FiniteGroup, B: FiniteGroup) -> Finit
 def derived_subgroup(G: FiniteGroup) -> FiniteGroup:
     """[G, G], the normal closure of the generator commutators; cached on G."""
     return G.cached("derived", lambda G: commutator_subgroup(G, G, G))
+
+
+def center_meet_derived(G: FiniteGroup) -> FiniteGroup:
+    """Z(G) meet G'; cached on G."""
+    return G.cached("zn_meet", lambda G: intersection(center(G), derived_subgroup(G)))
 
 
 def derived_series(G: FiniteGroup) -> list[FiniteGroup]:

@@ -47,13 +47,14 @@ from .constructors import (
     wreath_cyclic,
 )
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, intersection, is_normal, is_subgroup
+from .group import FiniteGroup, is_normal, is_subgroup
 from .perm import Permutation, identity_images, mult, perm_order
 from .structure import (
     center,
+    center_meet_derived,
     derived_subgroup,
+    is_prime,
     is_solvable,
-    prime_factors,
     quotient,
     sylow,
 )
@@ -127,12 +128,11 @@ class _WreathCentral:
 
 def _pick_z(N: FiniteGroup) -> Permutation:
     """Canonical least prime-order element of Z(N) meet N'."""
-    meet = intersection(center(N), derived_subgroup(N))
+    meet = center_meet_derived(N)
     if meet.order == 1:
         raise PreconditionError("Z(N) meet N' is trivial")
     for t in meet.element_tuples:  # canonical order
-        o = perm_order(t)
-        if o > 1 and len(prime_factors(o)) == 1 and o == prime_factors(o)[0]:
+        if is_prime(perm_order(t)):
             return Permutation._wrap(t)
     raise GroupError("internal: no prime-order element in a nontrivial group")
 

@@ -103,7 +103,7 @@ def test_products_and_powers():
 
 
 def test_grammar_errors():
-    for bad in ["", "C", "Zork", "C4:Q8", "C3^2:S4", "S3wrS3", "(C2", "C2)"]:
+    for bad in ["", "C", "Zork", "C4:Q8", "C3^2:S4", "S3wrS3", "(C2", "C2)", "C3^0", "S3^0"]:
         with pytest.raises(UnknownNameError):
             build_named_group(bad)
 
@@ -194,7 +194,7 @@ def test_exclusion_check_catches_fails_rule_on_holds_verdict(catalog_entries, mo
     report = classify(C6)
     assert report["groups"][0]["status"] == "holds"
     assert report["summary"]["contradictions"] == 0
-    monkeypatch.setattr(engine, "_zn_meet", lambda N: N)
+    monkeypatch.setattr(engine, "center_meet_derived", lambda N: N)
     assert classify(C6)["summary"]["contradictions"] == 1
 
 

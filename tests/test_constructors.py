@@ -1,3 +1,5 @@
+from functools import partial
+
 import pytest
 
 from gaschuetz import (
@@ -89,13 +91,23 @@ def test_semidirect_frobenius_200():
             if mult(h, n) == mult(n, h)
         )
         assert fixed == 1  # only the identity of the kernel commutes
-    # conjugation by embedded acting generators = prescribed automorphisms
+    # the automorphisms are index permutations of the target's elements;
+    # the acting generators carry the prescribed ones
     spec = sd.spec
+    elems = spec.target.element_tuples
     for hgen, aut in zip(spec.acting._raw_gens, spec._aut_maps):
-        h = sd.embed_h(hgen)
-        for t in spec.target.element_tuples:
-            n = sd.embed_n(t)
-            assert h * n * h.inv() == sd.embed_n(aut[t])
+        assert spec.automorphism_of(hgen) == aut
+    # embed_h is a homomorphism, and conjugation by every embedded acting
+    # element realizes that element's automorphism
+    acting = spec.acting.element_tuples
+    for g in spec.acting._raw_gens:
+        for x in acting:
+            assert sd.embed_h(mult(g, x)) == sd.embed_h(g) * sd.embed_h(x)
+    for x in acting:
+        h = sd.embed_h(x)
+        aut = spec.automorphism_of(x)
+        for i, t in enumerate(elems):
+            assert h * sd.embed_n(t) * h.inv() == sd.embed_n(elems[aut[i]])
 
 
 def test_semidirect_degenerate_trivial_acting():
@@ -191,6 +203,55 @@ def test_wreath_size_gate():
     with pytest.raises(SizeLimitError) as ei:
         wreath_cyclic(symmetric(4), 3)
     assert ei.value.required_order == 24 ** 3 * 3
+
+
+def _semidirect_call():
+    N, H = cyclic(5), cyclic(4)
+    return partial(semidirect_product, N, H, ActionSpec.trivial(H, N))
+
+
+def _central_call():
+    A, B = cyclic(4), cyclic(4)
+    return partial(central_product, A, B, A.generators[0] ** 2, B.generators[0] ** 2)
+
+
+# Each constructor's refusal over the element cap: (inputs built under
+# the default cap, message, required order).
+_OVER_CAP = {
+    "cyclic": (lambda: partial(cyclic, 13), "cyclic(13) over element cap", 13),
+    "symmetric": (lambda: partial(symmetric, 4), "symmetric(4) over element cap", 24),
+    "alternating": (lambda: partial(alternating, 5), "alternating(5) over element cap", 60),
+    "direct_product": (
+        lambda: partial(direct_product, cyclic(3), cyclic(5)),
+        "direct product of order 15 over element cap",
+        15,
+    ),
+    "semidirect_product": (
+        _semidirect_call, "semidirect product of order 20 over element cap", 20
+    ),
+    "central_product": (
+        _central_call, "central product needs a direct product of order 16", 16
+    ),
+    "wreath_cyclic": (
+        lambda: partial(wreath_cyclic, cyclic(2), 3), "wreath product would have order 24", 24
+    ),
+    "regular_representation": (
+        lambda: partial(regular_representation, cyclic(13)),
+        "regular representation of order 13",
+        13,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_OVER_CAP))
+def test_constructors_refuse_over_element_cap(monkeypatch, name):
+    build, message, required = _OVER_CAP[name]
+    call = build()
+    monkeypatch.setenv("GASCHUETZ_ELEMENT_CAP", "12")
+    with pytest.raises(SizeLimitError) as ei:
+        call()
+    assert str(ei.value) == message
+    assert ei.value.required_order == required
 
 
 def test_regular_representation():

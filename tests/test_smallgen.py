@@ -4,6 +4,7 @@ from gaschuetz.isomorphism import group_fingerprint, is_isomorphic
 from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.smallgen import (
     KNOWN_GROUP_COUNTS,
+    catalog_entries as generated_entries,
     cyclic_extension,
     extension_data,
     generate_small_groups,
@@ -97,12 +98,24 @@ def test_bundled_catalog_is_complete_to_63(small_catalog_groups):
         assert len(by_order.get(n, [])) == KNOWN_GROUP_COUNTS[n], f"order {n}"
 
 
+def _tagged_order(entry):
+    return next(int(t.split("=")[1]) for t in entry.tags if t.startswith("order="))
+
+
+def test_generator_reproduces_bundled_catalog_to_24(catalog_entries):
+    """catalog_entries(24) emits the shipped records of order <= 24 and the named-large ones."""
+    want = [
+        e.to_json()
+        for e in catalog_entries
+        if "named-large" in e.tags or _tagged_order(e) <= 24
+    ]
+    assert len(want) == 74 + 7
+    assert [e.to_json() for e in generated_entries(24)] == want
+
+
 def test_bundled_catalog_orders_match_tags(catalog_groups):
     for entry, G in catalog_groups:
-        want = next(
-            int(t.split("=")[1]) for t in entry.tags if t.startswith("order=")
-        )
-        assert G.order == want, entry.name
+        assert G.order == _tagged_order(entry), entry.name
 
 
 def test_bundled_catalog_abelian_names(catalog_groups):
