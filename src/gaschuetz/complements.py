@@ -186,57 +186,10 @@ def _search(G, N, *, collect_all=False):
     return ComplementReport(False, None, full_space, examined), []
 
 
-def find_complement(
-    G: FiniteGroup, N: FiniteGroup, *, contained_in_hint: FiniteGroup | None = None
-) -> ComplementReport:
-    """Decide whether N has a complement in G; sound and complete.
-
-    contained_in_hint: a normal subgroup R known (by the caller's
-    theorem) to lie in some conjugate of every complement.  The search
-    then runs in G/R over complements of NR/R and verifies each pullback
-    directly, so a wrong hint can produce a false negative only if the
-    caller's containment premise was itself false; positives are always
-    re-verified.  When R meets N, no pullback can avoid N and
-    nonexistence follows immediately from the premise.
-    """
-    if contained_in_hint is None or contained_in_hint.order == 1:
-        report, _ = _search(G, N)
-        return report
-    R = contained_in_hint
-    if not is_normal(R, G):
-        raise NotNormalError("the containment hint must be normal in G")
-    if not is_normal(N, G):
-        raise NotNormalError("complement search requires N normal in G")
-    Q, proj = quotient(G, R)
-    nbar = Q.generated_subgroup([proj(g).images for g in N._raw_gens])
-    rep, found = _search(Q, nbar, collect_all=True)
-    meet = R.element_set & N.element_set
-    # every pullback contains R, so it can avoid N only when R does
-    for kbar in (found if len(meet) == 1 else []):
-        # the full preimage of kbar: kernel generators plus one lift each
-        lifts = list(R._raw_gens)
-        for q in kbar._raw_gens:
-            lifts.append(proj.fiber(q)[0])
-        K = G.generated_subgroup(lifts)
-        if K.order != kbar.order * R.order:
-            continue
-        if len(K.element_set & N.element_set) == 1:
-            return ComplementReport(
-                True, K, rep.search_space, rep.examined,
-                method="quotient-reduced lift-search",
-            )
-    evidence = []
-    if len(meet) > 1:
-        evidence.append(
-            "the hinted subgroup meets N, so no complement can contain it"
-        )
-    evidence.append(
-        f"{len(found)} quotient complement(s), none pulling back clear of N"
-    )
-    return ComplementReport(
-        False, None, rep.search_space, rep.examined,
-        method="quotient-reduced lift-search", evidence=evidence,
-    )
+def find_complement(G: FiniteGroup, N: FiniteGroup) -> ComplementReport:
+    """Decide whether N has a complement in G; sound and complete."""
+    report, _ = _search(G, N)
+    return report
 
 
 def exhaustive_search(G: FiniteGroup, N: FiniteGroup):

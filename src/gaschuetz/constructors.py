@@ -19,7 +19,7 @@ from math import factorial
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
 from .group import FiniteGroup, element_perm, extend_images
-from .perm import Permutation, identity_images, inverse, mult, power
+from .perm import Permutation, identity_images, inverse, mult, perm_order, power
 from .structure import center, quotient
 
 
@@ -211,6 +211,8 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 
 
 def direct_power(A: FiniteGroup, k: int) -> FiniteGroup:
+    if k < 1:
+        raise PreconditionError(f"direct power exponent must be >= 1, got {k}")
     out = A
     for _ in range(k - 1):
         out = direct_product(out, A)
@@ -335,57 +337,52 @@ def semidirect_product(N: FiniteGroup, H: FiniteGroup, action: ActionSpec) -> Se
 # -- central products ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CentralIdentification:
-    """Central elements of equal order, one per factor, to be identified."""
-
-    left: Permutation
-    right: Permutation
-    order: int
-
-    @classmethod
-    def check(cls, A, B, z, zbar):
-        z = z if isinstance(z, Permutation) else Permutation(z)
-        zbar = zbar if isinstance(zbar, Permutation) else Permutation(zbar)
-        if z.images not in center(A).element_set:
-            raise PreconditionError("left element is not central")
-        if zbar.images not in center(B).element_set:
-            raise PreconditionError("right element is not central")
-        if z.order() != zbar.order():
-            raise PreconditionError("identified elements must have equal order")
-        return cls(z, zbar, z.order())
-
-
 class CentralProduct:
     """(A x B) / <(z, zbar)>, realized by the coset action.
 
-    The quotient identifies the image of z with the image of zbar^-1;
-    the embedded images of A and B commute elementwise and intersect in
-    <image of z>.  The ambient direct product and the projection stay
-    accessible so computations can run at the small ambient degree.
+    z and zbar must be central in A and B and of equal order.  The
+    quotient identifies the image of z with the image of zbar^-1; the
+    embedded images of A and B commute elementwise and intersect in
+    <image of z>.  The ambient direct product, the pairings into it and
+    the projection stay accessible so computations can run at the small
+    ambient degree.
     """
 
     def __init__(self, A: FiniteGroup, B: FiniteGroup, z, zbar):
-        self.ident = CentralIdentification.check(A, B, z, zbar)
+        z = z.images if isinstance(z, Permutation) else tuple(z)
+        zbar = zbar.images if isinstance(zbar, Permutation) else tuple(zbar)
+        if z not in center(A).element_set:
+            raise PreconditionError("left element is not central")
+        if zbar not in center(B).element_set:
+            raise PreconditionError("right element is not central")
+        if perm_order(z) != perm_order(zbar):
+            raise PreconditionError("identified elements must have equal order")
         order = A.order * B.order
         _refuse_over_cap(order, f"central product needs a direct product of order {order}")
         self._da, self._db = A.degree, B.degree
         self.product = direct_product(A, B)
-        diag = pair_perm(self.ident.left.images, self.ident.right.images)
-        self.identified = self.product.generated_subgroup([diag])
+        self.identified = self.product.generated_subgroup([pair_perm(z, zbar)])
         self.group, self.projection = quotient(self.product, self.identified)
         left_gens = [self.embed_left(g) for g in A._raw_gens]
         right_gens = [self.embed_right(g) for g in B._raw_gens]
         self.embedded_left = FiniteGroup(self.group.degree, left_gens, _order=A.order)
         self.embedded_right = FiniteGroup(self.group.degree, right_gens, _order=B.order)
 
+    def pair_left(self, raw):
+        """(x, 1) in A x B, before projection."""
+        return pair_perm(raw, identity_images(self._db))
+
+    def pair_right(self, raw):
+        """(1, y) in A x B, before projection."""
+        return pair_perm(identity_images(self._da), raw)
+
     def embed_left(self, x) -> Permutation:
         raw = x.images if isinstance(x, Permutation) else tuple(x)
-        return self.projection(pair_perm(raw, identity_images(self._db)))
+        return self.projection(self.pair_left(raw))
 
     def embed_right(self, y) -> Permutation:
         raw = y.images if isinstance(y, Permutation) else tuple(y)
-        return self.projection(pair_perm(identity_images(self._da), raw))
+        return self.projection(self.pair_right(raw))
 
 
 def central_product(A: FiniteGroup, B: FiniteGroup, z, zbar) -> CentralProduct:

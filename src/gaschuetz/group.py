@@ -249,12 +249,12 @@ def is_subgroup(A: FiniteGroup, G: FiniteGroup) -> bool:
 
 
 def is_normal(N: FiniteGroup, G: FiniteGroup) -> bool:
-    """Closure of N under conjugation by the generators of G.
-
-    Only N is enumerated; G may stay lazy.
-    """
+    """N lies in G and is closed under conjugation by G's generators."""
     if N.degree != G.degree:
         raise DegreeMismatchError("normality test across different degrees")
+    gset = G.element_set
+    if any(n not in gset for n in N._raw_gens):
+        return False
     nset = N.element_set
     for g in G._raw_gens:
         ginv = inverse(g)

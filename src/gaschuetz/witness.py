@@ -16,9 +16,10 @@ conjugating the order-q part onto the rotation, to contain the image R
 of the base's derived subgroup (first-coordinate commutators lie in any
 complement, and rotation conjugates spread them).  The search therefore
 runs in G/R: all complements of NR/R are enumerated exhaustively, and
-each pullback contains R, hence the image of z, hence meets N.  The
-unreduced search over G itself is available behind a flag and must
-agree wherever both run.
+each pullback contains R, hence the image of z, hence meets N.  This
+module holds the only quotient-reduced search; ``complements`` keeps
+the plain lift search.  The unreduced search over G itself is available
+behind a flag and must agree wherever both run.
 """
 
 from __future__ import annotations
@@ -41,14 +42,13 @@ from .constructors import (
     WreathProduct,
     central_product,
     cyclic,
-    pair_perm,
     semidirect_product,
     sl_2_3,
     wreath_cyclic,
 )
 from .errors import GroupError, PreconditionError, SizeLimitError
 from .group import FiniteGroup, is_normal, is_subgroup
-from .perm import Permutation, identity_images, mult, perm_order
+from .perm import Permutation, mult, perm_order
 from .structure import (
     center,
     center_meet_derived,
@@ -68,7 +68,7 @@ class WitnessBundle:
     q: int
     z: Permutation | None
     verified: bool = False
-    construction: object = None  # ambient handles for verification
+    construction: _WreathCentral | None = None  # ambient handles for verification
 
     def to_json(self) -> str:
         def enc(G):
@@ -98,7 +98,9 @@ class _WreathCentral:
 
     Subgroups of G are tracked by their saturated preimages in
     P = N x W, where all element enumeration happens (degree
-    deg N + q deg N instead of |G|).
+    deg N + q deg N instead of |G|).  n_pairs, d_pairs and k_pairs
+    generate the preimages of N, the wreath base D and the twisted
+    diagonal K in P.
     """
 
     def __init__(self, N: FiniteGroup, q: int, z: Permutation):
@@ -111,11 +113,14 @@ class _WreathCentral:
         self.P = self.cp.product
         self.proj = self.cp.projection
         self.G = self.cp.group
-        da = N.degree
-        dw = self.wreath.group.degree
-        self.pair_n = lambda raw: pair_perm(raw, identity_images(dw))
-        self.pair_w = lambda raw: pair_perm(identity_images(da), raw)
         self.z0 = self.cp.identified  # the identified central cyclic subgroup
+        pair_n, pair_w, embed = self.cp.pair_left, self.cp.pair_right, self.wreath.embed
+        self.n_pairs = [pair_n(g) for g in N._raw_gens]
+        self.d_pairs = [pair_w(embed(c, g).images) for c in range(q) for g in N._raw_gens]
+        # twisted diagonal K: coordinate 0 of the base tied to the N factor
+        self.k_pairs = [
+            mult(n, d) for n, d in zip(self.n_pairs, self.d_pairs)
+        ] + self.d_pairs[len(N._raw_gens):]
 
     def saturated(self, pair_gens) -> FiniteGroup:
         """<pair_gens, Z0> inside P: the full preimage of the image subgroup."""
@@ -153,38 +158,19 @@ def build_znthm(N: FiniteGroup, q: int) -> WitnessBundle:
             required_order=required,
         )
     world = _WreathCentral(N, q, z)
-    wr, cp = world.wreath, world.cp
-    n_pair_gens = [world.pair_n(g) for g in N._raw_gens]
-    d_pair_gens = [
-        world.pair_w(wr.embed(c, g).images)
-        for c in range(q)
-        for g in N._raw_gens
-    ]
-    # twisted diagonal K: coordinate 0 of the base tied to the N factor
-    k_pair_gens = [
-        mult(world.pair_n(g), world.pair_w(wr.embed(0, g).images))
-        for g in N._raw_gens
-    ] + [world.pair_w(wr.embed(c, g).images) for c in range(1, q) for g in N._raw_gens]
-
-    n_img = world.image_group(n_pair_gens, N.order)
+    n_img = world.image_group(world.n_pairs, N.order)
     h_img = world.image_group(
-        n_pair_gens + d_pair_gens, N.order ** (q + 1) // zorder
+        world.n_pairs + world.d_pairs, N.order ** (q + 1) // zorder
     )
-    k_img = world.image_group(k_pair_gens, N.order ** q // zorder)
-    bundle = WitnessBundle(
+    k_img = world.image_group(world.k_pairs, N.order ** q // zorder)
+    return WitnessBundle(
         embedding=Embedding(world.G, h_img, n_img),
         complement_in_h=k_img,
         nonexistence=None,
         q=q,
-        z=cp.embed_left(z),
+        z=world.cp.embed_left(z),
+        construction=world,
     )
-    bundle.construction = {
-        "world": world,
-        "n_pairs": n_pair_gens,
-        "d_pairs": d_pair_gens,
-        "k_pairs": k_pair_gens,
-    }
-    return bundle
 
 
 def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> WitnessBundle:
@@ -193,10 +179,9 @@ def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> Witness
     full_search additionally runs the unreduced lift search over G and
     requires agreement with the reduced certificate.
     """
-    c = bundle.construction
-    if c is None or "world" not in c:
+    world = bundle.construction
+    if not isinstance(world, _WreathCentral):
         raise PreconditionError("bundle lacks construction handles")
-    world: _WreathCentral = c["world"]
     N, q, z = world.N, world.q, world.z
     P, G = world.P, world.G
     zorder = z.order()
@@ -211,9 +196,9 @@ def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> Witness
     if expect_g // expect_h != q:
         raise GroupError("|G : H| != q")
 
-    n_hat = world.saturated(c["n_pairs"])
-    h_hat = world.saturated(c["n_pairs"] + c["d_pairs"])
-    k_hat = world.saturated(c["k_pairs"])
+    n_hat = world.saturated(world.n_pairs)
+    h_hat = world.saturated(world.n_pairs + world.d_pairs)
+    k_hat = world.saturated(world.k_pairs)
     if n_hat.order != N.order * zorder:
         raise GroupError("saturated preimage of N has wrong order")
     if h_hat.order != expect_h * zorder:
@@ -245,7 +230,7 @@ def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> Witness
         raise GroupError("solvability of H disagrees with N")
 
     # nonexistence, reduced to G/R with R the image of the base derived subgroup
-    report = _reduced_nonexistence(world, c, n_hat)
+    report = _reduced_nonexistence(world, n_hat)
     if report.exists:
         raise GroupError("reduced search found a complement of N in G")
     bundle.nonexistence = report
@@ -267,7 +252,7 @@ def _is_cyclic(G: FiniteGroup) -> bool:
     return any(perm_order(t) == G.order for t in G.element_tuples)
 
 
-def _reduced_nonexistence(world: _WreathCentral, c, n_hat: FiniteGroup) -> ComplementReport:
+def _reduced_nonexistence(world: _WreathCentral, n_hat: FiniteGroup) -> ComplementReport:
     """Exhaustive search in G/R plus the pullback obstruction.
 
     Any complement of N in G contains, after conjugation, the image R of
@@ -281,7 +266,7 @@ def _reduced_nonexistence(world: _WreathCentral, c, n_hat: FiniteGroup) -> Compl
     P = world.P
     d_hat = FiniteGroup.from_raw(
         P.degree,
-        c["d_pairs"],
+        world.d_pairs,
         order=world.N.order ** world.q,
     )
     d_derived = derived_subgroup(d_hat)
@@ -294,7 +279,7 @@ def _reduced_nonexistence(world: _WreathCentral, c, n_hat: FiniteGroup) -> Compl
             "the reduced certificate does not apply"
         )
     gbar, proj = quotient(P, r_hat)
-    nbar = gbar.generated_subgroup([proj(g).images for g in c["n_pairs"]])
+    nbar = gbar.generated_subgroup([proj(g).images for g in world.n_pairs])
     probe, quotient_complements = exhaustive_search(gbar, nbar)
     evidence = [
         f"R meets N in {z_members // world.z0.order} nontrivial classes; "

@@ -22,6 +22,7 @@ from gaschuetz import (
 )
 from gaschuetz.constructors import (
     dihedral8_matrices,
+    direct_power,
     elementary_semidirect,
     matrix_group,
     quaternion_matrices,
@@ -73,6 +74,9 @@ def test_direct_product():
     G = direct_product(cyclic(2), cyclic(3))
     assert G.order == 6 and is_abelian(G)
     assert max(g.order() for g in G.elements) == 6  # iso to C6
+    for k in (0, -2):
+        with pytest.raises(PreconditionError):
+            direct_power(cyclic(3), k)
 
 
 def test_semidirect_frobenius_200():

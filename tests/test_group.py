@@ -20,10 +20,13 @@ from gaschuetz.errors import (
     DegreeMismatchError,
     GroupError,
     MalformedPermutationError,
+    NotNormalError,
     SizeLimitError,
 )
+from gaschuetz.complements import find_complement
 from gaschuetz.group import close_set, reduce_generators
 from gaschuetz.perm import Permutation, identity_images
+from gaschuetz.structure import quotient
 
 
 def brute_closure(gens, degree):
@@ -102,6 +105,14 @@ def test_is_normal_spec_examples():
     assert is_normal(A4, S4)  # index 2
     flip = S4.generated_subgroup([Permutation([1, 0, 2, 3])])
     assert not is_normal(flip, S4)  # conjugate by (0 2) leaves it
+    # G normalizes N but does not contain it: not normal, and both consumers refuse
+    G = FiniteGroup(4, [Permutation([1, 0, 2, 3])])
+    N = FiniteGroup(4, [Permutation([0, 1, 3, 2])])
+    assert not is_normal(N, G)
+    with pytest.raises(NotNormalError):
+        quotient(G, N)
+    with pytest.raises(NotNormalError):
+        find_complement(G, N)
 
 
 def test_lagrange_on_subgroups():

@@ -7,15 +7,15 @@ order: an import cycle that the package's import order hides shows here.
 """
 
 import ast
+import importlib.util
 import os
 import subprocess
 import sys
 
 import pytest
 
-PACKAGE = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src", "gaschuetz"
-)
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join(ROOT, "src", "gaschuetz")
 MODULES = sorted(
     name[:-3] for name in os.listdir(PACKAGE)
     if name.endswith(".py") and not name.startswith("__")
@@ -65,3 +65,33 @@ def test_unread_import_is_caught():
 def test_every_import_is_read(module):
     with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
         assert _unread_imports(fh.read()) == []
+
+
+def _bench_module(name):
+    """A benchmark script, loaded by file path without running it."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_" + name, os.path.join(ROOT, "bench", name + ".py")
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_names_resolve():
+    """Every function the traced benchmark wraps or counts still exists
+    where the benchmark looks for it, and every module it loads imports."""
+    spans = _bench_module("spans")
+    worker = _bench_module("worker")
+    for name in worker.MODULES:
+        importlib.import_module("gaschuetz." + name)
+    for layer, names in spans.LAYERS.items():
+        module = importlib.import_module("gaschuetz." + layer)
+        for name in names:
+            assert callable(getattr(module, name, None)), f"{layer}.{name}"
+    perm = importlib.import_module("gaschuetz.perm")
+    for name in ("mult", "perm_order"):
+        assert callable(getattr(perm, name, None)), f"perm.{name}"
+    # the cProfile count of validate matches functions by defining file
+    autgroups = importlib.import_module("gaschuetz.autgroups")
+    defined_in = os.path.abspath(autgroups.validate.__code__.co_filename)
+    assert defined_in == os.path.abspath(autgroups.__file__)

@@ -65,9 +65,14 @@ def test_build_znthm_d8_structure():
 def test_tampered_bundle_rejected():
     b = build_znthm(dihedral(8), 3)
     # swap the complement for a subgroup that meets N: the core itself
-    b.construction["k_pairs"] = b.construction["n_pairs"]
+    b.construction.k_pairs = b.construction.n_pairs
     with pytest.raises(GroupError):
         verify_znthm(b)
+
+
+def test_verify_refuses_bundle_without_construction():
+    with pytest.raises(PreconditionError, match="bundle lacks construction handles"):
+        verify_znthm(baer_bundle())
 
 
 def test_blow_up_gcd_violation():
