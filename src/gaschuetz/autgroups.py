@@ -163,7 +163,7 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
         raise AutBudgetError("internal: duplicate automorphisms assembled")
 
     carrier_gens = reduce_generators(auto_set, n) if len(auto_set) > 1 else []
-    carrier = FiniteGroup.from_raw(n, carrier_gens, elements=auto_set)
+    carrier = FiniteGroup(n, carrier_gens, elements=auto_set)
     inn = carrier.generated_subgroup([conjugation_perm(N, g) for g in N._raw_gens])
 
     z = center(N).order

@@ -45,7 +45,7 @@ class CatalogEntry:
     tags: list[str] = field(default_factory=list)
 
     def group(self) -> FiniteGroup:
-        return FiniteGroup(self.degree, [tuple(g) for g in self.generators])
+        return FiniteGroup(self.degree, self.generators)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -176,6 +176,7 @@ class _Parser:
             if self.take() != ")":
                 raise UnknownNameError("unbalanced parenthesis in group name")
         else:
+            _check_atom(tok)
             node = ("atom", tok)
         if self.peek() == "^":
             self.take()
@@ -189,6 +190,18 @@ class _Parser:
 
 
 _ATOM = re.compile(r"^(C|D|S|A)(\d+)$")
+
+
+def _check_atom(tok: str) -> None:
+    """Refuse C<n>, S<n> for n < 1 and D<n> unless n is even and >= 4."""
+    m = _ATOM.match(tok)
+    if not m:
+        return
+    family, n = m.group(1), int(m.group(2))
+    if family in "CS" and n < 1 or family == "D" and (n < 4 or n % 2):
+        raise UnknownNameError(
+            f"no group {tok}: C<n> and S<n> need n >= 1, D<n> an even n >= 4"
+        )
 
 
 def _build_atom(tok: str) -> FiniteGroup:

@@ -113,7 +113,7 @@ def _search(G, N, *, collect_all=False):
     ident = identity_images(degree)
     index = G.order // N.order
     if N.order == 1:
-        K = FiniteGroup.from_raw(degree, G._raw_gens, order=G.order)
+        K = FiniteGroup(degree, G._raw_gens, order=G.order)
         report = ComplementReport(True, K, 1, 1)
         return report, [K]
     if index == 1:
@@ -143,7 +143,7 @@ def _search(G, N, *, collect_all=False):
         level_candidates[0] = _orbit_reps(filtered[0], N)
 
     def verify(K_elems, lifts):
-        K = FiniteGroup.from_raw(degree, list(lifts), elements=K_elems)
+        K = FiniteGroup(degree, list(lifts), elements=K_elems)
         if K.order != index:
             return None
         if any(t != ident and t in N.element_set for t in K_elems):

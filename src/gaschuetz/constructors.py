@@ -18,26 +18,11 @@ from math import factorial
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, element_perm, extend_images
-from .perm import Permutation, identity_images, inverse, mult, perm_order, power
+from .group import FiniteGroup, Homomorphism, element_perm, extend_images
+from .perm import (
+    Permutation, direct_sum, identity_images, images_of, inverse, mult, perm_order, power,
+)
 from .structure import center, quotient
-
-
-# -- raw helpers ------------------------------------------------------------
-
-
-def pad_perm(raw, offset, total):
-    """Place a raw permutation at the given offset inside a larger identity."""
-    out = list(range(total))
-    for i, x in enumerate(raw):
-        out[offset + i] = offset + x
-    return tuple(out)
-
-
-def pair_perm(a_raw, b_raw):
-    """Direct-sum permutation acting as a on the first block, b on the second."""
-    da = len(a_raw)
-    return tuple(a_raw) + tuple(x + da for x in b_raw)
 
 
 def _refuse_over_cap(order: int, message: str) -> None:
@@ -56,7 +41,7 @@ def cyclic(n: int) -> FiniteGroup:
         return FiniteGroup.trivial(1)
     _refuse_over_cap(n, f"cyclic({n}) over element cap")
     rot = tuple((i + 1) % n for i in range(n))
-    return FiniteGroup.from_raw(n, [rot], order=n)
+    return FiniteGroup(n, [rot], order=n)
 
 
 def dihedral(n: int) -> FiniteGroup:
@@ -64,11 +49,11 @@ def dihedral(n: int) -> FiniteGroup:
     if n < 4 or n % 2:
         raise GroupError("dihedral order must be an even integer >= 4")
     if n == 4:
-        return FiniteGroup.from_raw(4, [(1, 0, 2, 3), (0, 1, 3, 2)], order=4)
+        return FiniteGroup(4, [(1, 0, 2, 3), (0, 1, 3, 2)], order=4)
     k = n // 2
     rot = tuple((i + 1) % k for i in range(k))
     refl = tuple((k - i) % k for i in range(k))
-    return FiniteGroup.from_raw(k, [rot, refl], order=n)
+    return FiniteGroup(k, [rot, refl], order=n)
 
 
 _Q8_TABLE = "1 -1 i -i j -j k -k".split()
@@ -96,7 +81,7 @@ def quaternion8() -> FiniteGroup:
     def left_mult(g):
         return tuple(idx[q_mul(g, x)] for x in _Q8_TABLE)
 
-    return FiniteGroup.from_raw(8, [left_mult("i"), left_mult("j")], order=8)
+    return FiniteGroup(8, [left_mult("i"), left_mult("j")], order=8)
 
 
 def symmetric(n: int) -> FiniteGroup:
@@ -109,7 +94,7 @@ def symmetric(n: int) -> FiniteGroup:
     gens = [Permutation.from_cycles(n, [(0, 1)])]
     if n > 2:
         gens.append(Permutation.from_cycles(n, [tuple(range(n))]))
-    return FiniteGroup(n, gens, _order=order)
+    return FiniteGroup(n, gens, order=order)
 
 
 def alternating(n: int) -> FiniteGroup:
@@ -121,7 +106,7 @@ def alternating(n: int) -> FiniteGroup:
     if n > 3:
         cyc = tuple(range(n)) if n % 2 else tuple(range(1, n))
         gens.append(Permutation.from_cycles(n, [cyc]))
-    return FiniteGroup(n, gens, _order=order)
+    return FiniteGroup(n, gens, order=order)
 
 
 # -- matrix groups over small prime fields ----------------------------------
@@ -200,14 +185,14 @@ def sl_2_3() -> FiniteGroup:
 
 
 def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
-    total = A.degree + B.degree
-    gens = [pad_perm(g, 0, total) for g in A._raw_gens]
-    gens += [pad_perm(g, A.degree, total) for g in B._raw_gens]
+    ida, idb = identity_images(A.degree), identity_images(B.degree)
+    gens = [direct_sum((g, idb)) for g in A._raw_gens]
+    gens += [direct_sum((ida, g)) for g in B._raw_gens]
     known = None
     if A._order is not None and B._order is not None:
         known = A._order * B._order
         _refuse_over_cap(known, f"direct product of order {known} over element cap")
-    return FiniteGroup.from_raw(total, gens, order=known)
+    return FiniteGroup(A.degree + B.degree, gens, order=known)
 
 
 def direct_power(A: FiniteGroup, k: int) -> FiniteGroup:
@@ -226,10 +211,11 @@ def direct_power(A: FiniteGroup, k: int) -> FiniteGroup:
 class ActionSpec:
     """A homomorphism acting -> Aut(target), one automorphism per generator.
 
-    Each automorphism is given by its images of the target's generators
-    and kept as the permutation it induces on the target's element
-    indices; both the automorphism property and the homomorphism
-    property are certified at construction.
+    Each automorphism is given by its images of the target's generators,
+    certified as an endomorphism by ``Homomorphism`` and as a bijection
+    here, and kept as the permutation it induces on the target's element
+    indices; the homomorphism acting -> Aut(target) is certified at
+    construction too.
     """
 
     acting: FiniteGroup
@@ -243,7 +229,7 @@ class ActionSpec:
         for img_list in images:
             row = []
             for e in img_list:
-                raw = e.images if isinstance(e, Permutation) else tuple(e)
+                raw = images_of(e)
                 if raw not in target.element_set:
                     raise PreconditionError("automorphism image outside target")
                 row.append(Permutation._wrap(raw))
@@ -266,26 +252,18 @@ class ActionSpec:
 
     def _as_automorphism(self, row):
         """Turn generator images into the element index permutation; verify bijectivity."""
-        t = self.target
-        if len(row) != len(t.generators):
-            raise GroupError("one image required per source generator")
-        ident = identity_images(t.degree)
-        table = extend_images(t._raw_gens, [p.images for p in row], ident, ident, t.order)
-        if table is None:
-            raise GroupError("generator images do not extend to a homomorphism")
+        table = Homomorphism(self.target, self.target, row)._map
         if len(set(table.values())) != len(table):
             raise PreconditionError("generator images define a non-bijective map")
-        return element_perm(t, table.__getitem__)
+        return element_perm(self.target, table.__getitem__)
 
     def automorphism_of(self, h):
         """Index permutation of the automorphism attached to an arbitrary element."""
-        raw = h.images if isinstance(h, Permutation) else tuple(h)
-        return self._table[raw]
+        return self._table[images_of(h)]
 
     @classmethod
     def trivial(cls, acting, target):
-        tgens = [Permutation._wrap(g) for g in target._raw_gens]
-        return cls(acting, target, [tgens for _ in acting.generators])
+        return cls(acting, target, [target.generators for _ in acting.generators])
 
 
 class SemidirectProduct:
@@ -302,32 +280,25 @@ class SemidirectProduct:
         _refuse_over_cap(order, f"semidirect product of order {order} over element cap")
         self.spec = action
         self._N = N
-        self._total = N.order + H.degree
+        self._h_identity = identity_images(H.degree)
         n_gens = [self._n_point_perm(g) for g in N._raw_gens]
-        h_gens = [
-            self._h_point_perm(g, aut)
-            for g, aut in zip(H._raw_gens, action._aut_maps)
-        ]
-        self.group = FiniteGroup.from_raw(self._total, n_gens + h_gens, order=order)
-        self.n_image = FiniteGroup.from_raw(self._total, n_gens, order=N.order)
-        self.h_image = FiniteGroup.from_raw(self._total, h_gens, order=H.order)
+        h_gens = [direct_sum((aut, g)) for g, aut in zip(H._raw_gens, action._aut_maps)]
+        degree = N.order + H.degree
+        self.group = FiniteGroup(degree, n_gens + h_gens, order=order)
+        self.n_image = FiniteGroup(degree, n_gens, order=N.order)
+        self.h_image = FiniteGroup(degree, h_gens, order=H.order)
 
     def _n_point_perm(self, raw):
         rinv = inverse(raw)
         n_part = element_perm(self._N, lambda t: mult(t, rinv))
-        return n_part + tuple(range(self._N.order, self._total))
-
-    def _h_point_perm(self, raw, aut):
-        n = self._N.order
-        return aut + tuple(n + x for x in raw)
+        return direct_sum((n_part, self._h_identity))
 
     def embed_n(self, x) -> Permutation:
-        raw = x.images if isinstance(x, Permutation) else tuple(x)
-        return Permutation._wrap(self._n_point_perm(raw))
+        return Permutation._wrap(self._n_point_perm(images_of(x)))
 
     def embed_h(self, h) -> Permutation:
-        raw = h.images if isinstance(h, Permutation) else tuple(h)
-        return Permutation._wrap(self._h_point_perm(raw, self.spec.automorphism_of(raw)))
+        raw = images_of(h)
+        return Permutation._wrap(direct_sum((self.spec.automorphism_of(raw), raw)))
 
 
 def semidirect_product(N: FiniteGroup, H: FiniteGroup, action: ActionSpec) -> SemidirectProduct:
@@ -349,8 +320,7 @@ class CentralProduct:
     """
 
     def __init__(self, A: FiniteGroup, B: FiniteGroup, z, zbar):
-        z = z.images if isinstance(z, Permutation) else tuple(z)
-        zbar = zbar.images if isinstance(zbar, Permutation) else tuple(zbar)
+        z, zbar = images_of(z), images_of(zbar)
         if z not in center(A).element_set:
             raise PreconditionError("left element is not central")
         if zbar not in center(B).element_set:
@@ -359,30 +329,28 @@ class CentralProduct:
             raise PreconditionError("identified elements must have equal order")
         order = A.order * B.order
         _refuse_over_cap(order, f"central product needs a direct product of order {order}")
-        self._da, self._db = A.degree, B.degree
+        self._ida, self._idb = identity_images(A.degree), identity_images(B.degree)
         self.product = direct_product(A, B)
-        self.identified = self.product.generated_subgroup([pair_perm(z, zbar)])
+        self.identified = self.product.generated_subgroup([direct_sum((z, zbar))])
         self.group, self.projection = quotient(self.product, self.identified)
         left_gens = [self.embed_left(g) for g in A._raw_gens]
         right_gens = [self.embed_right(g) for g in B._raw_gens]
-        self.embedded_left = FiniteGroup(self.group.degree, left_gens, _order=A.order)
-        self.embedded_right = FiniteGroup(self.group.degree, right_gens, _order=B.order)
+        self.embedded_left = FiniteGroup(self.group.degree, left_gens, order=A.order)
+        self.embedded_right = FiniteGroup(self.group.degree, right_gens, order=B.order)
 
     def pair_left(self, raw):
         """(x, 1) in A x B, before projection."""
-        return pair_perm(raw, identity_images(self._db))
+        return direct_sum((raw, self._idb))
 
     def pair_right(self, raw):
         """(1, y) in A x B, before projection."""
-        return pair_perm(identity_images(self._da), raw)
+        return direct_sum((self._ida, raw))
 
     def embed_left(self, x) -> Permutation:
-        raw = x.images if isinstance(x, Permutation) else tuple(x)
-        return self.projection(self.pair_left(raw))
+        return self.projection(self.pair_left(images_of(x)))
 
     def embed_right(self, y) -> Permutation:
-        raw = y.images if isinstance(y, Permutation) else tuple(y)
-        return self.projection(self.pair_right(raw))
+        return self.projection(self.pair_right(images_of(y)))
 
 
 def central_product(A: FiniteGroup, B: FiniteGroup, z, zbar) -> CentralProduct:
@@ -398,22 +366,20 @@ class WreathProduct:
     base: FiniteGroup              # D = N^q
     alpha: Permutation             # coordinate rotation of order q
     copies: int
-    inner_degree: int
 
     def embed(self, c: int, x) -> Permutation:
         """The element of the base carrying x in coordinate c."""
-        raw = x.images if isinstance(x, Permutation) else tuple(x)
-        return Permutation._wrap(
-            pad_perm(raw, c * self.inner_degree, self.group.degree)
-        )
+        return Permutation._wrap(_in_coordinate(images_of(x), c, self.copies))
 
     def diagonal(self, x) -> Permutation:
         """(x, x, ..., x) in the base."""
-        raw = x.images if isinstance(x, Permutation) else tuple(x)
-        out = []
-        for c in range(self.copies):
-            out.extend(c * self.inner_degree + i for i in raw)
-        return Permutation._wrap(tuple(out))
+        return Permutation._wrap(direct_sum((images_of(x),) * self.copies))
+
+
+def _in_coordinate(raw, c: int, q: int):
+    """(1, ..., raw, ..., 1) in N^q, raw in coordinate c."""
+    ident = identity_images(len(raw))
+    return direct_sum(raw if i == c else ident for i in range(q))
 
 
 def wreath_cyclic(N: FiniteGroup, q: int) -> WreathProduct:
@@ -428,22 +394,18 @@ def wreath_cyclic(N: FiniteGroup, q: int) -> WreathProduct:
     _refuse_over_cap(order, f"wreath product would have order {order}")
     d = N.degree
     total = d * q
-    base_gens = []
-    for c in range(q):
-        for g in N._raw_gens:
-            base_gens.append(pad_perm(g, c * d, total))
+    base_gens = [_in_coordinate(g, c, q) for c in range(q) for g in N._raw_gens]
     if q == 1:
         alpha = identity_images(total)
     else:
         alpha = tuple(((c + 1) % q) * d + i for c in range(q) for i in range(d))
-    W = FiniteGroup.from_raw(total, base_gens + [alpha], order=order)
-    D = FiniteGroup.from_raw(total, base_gens, order=N.order ** q)
+    W = FiniteGroup(total, base_gens + [alpha], order=order)
+    D = FiniteGroup(total, base_gens, order=N.order ** q)
     return WreathProduct(
         group=W,
         base=D,
         alpha=Permutation._wrap(alpha),
         copies=q,
-        inner_degree=d,
     )
 
 
@@ -478,4 +440,4 @@ def regular_representation(G: FiniteGroup) -> FiniteGroup:
     gens = [element_perm(G, partial(mult, g)) for g in G._raw_gens]
     if not gens:
         return FiniteGroup.trivial(1)
-    return FiniteGroup.from_raw(n, gens, order=n)
+    return FiniteGroup(n, gens, order=n)

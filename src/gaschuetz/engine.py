@@ -56,7 +56,7 @@ class Verdict:
 _verdict_cache: dict = {}
 
 
-def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
+def _rule_composite(N: FiniteGroup) -> list[str]:
     """Direct-factor and characteristic-quotient reductions.
 
     (ii)  N = A x B with both factors characteristic and the property
@@ -66,8 +66,9 @@ def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
     (iv)  characteristic M, gcd(|M|, |Z(N)||Out(N)|) = 1, all Sylow
           subgroups of M abelian, M complemented in N, property holding
           for N/M.
+
+    Returns the evidence when a reduction applies, an empty list otherwise.
     """
-    evidence = []
     normals = normal_subgroups_fast(N)
     # (ii): direct decompositions with characteristic factors
     by_order = {}
@@ -89,13 +90,12 @@ def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
                 continue
             if not (is_characteristic(A, N) and is_characteristic(B, N)):
                 continue
-            va, vb = evaluate(A), evaluate(B)
+            va, vb = verdict(A), verdict(B)
             if va.status == HOLDS and vb.status == HOLDS:
-                evidence.append(
+                return [
                     f"N = A x B with characteristic factors of orders "
                     f"{A.order} and {B.order}, both holding"
-                )
-                return True, evidence
+                ]
     # (iii) and (iv)
     chars = [M for M in normals if M.order not in (1, N.order) and is_characteristic(M, N)]
     z_order = center(N).order
@@ -106,27 +106,24 @@ def _rule_composite(N: FiniteGroup, evaluate) -> tuple[bool, list[str]]:
         pass
     for M in chars:
         Q, _ = quotient(N, M)
-        vq = evaluate(Q)
-        if vq.status != HOLDS:
+        if verdict(Q).status != HOLDS:
             continue
         try:
             if rose_criterion(M):
-                evidence.append(
+                return [
                     f"characteristic M of order {M.order} splits off its inner "
                     f"automorphisms and N/M (order {Q.order}) holds"
-                )
-                return True, evidence
+                ]
         except (AutBudgetError, SizeLimitError):
             pass
         if out_order is not None and gcd(M.order, z_order * out_order) == 1:
             if all_sylow_abelian(M) and find_complement(N, M).exists:
-                evidence.append(
+                return [
                     f"characteristic M of order {M.order} coprime to "
                     f"|Z(N)||Out(N)| = {z_order * out_order}, abelian Sylows, "
                     f"complemented; N/M (order {Q.order}) holds"
-                )
-                return True, evidence
-    return False, evidence
+                ]
+    return []
 
 
 # Exact facts several rules read, kept on N.
@@ -140,11 +137,6 @@ def _prop_special(N: FiniteGroup):
         f"automorphism with power {hit[1]} inner-derived while "
         f"(inner shift)^{hit[1]} never trivial"
     ]
-
-
-def _composite(N: FiniteGroup):
-    fired, evidence = _rule_composite(N, verdict)
-    return fired and evidence
 
 
 # The rule chain, cheapest first: (side, rule, budget-note label, test).
@@ -174,7 +166,7 @@ RULES = (
      lambda N: center(N).is_trivial() and _rose(N)
      and ["centerless, inner automorphisms split off"]),
     (FAILS, "prop-special", "special-pair", _prop_special),
-    (HOLDS, "composite-2.8", "composite", _composite),
+    (HOLDS, "composite-2.8", "composite", lambda N: _rule_composite(N)),
 )
 HOLDS_RULES = tuple(rule for side, rule, _, _ in RULES if side == HOLDS)
 FAILS_RULES = tuple(rule for side, rule, _, _ in RULES if side == FAILS)

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 from . import config
 from .errors import DegreeMismatchError, GroupError, SizeLimitError
-from .perm import Permutation, identity_images, inverse, mult, perm_order
+from .perm import (
+    Permutation, as_permutation, identity_images, images_of, inverse, mult, perm_order,
+)
 
 
 def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=None):
@@ -60,28 +62,26 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
 class FiniteGroup:
     """A finite permutation group of fixed degree.
 
-    ``elements`` enumerates the whole group in canonical (lexicographic)
-    order; ``order`` may be known ahead of enumeration (quotients set it
-    from coset counts) and is cross-checked if enumeration happens later.
+    Generators may be Permutations or image sequences; each is validated.
+    Facts a caller already knows are passed in, not recomputed: the
+    keyword ``elements``, the closed element set as raw tuples (trusted),
+    and ``order``, which quotients know from coset counts and which is
+    cross-checked if enumeration happens later.  The ``elements``
+    property enumerates the whole group in canonical (lexicographic) order.
     """
 
-    def __init__(self, degree, generators, *, _elements=None, _order=None):
+    def __init__(self, degree, generators, *, elements=None, order=None):
         self.degree = int(degree)
-        gens = []
-        for g in generators:
-            if not isinstance(g, Permutation):
-                g = Permutation(g)
-            if g.degree != self.degree:
-                raise DegreeMismatchError("generator degree mismatch")
-            gens.append(g)
-        self.generators = tuple(gens)
-        self._raw_gens = tuple(g.images for g in gens)
+        self.generators = tuple(
+            as_permutation(g, self.degree, "generator") for g in generators
+        )
+        self._raw_gens = tuple(g.images for g in self.generators)
         self._element_tuples = None
         self._element_set = None
-        self._order = _order
+        self._order = order
         self._cache = {}
-        if _elements is not None:
-            self._install_elements(_elements)
+        if elements is not None:
+            self._install_elements(elements)
 
     def _install_elements(self, elements):
         tup = tuple(sorted(elements))
@@ -97,16 +97,7 @@ class FiniteGroup:
 
     @classmethod
     def trivial(cls, degree) -> "FiniteGroup":
-        return cls(degree, [], _elements=[identity_images(degree)])
-
-    @classmethod
-    def from_raw(cls, degree, raw_gens, *, elements=None, order=None) -> "FiniteGroup":
-        return cls(
-            degree,
-            [Permutation._wrap(g) for g in raw_gens],
-            _elements=elements,
-            _order=order,
-        )
+        return cls(degree, [], elements=[identity_images(degree)])
 
     # -- enumeration ------------------------------------------------------
 
@@ -161,8 +152,7 @@ class FiniteGroup:
         return Permutation.identity(self.degree)
 
     def __contains__(self, g):
-        raw = g.images if isinstance(g, Permutation) else tuple(g)
-        return raw in self.element_set
+        return images_of(g) in self.element_set
 
     def __len__(self):
         return self.order
@@ -178,17 +168,15 @@ class FiniteGroup:
 
     def subgroup(self, elements) -> "FiniteGroup":
         """Wrap a known-closed element collection as a subgroup of self."""
-        elems = set()
-        for e in elements:
-            elems.add(e.images if isinstance(e, Permutation) else tuple(e))
+        elems = {images_of(e) for e in elements}
         elems.add(identity_images(self.degree))
         gens = reduce_generators(elems, self.degree)
-        return FiniteGroup.from_raw(self.degree, gens, elements=elems)
+        return FiniteGroup(self.degree, gens, elements=elems)
 
     def generated_subgroup(self, gens) -> "FiniteGroup":
-        raw = [g.images if isinstance(g, Permutation) else tuple(g) for g in gens]
+        raw = [images_of(g) for g in gens]
         elems = close_set(raw, self.degree, cap=config.element_cap())
-        return FiniteGroup.from_raw(self.degree, raw, elements=elems)
+        return FiniteGroup(self.degree, raw, elements=elems)
 
 
 def reduce_generators(elements, degree):
@@ -234,7 +222,7 @@ def drop_redundant(gens, degree, order):
 
 def membership(g, G: FiniteGroup) -> bool:
     """Element-set lookup; degrees must agree."""
-    raw = g.images if isinstance(g, Permutation) else tuple(g)
+    raw = images_of(g)
     if len(raw) != G.degree:
         raise DegreeMismatchError("membership across different degrees")
     return raw in G.element_set
@@ -255,13 +243,14 @@ def is_normal(N: FiniteGroup, G: FiniteGroup) -> bool:
     gset = G.element_set
     if any(n not in gset for n in N._raw_gens):
         return False
-    nset = N.element_set
-    for g in G._raw_gens:
-        ginv = inverse(g)
-        for n in N._raw_gens:
-            if mult(mult(g, n), ginv) not in nset:
-                return False
-    return True
+    return all(normalizes(g, N) for g in G._raw_gens)
+
+
+def normalizes(t, P: FiniteGroup) -> bool:
+    """t P t^-1 = P: t conjugates every generator of P into P."""
+    pair = (t, inverse(t))
+    pset = P.element_set
+    return all(conjugate_by(g, pair) in pset for g in P._raw_gens)
 
 
 def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -274,9 +263,8 @@ def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     """Smallest normal subgroup of G containing the seed elements."""
     ident = identity_images(G.degree)
-    raw = [s.images if isinstance(s, Permutation) else tuple(s) for s in seed]
-    gens = [t for t in dict.fromkeys(raw) if t != ident]
-    gen_invs = [(g, inverse(g)) for g in G._raw_gens]
+    gens = [t for t in dict.fromkeys(map(images_of, seed)) if t != ident]
+    pairs = [(g, inverse(g)) for g in G._raw_gens]
     cap = config.element_cap()
     current = close_set(gens, G.degree, cap=cap)
     # <gens> is normal once the conjugates of every generator lie in it,
@@ -284,9 +272,9 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     added = list(gens)
     while added:
         new = {}
-        for g, ginv in gen_invs:
+        for pair in pairs:
             for n in added:
-                c = mult(mult(g, n), ginv)
+                c = conjugate_by(n, pair)
                 if c not in current:
                     new[c] = None
         if new:
@@ -371,13 +359,7 @@ class Homomorphism:
     def __init__(self, source: FiniteGroup, target: FiniteGroup, generator_images):
         if len(generator_images) != len(source.generators):
             raise GroupError("one image required per source generator")
-        imgs = []
-        for h in generator_images:
-            if not isinstance(h, Permutation):
-                h = Permutation(h)
-            if h.degree != target.degree:
-                raise DegreeMismatchError("image degree mismatch")
-            imgs.append(h)
+        imgs = [as_permutation(h, target.degree, "image") for h in generator_images]
         self.source = source
         self.target = target
         self.generator_images = tuple(imgs)
@@ -392,8 +374,7 @@ class Homomorphism:
             raise GroupError("generator images do not extend to a homomorphism")
 
     def __call__(self, g):
-        raw = g.images if isinstance(g, Permutation) else tuple(g)
-        return Permutation._wrap(self._map[raw])
+        return Permutation._wrap(self._map[images_of(g)])
 
     def image(self) -> FiniteGroup:
         return FiniteGroup(

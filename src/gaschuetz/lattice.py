@@ -63,7 +63,7 @@ def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
             elems = close_set(gens, degree, seed=xset)
             key = frozenset(elems)
             if key not in found:
-                J = FiniteGroup.from_raw(degree, gens, elements=elems)
+                J = FiniteGroup(degree, gens, elements=elems)
                 found[key] = J
                 queue.append(J)
     return sorted(found.values(), key=lambda s: (s.order, s.element_tuples))

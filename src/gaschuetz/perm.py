@@ -29,6 +29,19 @@ def identity_images(n: int) -> tuple[int, ...]:
     return tuple(range(n))
 
 
+def direct_sum(blocks):
+    """The permutation acting as blocks[i] on the i-th run of consecutive points.
+
+    Each block is a raw tuple; block i moves only its own len(blocks[i])
+    points, shifted past the blocks before it.
+    """
+    out = []
+    for block in blocks:
+        offset = len(out)
+        out.extend(offset + x for x in block)
+    return tuple(out)
+
+
 def mult(p, q):
     """Compose raw image tuples: (p*q)(i) = p(q(i)), i.e. apply q first."""
     return tuple(map(p.__getitem__, q))
@@ -175,3 +188,25 @@ class Permutation:
             return f"Permutation.identity({self.degree})"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)
         return f"Perm[{body}]"
+
+
+# -- coercions ---------------------------------------------------------------
+# An element may arrive as a Permutation or as a sequence of images; these
+# two functions are the only places that tell the two apart.
+
+
+def images_of(x) -> tuple:
+    """The raw image tuple of x, trusted: no bijection or degree check."""
+    return x.images if isinstance(x, Permutation) else tuple(x)
+
+
+def as_permutation(x, degree: int, role: str) -> Permutation:
+    """x as a validated Permutation of the given degree.
+
+    A non-bijection raises MalformedPermutationError; another degree
+    raises DegreeMismatchError, naming the role ("generator", "image").
+    """
+    p = x if isinstance(x, Permutation) else Permutation(x)
+    if p.degree != degree:
+        raise DegreeMismatchError(f"{role} degree mismatch")
+    return p

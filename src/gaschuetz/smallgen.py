@@ -24,7 +24,7 @@ from .catalog import CatalogEntry, abelian_name, build_named_group, save_catalog
 from .errors import GroupError
 from .group import FiniteGroup, close_set, conjugation_perm
 from .isomorphism import is_isomorphic
-from .perm import identity_images, mult, power
+from .perm import identity_images, images_of, mult, power
 from .structure import center, conjugacy_classes, is_abelian, prime_factors
 
 # Aut(C2^4) = GL(4, 2) has 20160 elements, just over the default carrier
@@ -65,7 +65,7 @@ def cyclic_extension(N: FiniteGroup, p: int, alpha, z) -> FiniteGroup:
     elems = N.element_tuples
     k = len(elems)
     idx = N.element_index
-    z = z if isinstance(z, tuple) else z.images
+    z = images_of(z)
     alpha_pows = [power(alpha, j) for j in range(p)]
 
     def point(t, i):
@@ -85,7 +85,7 @@ def cyclic_extension(N: FiniteGroup, p: int, alpha, z) -> FiniteGroup:
 
     gens = [left_mult_perm(g, 0) for g in N._raw_gens]
     gens.append(left_mult_perm(identity_images(N.degree), 1))
-    G = FiniteGroup.from_raw(k * p, gens, order=k * p)
+    G = FiniteGroup(k * p, gens, order=k * p)
     if len(close_set(gens, k * p)) != k * p:
         raise GroupError("extension data does not define a group")
     return G

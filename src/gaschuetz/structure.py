@@ -9,8 +9,10 @@ from dataclasses import dataclass
 from math import gcd, lcm
 
 from .errors import GroupError, NotNormalError, NotPrimeError
-from .group import FiniteGroup, conjugate_by, intersection, is_normal, normal_closure, orbit
-from .perm import Permutation, inverse, mult, perm_order, power
+from .group import (
+    FiniteGroup, conjugate_by, intersection, is_normal, normal_closure, normalizes, orbit,
+)
+from .perm import Permutation, images_of, inverse, mult, perm_order, power
 
 
 def is_prime(p: int) -> bool:
@@ -56,8 +58,7 @@ class PrimeSet:
 
 
 def element_order(g) -> int:
-    raw = g.images if isinstance(g, Permutation) else tuple(g)
-    return perm_order(raw)
+    return perm_order(images_of(g))
 
 
 def exponent(G: FiniteGroup) -> int:
@@ -142,11 +143,9 @@ def _grow_sylow(G: FiniteGroup, p: int) -> FiniteGroup:
     P = G.generated_subgroup([seed])
     while P.order < target:
         pset = P.element_set
-        pgens = P._raw_gens
         found = None
         for t in G.element_tuples:
-            tinv = inverse(t)
-            if any(mult(mult(t, g), tinv) not in pset for g in pgens):
+            if not normalizes(t, P):
                 continue
             u = _p_part(t, p)
             if u not in pset:
@@ -154,7 +153,7 @@ def _grow_sylow(G: FiniteGroup, p: int) -> FiniteGroup:
                 break
         if found is None:
             raise GroupError("sylow growth stalled (internal invariant violated)")
-        P = G.generated_subgroup(list(pgens) + [found])
+        P = G.generated_subgroup(list(P._raw_gens) + [found])
     return P
 
 
@@ -262,16 +261,14 @@ class QuotientProjection:
         return got
 
     def __call__(self, g):
-        raw = g.images if isinstance(g, Permutation) else tuple(g)
-        return Permutation._wrap(self._image_raw(raw))
+        return Permutation._wrap(self._image_raw(images_of(g)))
 
     def kernel(self) -> FiniteGroup:
         return self.source.subgroup(self.cosets[0])
 
     def fiber(self, q) -> tuple:
         """All preimages of a quotient element: the image of coset 0."""
-        raw = q.images if isinstance(q, Permutation) else tuple(q)
-        return self.cosets[raw[0]]
+        return self.cosets[images_of(q)[0]]
 
 
 def quotient(G: FiniteGroup, N: FiniteGroup):
@@ -287,7 +284,7 @@ def quotient(G: FiniteGroup, N: FiniteGroup):
     if m == 1:
         return FiniteGroup.trivial(1), proj
     qgens = [proj._image_raw(g) for g in G._raw_gens]
-    return FiniteGroup.from_raw(m, qgens, order=m), proj
+    return FiniteGroup(m, qgens, order=m), proj
 
 
 # -- predicates -----------------------------------------------------------

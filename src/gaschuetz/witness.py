@@ -127,8 +127,7 @@ class _WreathCentral:
         return self.P.generated_subgroup(list(pair_gens) + list(self.z0._raw_gens))
 
     def image_group(self, pair_gens, order) -> FiniteGroup:
-        gens = [self.proj(g).images for g in pair_gens]
-        return FiniteGroup.from_raw(self.G.degree, gens, order=order)
+        return FiniteGroup(self.G.degree, [self.proj(g) for g in pair_gens], order=order)
 
 
 def _pick_z(N: FiniteGroup) -> Permutation:
@@ -264,11 +263,7 @@ def _reduced_nonexistence(world: _WreathCentral, n_hat: FiniteGroup) -> Compleme
     saturated preimage of N that ``verify_znthm`` has built.
     """
     P = world.P
-    d_hat = FiniteGroup.from_raw(
-        P.degree,
-        world.d_pairs,
-        order=world.N.order ** world.q,
-    )
+    d_hat = FiniteGroup(P.degree, world.d_pairs, order=world.N.order ** world.q)
     d_derived = derived_subgroup(d_hat)
     r_hat = world.saturated(d_derived._raw_gens)
     meet = r_hat.element_set & n_hat.element_set
@@ -279,7 +274,7 @@ def _reduced_nonexistence(world: _WreathCentral, n_hat: FiniteGroup) -> Compleme
             "the reduced certificate does not apply"
         )
     gbar, proj = quotient(P, r_hat)
-    nbar = gbar.generated_subgroup([proj(g).images for g in world.n_pairs])
+    nbar = gbar.generated_subgroup([proj(g) for g in world.n_pairs])
     probe, quotient_complements = exhaustive_search(gbar, nbar)
     evidence = [
         f"R meets N in {z_members // world.z0.order} nontrivial classes; "
@@ -313,7 +308,7 @@ def baer_bundle() -> WitnessBundle:
         raise GroupError("central product has wrong order")
     q8 = derived_subgroup(sl)
     n_img = FiniteGroup(
-        G.degree, [cp.embed_left(g) for g in q8._raw_gens], _order=8
+        G.degree, [cp.embed_left(g) for g in q8._raw_gens], order=8
     )
     H = sylow(G, 2)
     if H.order != 16:
@@ -362,13 +357,9 @@ def blow_up(L: FiniteGroup, bundle: WitnessBundle, action: ActionSpec | None) ->
     sd = semidirect_product(L, G, action)
     ghat = sd.group
     l_gens = list(sd.n_image._raw_gens)
-    nhat = ghat.generated_subgroup(
-        l_gens + [sd.embed_h(g).images for g in N._raw_gens]
-    )
-    hhat = ghat.generated_subgroup(
-        l_gens + [sd.embed_h(g).images for g in H._raw_gens]
-    )
-    khat = ghat.generated_subgroup([sd.embed_h(g).images for g in K._raw_gens])
+    nhat = ghat.generated_subgroup(l_gens + [sd.embed_h(g) for g in N._raw_gens])
+    hhat = ghat.generated_subgroup(l_gens + [sd.embed_h(g) for g in H._raw_gens])
+    khat = ghat.generated_subgroup([sd.embed_h(g) for g in K._raw_gens])
     if nhat.order != L.order * N.order or hhat.order != L.order * H.order:
         raise GroupError("blow-up images have wrong orders")
     if not is_normal(nhat, ghat) or not is_normal(hhat, ghat):

@@ -64,9 +64,10 @@ def test_aut_and_rose(capsys):
     assert data["rose"] is True and data["complete"] is True
 
 
-def test_unknown_name_exit_code(capsys):
-    rc, _, err = run(capsys, "verdict", "Zork99")
-    assert rc == 2 and "Zork99" in err
+@pytest.mark.parametrize("name", ["Zork99", "C0", "S0", "D2", "D3", "C3wrC0"])
+def test_unknown_name_exit_code(capsys, name):
+    rc, _, err = run(capsys, "verdict", name)
+    assert rc == 2 and err.startswith("error: ") and name in err
 
 
 def test_engine_error_exit_code(capsys):

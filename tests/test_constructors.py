@@ -140,6 +140,25 @@ def test_action_spec_rejects_non_homomorphism():
         ActionSpec(H, N, [[inv_image]])
 
 
+def test_action_spec_rejects_wrong_row_length():
+    N = symmetric(3)
+    H = cyclic(2)
+    with pytest.raises(GroupError) as ei:
+        ActionSpec(H, N, [[N.generators[0]]])
+    assert type(ei.value) is GroupError
+    assert str(ei.value) == "one image required per source generator"
+
+
+def test_action_spec_rejects_images_that_do_not_extend():
+    N = symmetric(3)
+    H = cyclic(2)
+    three_cycle = N.generators[1]  # the generators are (0 1) and (0 1 2)
+    with pytest.raises(GroupError) as ei:
+        ActionSpec(H, N, [[three_cycle, three_cycle]])
+    assert type(ei.value) is GroupError
+    assert str(ei.value) == "generator images do not extend to a homomorphism"
+
+
 def test_central_product_baer_group():
     sl = sl_2_3()
     z = next(t for t in center(sl).elements if t.order() == 2)
@@ -201,6 +220,17 @@ def test_wreath_rotation_convention():
         for g in N.generators:
             lhs = a * w.embed(c, g) * a.inv()
             assert lhs == w.embed((c + 1) % 3, g)
+
+
+def test_wreath_diagonal_is_product_of_embeddings():
+    N = symmetric(3)
+    w = wreath_cyclic(N, 3)
+    for x in N.elements:
+        product = w.embed(0, x)
+        for c in range(1, 3):
+            product = product * w.embed(c, x)
+        assert w.diagonal(x) == product
+        assert w.diagonal(x.images) == product
 
 
 def test_wreath_size_gate():

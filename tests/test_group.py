@@ -66,6 +66,8 @@ def test_closure_s4_oracle():
 def test_malformed_generator_rejected():
     with pytest.raises(MalformedPermutationError):
         FiniteGroup(3, [Permutation([0, 0, 1])])
+    with pytest.raises(MalformedPermutationError):
+        FiniteGroup(3, [(0, 0, 1)])
 
 
 def test_size_limit(monkeypatch):
@@ -153,7 +155,7 @@ def test_reduce_generators_small():
 
 def test_declared_order_cross_check():
     with pytest.raises(GroupError):
-        FiniteGroup(3, [Permutation([1, 2, 0])], _order=5).element_tuples
+        FiniteGroup(3, [Permutation([1, 2, 0])], order=5).element_tuples
 
 
 def test_homomorphism_verification_accepts_and_rejects():

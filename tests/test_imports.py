@@ -95,3 +95,15 @@ def test_benchmark_names_resolve():
     autgroups = importlib.import_module("gaschuetz.autgroups")
     defined_in = os.path.abspath(autgroups.validate.__code__.co_filename)
     assert defined_in == os.path.abspath(autgroups.__file__)
+    # worker reports len(engine._verdict_cache) as engine.verdict.computed,
+    # and the aut_group wrapper in spans reads the "aut" entry of G._cache
+    engine = importlib.import_module("gaschuetz.engine")
+    constructors = importlib.import_module("gaschuetz.constructors")
+    G = constructors.cyclic(3)
+    engine.verdict(G)
+    assert isinstance(engine._verdict_cache, dict)
+    assert G.element_set in engine._verdict_cache
+    assert isinstance(G._cache, dict)
+    assert G._cache.get("aut") is None
+    aut = autgroups.aut_group(G)
+    assert G._cache.get("aut") is aut

@@ -147,4 +147,4 @@ def test_is_isomorphic_against_catalog_classes(small_catalog_groups):
         d = G.degree
         rot = tuple((p + 1) % d for p in range(d))
         gens = [mult(mult(rot, g), inverse(rot)) for g in G._raw_gens]
-        assert is_isomorphic(G, FiniteGroup.from_raw(d, gens)), name
+        assert is_isomorphic(G, FiniteGroup(d, gens)), name
