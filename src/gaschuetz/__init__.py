@@ -7,25 +7,18 @@ from .group import (
     intersection,
     is_normal,
     is_subgroup,
-    membership,
     normal_closure,
 )
 from .structure import (
-    PrimeSet,
     all_sylow_abelian,
     center,
     conjugacy_classes,
     derived_series,
     derived_subgroup,
-    element_order,
     exponent,
     is_abelian,
     is_metabelian,
-    is_nilpotent,
     is_perfect,
-    is_pi_group,
-    nilpotent_residual,
-    o_p_residual,
     quotient,
     sylow,
 )
@@ -40,7 +33,6 @@ from .constructors import (
     dihedral,
     direct_product,
     quaternion8,
-    regular_representation,
     semidirect_product,
     sl_2_3,
     symmetric,
@@ -63,7 +55,6 @@ from .lattice import (
 from .autgroups import (
     AutGroup,
     aut_group,
-    gaschuetz_eick_iii,
     is_characteristic,
     is_complete,
     prop_special_search,
@@ -78,5 +69,3 @@ from .witness import (
     build_znthm,
     verify_znthm,
 )
-
-__all__ = [name for name in dir() if not name.startswith("_")]

@@ -26,7 +26,6 @@ from .errors import AutBudgetError, PreconditionError
 from .group import (
     FiniteGroup, conjugation_perm, element_perm, extend_images, is_normal, reduce_generators,
 )
-from .lattice import frattini
 from .perm import Permutation, identity_images, mult, perm_order
 from .structure import center, cosets, derived_subgroup, element_fingerprints, exponent
 
@@ -205,12 +204,6 @@ def is_complete(N: FiniteGroup) -> bool:
         return False
     aut = aut_group(N)
     return aut.carrier.order == aut.inn.order
-
-
-def gaschuetz_eick_iii(N: FiniteGroup) -> bool:
-    """Inn(N) contained in the Frattini subgroup of Aut(N)."""
-    aut = aut_group(N)
-    return aut.inn.element_set <= frattini(aut.carrier).element_set
 
 
 def prop_special_search(N: FiniteGroup):

@@ -31,10 +31,10 @@ from .constructors import (
     wreath_cyclic,
 )
 from .engine import FAILS, HOLDS, UNDECIDED, all_firings, verdict
-from .errors import CatalogError, UnknownNameError
+from .errors import CatalogError, SizeLimitError, UnknownNameError
 from .group import FiniteGroup
 from .perm import perm_order
-from .structure import prime_factors
+from .structure import is_prime, prime_factors
 
 
 @dataclass
@@ -223,7 +223,12 @@ def _build_atom(tok: str) -> FiniteGroup:
 
 
 def _canonical_semidirect(left_node, right_node) -> FiniteGroup:
-    """Cp^2 : Q8 or Cp^2 : D8 with the fixed 2-dimensional matrix action."""
+    """Cp^2 : Q8 or Cp^2 : D8 with the fixed 2-dimensional matrix action.
+
+    p must be an odd prime: over F_2 neither matrix group acts
+    faithfully.  The order 8p^2 is checked against the cap first, since
+    the primality test and the matrix search take time growing with p.
+    """
     ok = (
         left_node[0] == "^"
         and left_node[2] == 2
@@ -240,6 +245,13 @@ def _canonical_semidirect(left_node, right_node) -> FiniteGroup:
         raise UnknownNameError(
             "only Cp^2 : Q8 and Cp^2 : D8 carry a canonical action"
         )
+    order = 8 * p * p
+    if order > config.element_cap():
+        raise SizeLimitError(
+            f"semidirect product of order 8*{p}^2 over element cap", required_order=order
+        )
+    if p == 2 or not is_prime(p):
+        raise UnknownNameError(f"C{p}^2:{right_node[1]} needs p an odd prime")
     mats = (
         quaternion_matrices(p)
         if right_node == ("atom", "Q8")

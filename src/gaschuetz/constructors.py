@@ -13,7 +13,6 @@ Realization choices:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from math import factorial
 
 from . import config
@@ -25,9 +24,13 @@ from .perm import (
 from .structure import center, quotient
 
 
-def _refuse_over_cap(order: int, message: str) -> None:
-    """Raise SizeLimitError(message) when order exceeds the element cap."""
-    if order > config.element_cap():
+def _refuse_over_cap(order, message: str) -> None:
+    """Raise SizeLimitError(message) when order exceeds the element cap.
+
+    order None stands for an order already known to exceed the cap and
+    too large to compute; the error then carries no required_order.
+    """
+    if order is None or order > config.element_cap():
         raise SizeLimitError(message, required_order=order)
 
 
@@ -89,7 +92,7 @@ def symmetric(n: int) -> FiniteGroup:
         raise GroupError("symmetric degree must be positive")
     if n == 1:
         return FiniteGroup.trivial(1)
-    order = factorial(n)
+    order = factorial(n) if n <= config.element_cap() else None  # n! >= n
     _refuse_over_cap(order, f"symmetric({n}) over element cap")
     gens = [Permutation.from_cycles(n, [(0, 1)])]
     if n > 2:
@@ -100,7 +103,7 @@ def symmetric(n: int) -> FiniteGroup:
 def alternating(n: int) -> FiniteGroup:
     if n < 3:
         return FiniteGroup.trivial(max(n, 1))
-    order = factorial(n) // 2
+    order = factorial(n) // 2 if n <= config.element_cap() else None  # n!/2 >= n
     _refuse_over_cap(order, f"alternating({n}) over element cap")
     gens = [Permutation.from_cycles(n, [(0, 1, 2)])]
     if n > 3:
@@ -195,13 +198,31 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     return FiniteGroup(A.degree + B.degree, gens, order=known)
 
 
+def _in_coordinate(raw, c: int, q: int):
+    """(1, ..., raw, ..., 1) in N^q, raw in coordinate c."""
+    ident = identity_images(len(raw))
+    return direct_sum(raw if i == c else ident for i in range(q))
+
+
 def direct_power(A: FiniteGroup, k: int) -> FiniteGroup:
+    """A^k on k disjoint copies of A's points, coordinate c on copy c.
+
+    The refusal names the first partial power over the cap, which a
+    nontrivial A reaches within cap.bit_length() factors; a trivial A
+    is refused once its k copies of points exceed the cap.
+    """
     if k < 1:
         raise PreconditionError(f"direct power exponent must be >= 1, got {k}")
-    out = A
-    for _ in range(k - 1):
-        out = direct_product(out, A)
-    return out
+    order = A.order
+    if order > 1:
+        for _ in range(k - 1):
+            order *= A.order
+            _refuse_over_cap(order, f"direct product of order {order} over element cap")
+    degree = A.degree * k
+    if degree > config.element_cap():
+        raise SizeLimitError(f"direct power of degree {degree} over element cap")
+    gens = [_in_coordinate(g, c, k) for c in range(k) for g in A._raw_gens]
+    return FiniteGroup(degree, gens, order=order)
 
 
 # -- actions and semidirect products -----------------------------------------
@@ -376,12 +397,6 @@ class WreathProduct:
         return Permutation._wrap(direct_sum((images_of(x),) * self.copies))
 
 
-def _in_coordinate(raw, c: int, q: int):
-    """(1, ..., raw, ..., 1) in N^q, raw in coordinate c."""
-    ident = identity_images(len(raw))
-    return direct_sum(raw if i == c else ident for i in range(q))
-
-
 def wreath_cyclic(N: FiniteGroup, q: int) -> WreathProduct:
     """N wr C_q on q disjoint copies of N's points plus the rotation.
 
@@ -390,17 +405,19 @@ def wreath_cyclic(N: FiniteGroup, q: int) -> WreathProduct:
     """
     if q < 1:
         raise PreconditionError("wreath power must be >= 1")
-    order = N.order ** q * q
-    _refuse_over_cap(order, f"wreath product would have order {order}")
+    cap = config.element_cap()
+    # |N|^q q is at least q, and at least 2^q unless N is trivial: an
+    # order that large is refused before it is computed or printed
+    small = q <= cap and (N.order == 1 or q < cap.bit_length())
+    order = N.order ** q * q if small else None
+    _refuse_over_cap(order, f"wreath product would have order {order or f'{N.order}^{q}*{q}'}")
+    D = direct_power(N, q)
     d = N.degree
-    total = d * q
-    base_gens = [_in_coordinate(g, c, q) for c in range(q) for g in N._raw_gens]
     if q == 1:
-        alpha = identity_images(total)
+        alpha = identity_images(D.degree)
     else:
         alpha = tuple(((c + 1) % q) * d + i for c in range(q) for i in range(d))
-    W = FiniteGroup(total, base_gens + [alpha], order=order)
-    D = FiniteGroup(total, base_gens, order=N.order ** q)
+    W = FiniteGroup(D.degree, D._raw_gens + (alpha,), order=order)
     return WreathProduct(
         group=W,
         base=D,
@@ -428,16 +445,3 @@ def elementary_semidirect(p: int, mats) -> SemidirectProduct:
         images.append([vec_elem(ma, mc), vec_elem(mb, md)])
     spec = ActionSpec(acting, target, images)
     return SemidirectProduct(target, acting, spec)
-
-
-# -- regular representation ------------------------------------------------------
-
-
-def regular_representation(G: FiniteGroup) -> FiniteGroup:
-    """Left-regular action on the element set; degree |G|."""
-    n = G.order
-    _refuse_over_cap(n, f"regular representation of order {n}")
-    gens = [element_perm(G, partial(mult, g)) for g in G._raw_gens]
-    if not gens:
-        return FiniteGroup.trivial(1)
-    return FiniteGroup(n, gens, order=n)

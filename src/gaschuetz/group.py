@@ -220,14 +220,6 @@ def drop_redundant(gens, degree, order):
     return kept
 
 
-def membership(g, G: FiniteGroup) -> bool:
-    """Element-set lookup; degrees must agree."""
-    raw = images_of(g)
-    if len(raw) != G.degree:
-        raise DegreeMismatchError("membership across different degrees")
-    return raw in G.element_set
-
-
 def is_subgroup(A: FiniteGroup, G: FiniteGroup) -> bool:
     if A.degree != G.degree:
         raise DegreeMismatchError("subgroup test across different degrees")

@@ -167,9 +167,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return all(i == x for i, x in enumerate(self.images))
 
-    def cycles(self):
-        return cycles_of(self.images)
-
     def __eq__(self, other):
         return isinstance(other, Permutation) and self.images == other.images
 
@@ -183,7 +180,7 @@ class Permutation:
         return hash(self.images)
 
     def __repr__(self):
-        cyc = self.cycles()
+        cyc = cycles_of(self.images)
         if not cyc:
             return f"Permutation.identity({self.degree})"
         body = "".join("(" + " ".join(map(str, c)) + ")" for c in cyc)

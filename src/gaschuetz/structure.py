@@ -5,8 +5,7 @@ Commutator convention: [x, y] = x y x^-1 y^-1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from math import gcd, lcm
+from math import lcm
 
 from .errors import GroupError, NotNormalError, NotPrimeError
 from .group import (
@@ -38,27 +37,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-@dataclass(frozen=True)
-class PrimeSet:
-    """A finite set of primes; every member is checked."""
-
-    primes: frozenset[int]
-
-    def __init__(self, primes):
-        ps = frozenset(int(p) for p in primes)
-        for p in ps:
-            if not is_prime(p):
-                raise NotPrimeError(f"{p} is not prime")
-        object.__setattr__(self, "primes", ps)
-
-    def __contains__(self, p):
-        return p in self.primes
-
-
-def element_order(g) -> int:
-    return perm_order(images_of(g))
 
 
 def exponent(G: FiniteGroup) -> int:
@@ -197,24 +175,6 @@ def _element_fingerprints(G: FiniteGroup) -> dict:
     return fp
 
 
-def o_p_residual(G: FiniteGroup, p: int) -> FiniteGroup:
-    """O^p(G): normal closure of all elements of order coprime to p."""
-    if not is_prime(p):
-        raise NotPrimeError(f"{p} is not prime")
-    seed = [t for t in G.element_tuples if gcd(perm_order(t), p) == 1]
-    return normal_closure(G, seed)
-
-
-def nilpotent_residual(G: FiniteGroup) -> FiniteGroup:
-    """Limit of H <- [G, H] from H = G; G modulo it is nilpotent."""
-    H = G
-    while True:
-        nxt = commutator_subgroup(G, G, H)
-        if nxt.order == H.order:
-            return H
-        H = nxt
-
-
 def is_solvable(G: FiniteGroup) -> bool:
     """The derived series reaches the trivial group."""
     return derived_series(G)[-1].order == 1
@@ -297,21 +257,12 @@ def is_abelian(G: FiniteGroup) -> bool:
     )
 
 
-def is_nilpotent(G: FiniteGroup) -> bool:
-    """Every Sylow subgroup normal."""
-    return all(is_normal(sylow(G, p), G) for p in prime_factors(G.order))
-
-
 def is_metabelian(G: FiniteGroup) -> bool:
     return derived_subgroup(derived_subgroup(G)).is_trivial()
 
 
 def is_perfect(G: FiniteGroup) -> bool:
     return derived_subgroup(G).order == G.order
-
-
-def is_pi_group(G: FiniteGroup, pi: PrimeSet) -> bool:
-    return all(p in pi for p in prime_factors(G.order))
 
 
 def all_sylow_abelian(G: FiniteGroup) -> bool:

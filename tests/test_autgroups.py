@@ -15,7 +15,6 @@ from gaschuetz import (
 )
 from gaschuetz.autgroups import (
     aut_group,
-    gaschuetz_eick_iii,
     is_characteristic,
     is_complete,
     prop_special_search,
@@ -147,12 +146,6 @@ def test_rose_direct_product_reduction():
     # criterion passes to direct products of criterion groups
     S3 = symmetric(3)
     assert rose_criterion(direct_product(S3, S3)) == rose_criterion(S3)
-
-
-def test_gaschuetz_eick_iii():
-    assert gaschuetz_eick_iii(cyclic(2))       # trivial Inn
-    assert not gaschuetz_eick_iii(symmetric(3))  # Inn = Aut, Frattini trivial
-    assert not gaschuetz_eick_iii(quaternion8())
 
 
 def test_prop_special_s3_none():

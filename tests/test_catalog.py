@@ -1,4 +1,7 @@
+from math import factorial
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gaschuetz.catalog import (
     CatalogEntry,
@@ -14,7 +17,7 @@ from gaschuetz.catalog import (
 from gaschuetz import cyclic, direct_product
 from gaschuetz import engine
 from gaschuetz.engine import FAILS, FAILS_RULES, HOLDS, HOLDS_RULES, all_firings, fired_statuses
-from gaschuetz.errors import CatalogError, UnknownNameError
+from gaschuetz.errors import CatalogError, SizeLimitError, UnknownNameError
 
 
 def test_round_trip(tmp_path):
@@ -107,6 +110,130 @@ def test_grammar_errors():
                 "C0", "S0", "D2", "D3", "C3wrC0"]:
         with pytest.raises(UnknownNameError):
             build_named_group(bad)
+
+
+# -- the name grammar against the orders it promises ---------------------------
+
+_CAP = 200
+# mostly names in the grammar, with a few atoms and exponents outside it
+_ATOMS = st.sampled_from(
+    [f"C{n}" for n in range(1, 13)] + [f"D{n}" for n in (4, 6, 8, 10, 12)]
+    + [f"S{n}" for n in range(1, 6)] + [f"A{n}" for n in range(6)]
+    + ["Q8", "SL23", "C0", "S0", "D2", "D3", "D5"]
+).map(lambda tok: ("atom", tok))
+_EXPONENTS = st.sampled_from([1, 2, 3, 1, 2, 0])
+_WREATH_TOPS = st.sampled_from(["C1", "C2", "C3", "C4"] * 2 + ["C0", "S3", "Q8"]).map(
+    lambda tok: ("atom", tok)
+)
+_SEMIDIRECT = st.tuples(
+    st.just(":"),
+    st.tuples(
+        st.just("^"),
+        st.one_of(st.integers(0, 12).map(lambda n: ("atom", f"C{n}")), _ATOMS),
+        st.sampled_from([2, 2, 1, 3]),
+    ),
+    st.sampled_from(["Q8", "D8", "Q8", "D8", "C2", "S3"]).map(lambda tok: ("atom", tok)),
+)
+_NAMES = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(st.just("x"), inner, inner),
+        st.tuples(st.just("^"), inner, _EXPONENTS),
+        st.tuples(st.just("wr"), inner, _WREATH_TOPS),
+        _SEMIDIRECT,
+    ),
+    max_leaves=4,
+)
+# binding strength: x < (: and wr) < ^ < atom
+_LEVEL = {"x": 0, ":": 1, "wr": 1, "^": 2, "atom": 3}
+
+
+def _render(node, need=0):
+    kind = node[0]
+    if kind == "atom":
+        return node[1]
+    if kind == "^":
+        text = f"{_render(node[1], 3)}^{node[2]}"
+    elif kind == "x":
+        text = f"{_render(node[1], 0)}x{_render(node[2], 1)}"
+    else:
+        text = f"{_render(node[1], 1)}{kind}{_render(node[2], 2)}"
+    return text if _LEVEL[kind] >= need else f"({text})"
+
+
+class _NotInGrammar(Exception):
+    pass
+
+
+def _promise(node):
+    """(order, degree, over cap) that a valid name promises; _NotInGrammar otherwise.
+
+    Over the cap means the order is, or a power or wreath product lays
+    out more points than the cap.
+    """
+    kind = node[0]
+    if kind == "atom":
+        tok = node[1]
+        if tok in ("Q8", "SL23"):
+            return (8 if tok == "Q8" else 24), 8, False
+        family, n = tok[0], int(tok[1:])
+        if family in "CS" and n < 1 or family == "D" and (n < 4 or n % 2):
+            raise _NotInGrammar
+        order, degree = {
+            "C": (n, n),
+            "D": (n, 4 if n == 4 else n // 2),
+            "S": (factorial(n), n),
+            "A": (factorial(n) // 2 if n > 2 else 1, max(n, 1)),
+        }[family]
+        return order, degree, order > _CAP
+    if kind == ":":
+        base, top = node[1], node[2]
+        if base[0] != "^" or base[2] != 2 or base[1][1][0] != "C" or top[1] not in ("Q8", "D8"):
+            raise _NotInGrammar
+        _promise(base)  # C0 is not a name
+        p = int(base[1][1][1:])
+        if p < 3 or any(p % d == 0 for d in range(2, p)):
+            raise _NotInGrammar
+        return 8 * p * p, 2 * p * p - 1, 8 * p * p > _CAP
+    if kind == "x":
+        a, da, over_a = _promise(node[1])
+        b, db, over_b = _promise(node[2])
+        return a * b, da + db, over_a or over_b or a * b > _CAP
+    if kind == "^":
+        k = node[2]
+        if k < 1:
+            raise _NotInGrammar
+        a, da, over = _promise(node[1])
+        return a ** k, da * k, over or a ** k > _CAP or da * k > _CAP
+    top = node[2]  # wr
+    if top[1][0] != "C":
+        raise _NotInGrammar
+    _promise(top)
+    q = int(top[1][1:])
+    a, da, over = _promise(node[1])
+    return a ** q * q, da * q, over or a ** q * q > _CAP or da * q > _CAP
+
+
+@settings(deadline=None, max_examples=400, derandomize=True)
+@given(_NAMES)
+def test_name_builds_the_order_it_promises(tree):
+    name = _render(tree)
+    try:
+        order, _, over = _promise(tree)
+    except _NotInGrammar:
+        order = over = None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GASCHUETZ_ELEMENT_CAP", str(_CAP))
+        try:
+            built = len(build_named_group(name).element_tuples)
+        except UnknownNameError:
+            assert order is None, name
+            return
+        except SizeLimitError:
+            assert order is None or over, name
+            return
+    assert order is not None and not over, name
+    assert built == order, name
 
 
 def test_resolution_falls_back_to_catalog(catalog_entries):

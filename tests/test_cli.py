@@ -64,10 +64,24 @@ def test_aut_and_rose(capsys):
     assert data["rose"] is True and data["complete"] is True
 
 
-@pytest.mark.parametrize("name", ["Zork99", "C0", "S0", "D2", "D3", "C3wrC0"])
+@pytest.mark.parametrize(
+    "name",
+    ["Zork99", "C0", "S0", "D2", "D3", "C3wrC0",
+     "C2^2:Q8", "C2^2:D8", "C1^2:Q8", "C4^2:Q8", "C9^2:Q8"],
+)
 def test_unknown_name_exit_code(capsys, name):
     rc, _, err = run(capsys, "verdict", name)
     assert rc == 2 and err.startswith("error: ") and name in err
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["C3wrC100000", "C2wrC100000", "C3wrC100000000", "C1000000007^2:Q8",
+     "C1^100000", "S1000000"],
+)
+def test_oversized_name_is_refused(capsys, name):
+    rc, _, err = run(capsys, "verdict", name)
+    assert rc == 1 and err.startswith("error: ")
 
 
 def test_engine_error_exit_code(capsys):

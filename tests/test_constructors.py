@@ -14,7 +14,6 @@ from gaschuetz import (
     is_abelian,
     is_normal,
     quaternion8,
-    regular_representation,
     semidirect_product,
     sl_2_3,
     symmetric,
@@ -269,11 +268,6 @@ _OVER_CAP = {
     "wreath_cyclic": (
         lambda: partial(wreath_cyclic, cyclic(2), 3), "wreath product would have order 24", 24
     ),
-    "regular_representation": (
-        lambda: partial(regular_representation, cyclic(13)),
-        "regular representation of order 13",
-        13,
-    ),
 }
 
 
@@ -288,14 +282,24 @@ def test_constructors_refuse_over_element_cap(monkeypatch, name):
     assert ei.value.required_order == required
 
 
-def test_regular_representation():
-    r = regular_representation(cyclic(3))
-    assert r.degree == 3 and r.order == 3
-    r = regular_representation(quaternion8())
-    assert r.degree == 8 and r.order == 8
-    assert sum(1 for g in r.elements if g.order() == 2) == 1
-    r = regular_representation(symmetric(3))
-    assert r.degree == 6 and r.order == 6
+def test_direct_power_is_the_wreath_base():
+    A = symmetric(3)
+    power = direct_power(A, 3)
+    assert power.generators == wreath_cyclic(A, 3).base.generators
+    assert power.degree == 9 and len(power.element_tuples) == 216
+
+
+def test_astronomical_sizes_refused_before_computing():
+    for call in (
+        partial(symmetric, 10 ** 6),
+        partial(alternating, 10 ** 6),
+        partial(wreath_cyclic, cyclic(3), 10 ** 8),
+    ):
+        with pytest.raises(SizeLimitError) as ei:
+            call()
+        assert ei.value.required_order is None
+    with pytest.raises(SizeLimitError, match="direct power of degree 100000"):
+        direct_power(cyclic(1), 10 ** 5)
 
 
 def test_matrix_group_d8_over_f5():

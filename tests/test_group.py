@@ -11,13 +11,11 @@ from gaschuetz import (
     intersection,
     is_normal,
     is_subgroup,
-    membership,
     normal_closure,
     quaternion8,
     symmetric,
 )
 from gaschuetz.errors import (
-    DegreeMismatchError,
     GroupError,
     MalformedPermutationError,
     NotNormalError,
@@ -85,13 +83,6 @@ def test_closure_order_independent(g1, g2, rng):
     assert (
         FiniteGroup(4, gens).element_set == FiniteGroup(4, shuffled).element_set
     )
-
-
-def test_membership_and_degree_mismatch():
-    S3 = symmetric(3)
-    assert membership(Permutation([1, 0, 2]), S3)
-    with pytest.raises(DegreeMismatchError):
-        membership(Permutation([1, 0]), S3)
 
 
 def test_is_subgroup_order_comparison():

@@ -107,3 +107,75 @@ def test_benchmark_names_resolve():
     assert G._cache.get("aut") is None
     aut = autgroups.aut_group(G)
     assert G._cache.get("aut") is aut
+
+
+# Public definitions that no library module reads, kept on purpose.
+KEEP = {
+    "normal_subgroups": "criterion 8 oracle: the lattice-filter normal subgroups",
+    "subgroups_of_order": "criterion 7 and 8 oracle: subgroups of one order",
+    "minimal_supplement": "criterion 7: the paper's minimal-supplement lemma",
+    "complements_conjugate": "criterion 7: complements are conjugate",
+    "fired_statuses": "criterion 7: no group fires both a HOLDS and a FAILS rule",
+    "blow_up": "paper construction: extend a counterexample by a coprime layer",
+    "build_perfect": "paper construction: the perfect-centerless counterexample",
+}
+
+
+def _public_definitions(tree):
+    """Names of the public module-level functions and classes."""
+    return [
+        node.name for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    ]
+
+
+def _reads(tree):
+    """Every name a module reads, bare or as an attribute."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def _caller_less(sources):
+    """Public definitions and package exports that no module but
+    ``__init__`` reads, as sorted (module, name) pairs."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    wanted = {}
+    for module, tree in trees.items():
+        for name in _public_definitions(tree):
+            wanted[name] = module
+    for node in trees["__init__"].body:
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                wanted.setdefault(alias.asname or alias.name, "__init__")
+    read = set()
+    for module, tree in trees.items():
+        if module != "__init__":
+            read |= _reads(tree)
+    return sorted((module, name) for name, module in wanted.items() if name not in read)
+
+
+def test_caller_less_definition_is_caught():
+    sources = {
+        "__init__": "from .a import used, unused, exported\n",
+        "a": "def used(): pass\ndef unused(): pass\ndef exported(): pass\n"
+             "def _private(): pass\nclass Thing: pass\n",
+        "b": "from .a import used\nimport a\nused()\na.Thing()\n",
+    }
+    assert _caller_less(sources) == [("a", "exported"), ("a", "unused")]
+
+
+def test_every_public_definition_is_read():
+    sources = {}
+    for name in os.listdir(PACKAGE):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE, name), encoding="utf-8") as fh:
+                sources[name[:-3]] = fh.read()
+    found = _caller_less(sources)
+    names = {name for _, name in found}
+    assert names >= set(KEEP), f"KEEP names a definition that is read: {set(KEEP) - names}"
+    stray = [f"{m}.{n}" for m, n in found if n not in KEEP]
+    assert not stray, f"no library module reads: {', '.join(stray)}"

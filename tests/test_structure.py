@@ -9,16 +9,11 @@ from gaschuetz import (
     derived_series,
     derived_subgroup,
     dihedral,
-    element_order,
     exponent,
     is_abelian,
     is_metabelian,
-    is_nilpotent,
     is_normal,
     is_perfect,
-    is_pi_group,
-    nilpotent_residual,
-    o_p_residual,
     quaternion8,
     quotient,
     sl_2_3,
@@ -30,7 +25,6 @@ from gaschuetz.group import close_set, orbit
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.structure import (
-    PrimeSet,
     all_sylow_abelian,
     commutator_subgroup,
     conjugacy_classes,
@@ -70,31 +64,6 @@ def oracle_sylow_order(G, p):
             n //= p
         if n == 1 and S.order > best:
             best = S.order
-    return best
-
-
-def oracle_o_p_residual(G, p):
-    """Smallest normal subgroup with p-power index."""
-    best = None
-    for S in all_subgroups(G):
-        if not is_normal(S, G):
-            continue
-        index = G.order // S.order
-        while index % p == 0:
-            index //= p
-        if index == 1 and (best is None or S.order < best.order):
-            best = S
-    return best
-
-
-def oracle_nilpotent_residual(G):
-    best = None
-    for S in all_subgroups(G):
-        if not is_normal(S, G):
-            continue
-        Q, _ = quotient(G, S)
-        if is_nilpotent(Q) and (best is None or S.order < best.order):
-            best = S
     return best
 
 
@@ -183,42 +152,6 @@ def test_sylow_oracle_various(small_catalog_groups):
     for _, G in sample:
         for p in prime_factors(G.order):
             assert sylow(G, p).order == oracle_sylow_order(G, p)
-
-
-# -- residuals -----------------------------------------------------------------
-
-
-def test_o_p_residual_examples():
-    S4 = symmetric(4)
-    assert o_p_residual(S4, 2).order == 12
-    assert o_p_residual(S4, 2).element_set == oracle_o_p_residual(S4, 2).element_set
-    assert o_p_residual(S4, 3).order == 24
-    assert o_p_residual(cyclic(6), 2).order == 3
-
-
-def test_nilpotent_residual_examples():
-    assert nilpotent_residual(symmetric(4)).order == 12
-    assert nilpotent_residual(quaternion8()).order == 1
-    assert nilpotent_residual(symmetric(3)).order == 3
-    got = nilpotent_residual(symmetric(4))
-    assert got.element_set == oracle_nilpotent_residual(symmetric(4)).element_set
-    # postcondition: quotient by it is nilpotent
-    Q, _ = quotient(symmetric(4), got)
-    assert is_nilpotent(Q)
-
-
-def test_nilpotent_residual_postconditions_sampled(small_catalog_groups):
-    import random
-
-    rng = random.Random(13)
-    for _, G in rng.sample(small_catalog_groups, 15):
-        R = nilpotent_residual(G)
-        assert is_normal(R, G)
-        Q, _ = quotient(G, R)
-        assert is_nilpotent(Q)
-        # minimality against the brute oracle at small orders
-        if G.order <= 24:
-            assert R.element_set == oracle_nilpotent_residual(G).element_set
 
 
 # -- quotients -----------------------------------------------------------------
@@ -327,22 +260,13 @@ def test_predicates():
     assert not all_sylow_abelian(symmetric(4))
     assert is_perfect(alternating(5))
     assert not is_perfect(symmetric(4))
-    assert is_nilpotent(quaternion8())
-    assert not is_nilpotent(symmetric(3))
-    assert is_pi_group(symmetric(4), PrimeSet([2, 3]))
-    assert not is_pi_group(symmetric(5), PrimeSet([2, 3]))
     assert is_solvable(symmetric(4))
     assert not is_solvable(alternating(5))
 
 
-def test_prime_set_validation():
-    with pytest.raises(NotPrimeError):
-        PrimeSet([2, 3, 4])
-
-
 def test_element_order_and_exponent():
     S4 = symmetric(4)
-    assert sorted({element_order(g) for g in S4.elements}) == [1, 2, 3, 4]
+    assert sorted({g.order() for g in S4.elements}) == [1, 2, 3, 4]
     assert exponent(S4) == 12
 
 
