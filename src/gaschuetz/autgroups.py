@@ -1,13 +1,22 @@
 """Automorphism groups as permutation groups on the element set.
 
-aut_group backtracks over images of a small generating set of N.
+aut_group backtracks over images of a small generating set of N.  The
+search runs on N's element indices, not on permutation tuples: a
+``ProductTable`` answers every product as a lookup, col(h)[y] being the
+index of y h, and builds a column from |N| products only when the search
+first reads h; element orders are memoized per index.  So the search
+costs one column per element it tries, never the full |N| x |N| table
+(the multiplication-table approach of Cannon and Holt, J. Symbolic
+Comput. 35, 2003).
+
 Candidate images are filtered by cheap invariants (element order,
-centralizer size) and pruned by word-order signatures; a full assignment
-is accepted iff the generator images extend without conflict to a table
-of |N| elements with |N| distinct values -- that table is then the graph
-of the automorphism, so acceptance is exact, not heuristic.  The same
-search, run between two groups, decides isomorphism
-(``TransporterSearch``).
+centralizer size) and pruned by word-order signatures, which read only
+the columns of their two arguments.  A full assignment is accepted iff
+the generator images extend without conflict (``group.extend_images``,
+stepping through columns) to a table of |N| indices with |N| distinct
+values -- that table is then the automorphism as a permutation of the
+indices, so acceptance is exact, not heuristic.  The same search, run
+between two groups' tables, decides isomorphism (``TransporterSearch``).
 
 The enumeration follows the stabilizer chain of the generator base:
 automorphisms fixing g_0, ..., g_{k-1} and sending g_k to x form a left
@@ -23,10 +32,8 @@ from dataclasses import dataclass
 from . import config
 from .complements import find_complement
 from .errors import AutBudgetError, PreconditionError
-from .group import (
-    FiniteGroup, conjugation_perm, element_perm, extend_images, is_normal, reduce_generators,
-)
-from .perm import Permutation, identity_images, mult, perm_order
+from .group import FiniteGroup, conjugation_perm, extend_images, is_normal, reduce_generators
+from .perm import Permutation, mult, perm_order
 from .structure import center, cosets, derived_subgroup, element_fingerprints, exponent
 
 
@@ -38,70 +45,107 @@ class AutGroup:
     out_order: int
 
 
-def _word_sig(a, b):
+class ProductTable:
+    """G's multiplication on element indices, built one column at a time.
+
+    ``col(h)[y]`` is the index of y h; a column is built from |G| products
+    the first time it is read, so a search touching k elements as right
+    factors costs k |G| products, never a full |G| x |G| table.  Element
+    orders are memoized per index.  One table per group, cached on it.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.elements = G.element_tuples
+        self.index = G.element_index
+        self.columns = {}
+        self.orders = {}
+
+    @classmethod
+    def of(cls, G: FiniteGroup) -> "ProductTable":
+        return G.cached("product_table", cls)
+
+    def col(self, h):
+        column = self.columns.get(h)
+        if column is None:
+            g, index = self.elements[h], self.index
+            column = self.columns[h] = [index[mult(y, g)] for y in self.elements]
+        return column
+
+    def order(self, x):
+        o = self.orders.get(x)
+        if o is None:
+            o = self.orders[x] = perm_order(self.elements[x])
+        return o
+
+
+def _word_sig(table, a, b):
     """Orders of ab, ab^2, a^2b and (ab)^2 b: kept by every isomorphism."""
-    ab = mult(a, b)
+    col_a, col_b, order = table.col(a), table.col(b), table.order
+    ab = col_b[a]
     return (
-        perm_order(ab),
-        perm_order(mult(ab, b)),
-        perm_order(mult(a, ab)),
-        perm_order(mult(ab, mult(ab, b))),
+        order(ab),
+        order(col_b[ab]),
+        order(col_b[col_a[a]]),
+        order(col_b[col_b[col_a[ab]]]),
     )
 
 
-def validate(gens, imgs, identity, image_identity, n):
-    """The table of the bijective homomorphism gens -> imgs, or None.
+def validate(source, target, gens, imgs):
+    """The bijective homomorphism gens -> imgs as a tuple of target indices, or None.
 
-    ``gens`` generate a group of order n; n distinct values make the
-    conflict-free table of ``extend_images`` a bijection.
+    ``gens`` index elements generating the whole source group; n distinct
+    values make the conflict-free table of ``extend_images`` a bijection.
     """
-    table = extend_images(gens, imgs, identity, image_identity, n)
+    steps = [(source.col(g).__getitem__, target.col(h).__getitem__) for g, h in zip(gens, imgs)]
+    n = len(source.elements)
+    table = extend_images(steps, 0, 0, n)
     if table is None or len(set(table.values())) != n:
         return None
-    return table
+    return tuple(map(table.__getitem__, range(n)))
 
 
 class TransporterSearch:
     """Backtracking over images of ``gens``, pruned by word signatures.
 
-    ``candidates[i]`` lists the allowed images of ``gens[i]`` in search
-    order; a full image list is accepted by ``validate``.  Within one
-    group this finds automorphisms with prescribed generator images (the
-    transporters of the stabilizer chain); between two groups, an
+    Generators and images are element indices of the two groups' product
+    tables.  ``candidates[i]`` lists the allowed images of ``gens[i]`` in
+    search order; a full image list is accepted by ``validate``.  Within
+    one group this finds automorphisms with prescribed generator images
+    (the transporters of the stabilizer chain); between two groups, an
     isomorphism.
     """
 
-    def __init__(self, gens, candidates, identity, image_identity, n):
+    def __init__(self, source, target, gens, candidates):
+        self.source, self.target = source, target
         self.gens, self.candidates = gens, candidates
-        self.leaf_args = (identity, image_identity, n)  # validate's other arguments
-        self.sigs = [[_word_sig(a, b) for b in gens] for a in gens]
+        self.sigs = [[_word_sig(source, a, b) for b in gens] for a in gens]
 
     @classmethod
     def between(cls, G: FiniteGroup, H: FiniteGroup) -> "TransporterSearch":
         """The search for maps G -> H, |G| = |H|.
 
         The candidates for each of G's reduced generators are the elements of
-        H with its ``element_fingerprints`` value; rarest lists go first, to
-        prune early.
+        H with its ``element_fingerprints`` value, in canonical order; rarest
+        lists go first, to prune early.
         """
         fp_g, fp_h = element_fingerprints(G), element_fingerprints(H)
         gens = reduce_generators(set(G.element_tuples), G.degree)
-        cands = [sorted(t for t in H.element_tuples if fp_h[t] == fp_g[g]) for g in gens]
+        cands = [[i for i, t in enumerate(H.element_tuples) if fp_h[t] == fp_g[g]] for g in gens]
         order_by = sorted(range(len(gens)), key=lambda i: (len(cands[i]), i))
         return cls(
-            [gens[i] for i in order_by], [cands[i] for i in order_by],
-            identity_images(G.degree), identity_images(H.degree), G.order,
+            ProductTable.of(G), ProductTable.of(H),
+            [G.element_index[gens[i]] for i in order_by], [cands[i] for i in order_by],
         )
 
     def compatible(self, imgs, x):
         """Whether x may follow the image prefix imgs."""
         level = len(imgs)
-        return all(_word_sig(imgs[i], x) == self.sigs[i][level] for i in range(level))
+        return all(_word_sig(self.target, imgs[i], x) == self.sigs[i][level] for i in range(level))
 
     def first(self, imgs):
-        """The table of the first bijective homomorphism extending imgs, or None."""
+        """The first bijective homomorphism extending imgs, as validate gives it, or None."""
         if len(imgs) == len(self.gens):
-            return validate(self.gens, imgs, *self.leaf_args)
+            return validate(self.source, self.target, self.gens, imgs)
         for x in self.candidates[len(imgs)]:
             if self.compatible(imgs, x):
                 got = self.first(imgs + [x])
@@ -144,10 +188,9 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
             if x == gens[k]:
                 tau = identity_auto
             else:
-                table = search.first(prefix + [x])
-                if table is None:
+                tau = search.first(prefix + [x])
+                if tau is None:
                     continue
-                tau = element_perm(N, table.__getitem__)
             if tau == identity_auto:
                 out.extend(deeper)
             else:

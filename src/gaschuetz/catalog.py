@@ -183,13 +183,26 @@ class _Parser:
             k = self.take()
             if not k or not k.isdigit():
                 raise UnknownNameError("power must be an integer")
-            if int(k) < 1:
+            power = numeral(k)
+            if power < 1:
                 raise UnknownNameError("power must be at least 1")
-            node = ("^", node, int(k))
+            node = ("^", node, power)
         return node
 
 
 _ATOM = re.compile(r"^(C|D|S|A)(\d+)$")
+
+
+def numeral(digits: str) -> int:
+    """The value of a decimal numeral in a group name or a selector.
+
+    Python refuses to convert a numeral of over 4,300 digits; that number
+    is over every cap, so it is refused as a name that names no group.
+    """
+    try:
+        return int(digits)
+    except ValueError:
+        raise UnknownNameError(f"numeral of {len(digits)} digits is too long") from None
 
 
 def _check_atom(tok: str) -> None:
@@ -197,7 +210,7 @@ def _check_atom(tok: str) -> None:
     m = _ATOM.match(tok)
     if not m:
         return
-    family, n = m.group(1), int(m.group(2))
+    family, n = m.group(1), numeral(m.group(2))
     if family in "CS" and n < 1 or family == "D" and (n < 4 or n % 2):
         raise UnknownNameError(
             f"no group {tok}: C<n> and S<n> need n >= 1, D<n> an even n >= 4"
@@ -212,7 +225,7 @@ def _build_atom(tok: str) -> FiniteGroup:
     m = _ATOM.match(tok)
     if not m:
         raise UnknownNameError(f"unknown group atom {tok!r}")
-    family, n = m.group(1), int(m.group(2))
+    family, n = m.group(1), numeral(m.group(2))
     if family == "C":
         return cyclic(n)
     if family == "D":
@@ -240,7 +253,7 @@ def _canonical_semidirect(left_node, right_node) -> FiniteGroup:
         raise UnknownNameError(
             "only Cp^2 : Q8 and Cp^2 : D8 carry a canonical action"
         )
-    p = int(left_node[1][1][1:])
+    p = numeral(left_node[1][1][1:])
     if right_node != ("atom", "Q8") and right_node != ("atom", "D8"):
         raise UnknownNameError(
             "only Cp^2 : Q8 and Cp^2 : D8 carry a canonical action"
@@ -274,7 +287,7 @@ def _eval_node(node) -> FiniteGroup:
         right = node[2]
         if right[0] != "atom" or not right[1].startswith("C"):
             raise UnknownNameError("wreath tops must be cyclic: use AwrC<q>")
-        q = int(right[1][1:])
+        q = numeral(right[1][1:])
         return wreath_cyclic(_eval_node(node[1]), q).group
     raise UnknownNameError(f"cannot evaluate group expression node {kind!r}")
 

@@ -17,6 +17,7 @@ from .catalog import (
     classify,
     load_bundled_catalog,
     load_catalog,
+    numeral,
     report_consistent,
     resolve_group,
 )
@@ -34,7 +35,7 @@ def _selector_number(selector: str, prefix: str) -> int:
     digits = selector[len(prefix):]
     if not digits.isdecimal():
         raise UnknownNameError(f"bad selector {selector!r}: expected {prefix}<number>")
-    return int(digits)
+    return numeral(digits)
 
 
 def _resolve_normal(G: FiniteGroup, selector: str) -> FiniteGroup:

@@ -17,7 +17,7 @@ from math import factorial
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, Homomorphism, element_perm, extend_images
+from .group import FiniteGroup, Homomorphism, element_perm, extend_images, right_mult_steps
 from .perm import (
     Permutation, direct_sum, identity_images, images_of, inverse, mult, perm_order, power,
 )
@@ -260,8 +260,7 @@ class ActionSpec:
             raise PreconditionError("one automorphism required per acting generator")
         self._aut_maps = [self._as_automorphism(row) for row in self.images]
         self._table = extend_images(
-            acting._raw_gens,
-            self._aut_maps,
+            right_mult_steps(acting._raw_gens, self._aut_maps),
             identity_images(acting.degree),
             identity_images(target.order),
             acting.order,

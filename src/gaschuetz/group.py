@@ -276,24 +276,25 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     return G.subgroup(current)
 
 
-def extend_images(gens, images, identity, image_identity, size):
-    """The table {x: f(x)} of the map sending gens[i] to images[i], or None.
+def extend_images(steps, identity, image_identity, size):
+    """The table {x: f(x)} of the map sending each generator to its image, or None.
 
-    Walks products of the generators breadth-first, setting
-    f(x g) = f(x) f(g).  A conflict-free table is closed
-    under every (generator, image) pair, so when it covers ``size``
-    elements it is the graph of a homomorphism.  The first conflicting
-    edge, or a table of another size, gives None.
+    ``steps`` holds one pair (x -> x g, y -> y h) per generator g with
+    image h: right multiplication on each side, on tuples or on element
+    indices alike.  Walks products of the generators breadth-first,
+    setting f(x g) = f(x) h.  A conflict-free table is closed under
+    every step, so when it covers ``size`` elements it is the graph of a
+    homomorphism.  The first conflicting edge, or a table of another
+    size, gives None.
     """
     table = {identity: image_identity}
     frontier = [(identity, image_identity)]
-    pairs = list(zip(gens, images))
     while frontier:
         new = []
         for x, fx in frontier:
-            for g, h in pairs:
-                y = mult(x, g)
-                fy = mult(fx, h)
+            for step, image_step in steps:
+                y = step(x)
+                fy = image_step(fx)
                 known = table.get(y)
                 if known is None:
                     table[y] = fy
@@ -302,6 +303,11 @@ def extend_images(gens, images, identity, image_identity, size):
                     return None
         frontier = new
     return table if len(table) == size else None
+
+
+def right_mult_steps(gens, images):
+    """extend_images steps for tuple generators and tuple images."""
+    return [(lambda x, g=g: mult(x, g), lambda y, h=h: mult(y, h)) for g, h in zip(gens, images)]
 
 
 def orbit(start, gens, act):
@@ -356,8 +362,7 @@ class Homomorphism:
         self.target = target
         self.generator_images = tuple(imgs)
         self._map = extend_images(
-            source._raw_gens,
-            [p.images for p in imgs],
+            right_mult_steps(source._raw_gens, [p.images for p in imgs]),
             identity_images(source.degree),
             identity_images(target.degree),
             source.order,

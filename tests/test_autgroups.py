@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -13,15 +14,19 @@ from gaschuetz import (
     symmetric,
     wreath_cyclic,
 )
+from gaschuetz import autgroups
 from gaschuetz.autgroups import (
+    ProductTable,
     aut_group,
     is_characteristic,
     is_complete,
     prop_special_search,
     rose_criterion,
 )
+from gaschuetz.catalog import build_named_group
 from gaschuetz.errors import AutBudgetError, PreconditionError
-from gaschuetz.group import is_normal
+from gaschuetz.group import FiniteGroup, is_normal
+from gaschuetz.isomorphism import is_isomorphic
 from gaschuetz.perm import mult, perm_order
 
 
@@ -185,3 +190,82 @@ def test_baer_completeness_direction():
     cent = centralizer_of_subgroup(G, emb)
     assert cent.order == 5
     assert len(cent.element_set & emb.element_set) == 1
+
+
+# -- the product table and the index search ------------------------------------
+
+
+def relabelled(G, seed):
+    """G with every generator conjugated by a seeded permutation of its points."""
+    sigma = list(range(G.degree))
+    random.Random(seed).shuffle(sigma)
+    gens = []
+    for g in G._raw_gens:
+        h = [0] * G.degree
+        for i, gi in enumerate(g):
+            h[sigma[i]] = sigma[gi]
+        gens.append(h)
+    return FiniteGroup(G.degree, gens)
+
+
+def test_product_table_matches_mult_and_perm_order(small_catalog_groups):
+    for entry, G in small_catalog_groups:
+        table = ProductTable(G)  # uncached: the session's groups keep no full table
+        elems, idx = G.element_tuples, G.element_index
+        for h, g in enumerate(elems):
+            assert table.col(h) == [idx[mult(y, g)] for y in elems], entry.name
+            assert table.order(h) == perm_order(g), entry.name
+        assert len(table.columns) == G.order
+
+
+def test_product_table_is_cached_on_the_group():
+    G = symmetric(3)
+    assert ProductTable.of(G) is ProductTable.of(G)
+
+
+@pytest.mark.parametrize("name", ["C5^2:Q8", "A6", "(C3^2:Q8)xC2"])
+def test_isomorphic_to_relabelled_copy(catalog_entries, name):
+    entry = next(e for e in catalog_entries if e.name == name)
+    for seed in (1, 2):
+        assert is_isomorphic(entry.group(), relabelled(entry.group(), seed)), seed
+
+
+def test_not_isomorphic_q8_and_d8_tops(catalog_entries):
+    by_name = {e.name: e for e in catalog_entries}
+    assert not is_isomorphic(by_name["C5^2:Q8"].group(), by_name["C5^2:D8"].group())
+
+
+@pytest.mark.parametrize(
+    "name, calls, aut_order, out_order",
+    [
+        ("C5^2:Q8", 19180, 2400, 12),
+        ("A6", 152, 1440, 4),
+        ("S5", 24, 120, 1),
+        ("S3wrC2", 28, 144, 2),
+    ],
+)
+def test_search_tree_is_pinned(catalog_entries, monkeypatch, name, calls, aut_order, out_order):
+    """validate runs once per leaf of the search tree: a change to the
+    generators, the candidate lists or their order changes this count."""
+    entry = next(e for e in catalog_entries if e.name == name)
+    seen = []
+    inner = autgroups.validate
+
+    def counted(*args):
+        seen.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(autgroups, "validate", counted)
+    a = aut_group(entry.group())
+    assert (len(seen), a.carrier.order, a.out_order) == (calls, aut_order, out_order)
+
+
+def test_isomorphism_search_builds_few_columns():
+    """Over the Aut cap the table stays lazy: a full |G| x |G| table of
+    S4wrC2 would hold 1,152 columns."""
+    G = build_named_group("S4wrC2")
+    H = relabelled(G, 3)
+    assert G.order == 1152
+    assert is_isomorphic(G, H)
+    assert len(ProductTable.of(G).columns) < 10
+    assert len(ProductTable.of(H).columns) < 10

@@ -84,6 +84,23 @@ def test_oversized_name_is_refused(capsys, name):
     assert rc == 1 and err.startswith("error: ")
 
 
+LONG = "1" * 5000  # over Python's 4,300-digit limit on int(str)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verdict", "C" + LONG],
+        ["verdict", "S3^" + LONG],
+        ["complement", "--group", "A4", "--normal", "order:" + LONG],
+    ],
+    ids=["atom", "power", "order-selector"],
+)
+def test_over_long_numeral_exit_code(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
 def test_engine_error_exit_code(capsys):
     # witness construction with violated hypothesis: engine error, code 1
     rc, _, err = run(capsys, "witness", "znthm", "--group", "S3", "--q", "2")
