@@ -31,7 +31,7 @@ from .constructors import (
     wreath_cyclic,
 )
 from .engine import FAILS, HOLDS, UNDECIDED, all_firings, verdict
-from .errors import CatalogError, SizeLimitError, UnknownNameError
+from .errors import CatalogError, SizeLimitError, UnknownNameError, quoted
 from .group import FiniteGroup
 from .perm import perm_order
 from .structure import is_prime, prime_factors
@@ -308,7 +308,7 @@ def resolve_group(name: str, entries=None) -> FiniteGroup:
     for e in entries:
         if e.name == name:
             return e.group()
-    raise UnknownNameError(f"cannot resolve group name {name!r}")
+    raise UnknownNameError(f"cannot resolve group name {quoted(name)}")
 
 
 # -- classification reports -----------------------------------------------------

@@ -1,8 +1,8 @@
 """Command-line surface: verdicts, complements, classification, witnesses.
 
-Exit codes: 0 success, 1 engine error (budget, size, hypothesis), 2
-usage error (unknown names, bad flags, unreadable or malformed catalog
-files, malformed GASCHUETZ_* values).
+Exit codes: 0 success, 1 engine error (budget, size, hypothesis) or
+standard output closed early, 2 usage error (unknown names, bad flags,
+unreadable or malformed catalog files, malformed GASCHUETZ_* values).
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from .catalog import (
 )
 from .complements import find_complement
 from .engine import explain, verdict
-from .errors import CatalogError, ConfigError, GroupError, UnknownNameError
+from .errors import CatalogError, ConfigError, GroupError, UnknownNameError, quoted
 from .group import FiniteGroup, is_normal
 from .isomorphism import is_isomorphic
 from .lattice import frattini, normal_subgroups_fast
@@ -34,7 +34,9 @@ from .witness import baer_bundle, build_znthm, verify_znthm
 def _selector_number(selector: str, prefix: str) -> int:
     digits = selector[len(prefix):]
     if not digits.isdecimal():
-        raise UnknownNameError(f"bad selector {selector!r}: expected {prefix}<number>")
+        raise UnknownNameError(
+            f"bad selector {quoted(selector)}: expected {prefix}<number>"
+        )
     return numeral(digits)
 
 
@@ -63,10 +65,10 @@ def _resolve_normal(G: FiniteGroup, selector: str) -> FiniteGroup:
         if N.order == target.order and is_isomorphic(N, target)
     ]
     if not matches:
-        raise UnknownNameError(f"no normal subgroup isomorphic to {selector!r}")
+        raise UnknownNameError(f"no normal subgroup isomorphic to {quoted(selector)}")
     if len(matches) > 1:
         raise UnknownNameError(
-            f"{len(matches)} normal subgroups isomorphic to {selector!r}; "
+            f"{len(matches)} normal subgroups isomorphic to {quoted(selector)}; "
             "use order:<m> or a keyword"
         )
     return matches[0]
@@ -151,7 +153,7 @@ def _cmd_classify(args) -> int:
 def _cmd_witness_znthm(args) -> int:
     N = resolve_group(args.group)
     bundle = build_znthm(N, args.q)
-    if args.verify:
+    if args.verify or args.full_search:
         bundle = verify_znthm(bundle, full_search=args.full_search)
     b = bundle
     payload = json.loads(b.to_json())
@@ -254,7 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     pz.add_argument("--group", required=True)
     pz.add_argument("--q", type=int, required=True)
     pz.add_argument("--verify", action="store_true")
-    pz.add_argument("--full-search", action="store_true")
+    pz.add_argument(
+        "--full-search",
+        action="store_true",
+        help="also run the unreduced lift search in G (implies --verify)",
+    )
     pz.add_argument("--json", action="store_true")
     pz.set_defaults(func=_cmd_witness_znthm)
     pb = wsub.add_parser("baer", help="the order-48 central-product example")
@@ -281,7 +287,13 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return 2 if e.code else 0
     try:
-        return args.func(args)
+        rc = args.func(args)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # the reader is gone; send the interpreter's final flush nowhere
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (UnknownNameError, CatalogError, ConfigError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

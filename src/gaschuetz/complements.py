@@ -1,11 +1,14 @@
 """Complement existence for normal subgroups, by generator-lift search.
 
 Given N normal in G, pick a small generating set q_1, ..., q_m of
-Q = G/N and enumerate lift tuples (x_1, ..., x_m) with x_i in the fiber
-of q_i.  The subgroup generated by a tuple always covers G modulo N, so
-it is a complement iff its closure avoids N - {1}.  Completeness: any
-complement L meets each fiber in exactly one point, and those points
-generate L.
+Q = G/N and search lift tuples (x_1, ..., x_m), x_i in the fiber of
+q_i, depth first.  Each closure that passes is kept as is, with no
+second check and no deduplication, because:
+  * the closure K of a full tuple covers Q, as its generators map onto
+    the q_i; if K avoids N - {1} (``forbidden``) within |G:N| elements
+    (``abort_over``), K maps onto Q injectively: a complement;
+  * a complement meets each fiber in exactly one point, and those points
+    generate it, so each complement comes from exactly one tuple.
 
 Two sound prunings keep the space small:
   * a lift x_i must satisfy |x_i| = |q_i| (complements project
@@ -112,78 +115,44 @@ def _search(G, N, *, collect_all=False):
     degree = G.degree
     ident = identity_images(degree)
     index = G.order // N.order
-    if N.order == 1:
-        K = FiniteGroup(degree, G._raw_gens, order=G.order)
-        report = ComplementReport(True, K, 1, 1)
-        return report, [K]
-    if index == 1:
-        K = FiniteGroup.trivial(degree)
-        report = ComplementReport(True, K, 1, 1)
-        return report, [K]
+    if N.order == 1 or index == 1:
+        K = (FiniteGroup(degree, G._raw_gens, order=G.order) if N.order == 1
+             else FiniteGroup.trivial(degree))
+        return ComplementReport(True, K, 1, 1), [K]
     Q, proj = quotient(G, N)
     qgens = small_generating_set(Q)
-    m = len(qgens)
     fibers = [proj.fiber(q) for q in qgens]
     full_space = prod(len(f) for f in fibers)
-    filtered = []
-    for q, fiber in zip(qgens, fibers):
-        want = q.order()
-        filtered.append([x for x in fiber if perm_order(x) == want])
+    wants = [q.order() for q in qgens]
+    levels = [[x for x in f if perm_order(x) == w] for f, w in zip(fibers, wants)]
+    if not all(levels):
+        return ComplementReport(False, None, full_space, 0), []
+    if not collect_all:
+        levels[0] = _orbit_reps(levels[0], N)
     forbidden = frozenset(t for t in N.element_tuples if t != ident)
     found = []
-    found_keys = set()
     examined = 0
 
-    if any(not f for f in filtered):
-        report = ComplementReport(False, None, full_space, 0)
-        return report, []
-
-    level_candidates = list(filtered)
-    if not collect_all:
-        level_candidates[0] = _orbit_reps(filtered[0], N)
-
-    def verify(K_elems, lifts):
-        K = FiniteGroup(degree, list(lifts), elements=K_elems)
-        if K.order != index:
-            return None
-        if any(t != ident and t in N.element_set for t in K_elems):
-            return None
-        # K N = G by orders: |K||N| / |K meet N| = |G|
-        return K
-
-    def dfs(level, lifts, closed):
+    def dfs(lifts, closed):
         nonlocal examined
-        for x in level_candidates[level]:
-            trial = close_set(
-                lifts + [x],
-                degree,
-                seed=closed,
-                forbidden=forbidden,
-                abort_over=index,
-            )
-            if level + 1 == m:
-                examined += 1
+        last = len(lifts) + 1 == len(levels)
+        for x in levels[len(lifts)]:
+            trial = close_set(lifts + [x], degree, seed=closed,
+                              forbidden=forbidden, abort_over=index)
+            examined += last
             if trial is None:
                 continue
-            if level + 1 == m:
-                K = verify(trial, lifts + [x])
-                if K is None:
-                    continue
-                key = K.element_set
-                if key not in found_keys:
-                    found_keys.add(key)
-                    found.append(K)
+            if last:
+                found.append(FiniteGroup(degree, lifts + [x], elements=trial))
                 if not collect_all:
                     return True
-            else:
-                if dfs(level + 1, lifts + [x], trial):
-                    return True
+            elif dfs(lifts + [x], trial):
+                return True
         return False
 
-    dfs(0, [], {ident})
-    if found:
-        return ComplementReport(True, found[0], full_space, examined), found
-    return ComplementReport(False, None, full_space, examined), []
+    dfs([], {ident})
+    first = found[0] if found else None
+    return ComplementReport(bool(found), first, full_space, examined), found
 
 
 def find_complement(G: FiniteGroup, N: FiniteGroup) -> ComplementReport:

@@ -21,7 +21,7 @@ from .group import FiniteGroup, Homomorphism, element_perm, extend_images, right
 from .perm import (
     Permutation, direct_sum, identity_images, images_of, inverse, mult, perm_order, power,
 )
-from .structure import center, quotient
+from .structure import center, is_prime, quotient
 
 
 def _refuse_over_cap(order, message: str) -> None:
@@ -136,8 +136,14 @@ def matrix_group(mats, p) -> FiniteGroup:
     return FiniteGroup(p * p - 1, [matrix_perm(m, p) for m in mats])
 
 
+def _require_odd_prime(p):
+    if p == 2 or not is_prime(p):
+        raise PreconditionError(f"p = {p} must be an odd prime")
+
+
 def quaternion_matrices(p):
     """Generators i, j of a Q8 copy inside SL(2, p), p an odd prime."""
+    _require_odd_prime(p)
     for a in range(p):
         for b in range(p):
             if (a * a + b * b) % p == (p - 1):
@@ -146,7 +152,8 @@ def quaternion_matrices(p):
 
 
 def dihedral8_matrices(p):
-    """Generators of a D8 copy inside GL(2, p): rotation and reflection."""
+    """Rotation and reflection generating a D8 copy in GL(2, p), p an odd prime."""
+    _require_odd_prime(p)
     return [((0, p - 1), (1, 0)), ((1, 0), (0, p - 1))]
 
 

@@ -1,6 +1,13 @@
 """Exception types shared across the engine."""
 
 
+def quoted(text: str) -> str:
+    """User input for a one-line error message: repr'd, cut to 60 characters."""
+    if len(text) <= 60:
+        return repr(text)
+    return f"{text[:60]!r}... ({len(text)} characters)"
+
+
 class GroupError(Exception):
     """Base class for all engine errors."""
 

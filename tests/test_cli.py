@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gaschuetz
+from gaschuetz import cli
 from gaschuetz.cli import main
 
 
@@ -99,6 +104,71 @@ LONG = "1" * 5000  # over Python's 4,300-digit limit on int(str)
 def test_over_long_numeral_exit_code(capsys, argv):
     rc, _, err = run(capsys, *argv)
     assert rc == 2 and err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verdict", "C" + LONG],
+        ["complement", "--group", "A4", "--normal", "X" * 3000],
+        ["complement", "--group", "A4", "--normal", "sylow" + "x" * 3000],
+    ],
+    ids=["name", "normal-name", "selector"],
+)
+def test_long_input_is_echoed_briefly(capsys, argv):
+    rc, _, err = run(capsys, *argv)
+    assert rc == 2 and err.startswith("error: ")
+    assert err.count("\n") == 1 and len(err) < 200
+
+
+def test_closed_stdout_exits_quietly():
+    reader, writer = os.pipe()
+    os.close(reader)  # the pipe has no reader before the command writes
+    src = os.path.dirname(os.path.dirname(gaschuetz.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "gaschuetz", "verdict", "Q8"],
+            stdout=writer, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(writer)
+    assert proc.returncode == 1 and proc.stderr == b""
+
+
+def test_full_search_implies_verify(capsys, monkeypatch):
+    seen = []
+
+    def recorder(bundle, *, full_search=False):
+        seen.append(full_search)
+        return bundle
+
+    monkeypatch.setattr(cli, "verify_znthm", recorder)
+    rc, _, _ = run(capsys, "witness", "znthm", "--group", "Q8", "--q", "3", "--full-search")
+    assert rc == 0 and seen == [True]
+
+
+def test_classify_text(capsys):
+    rc, out, _ = run(capsys, "classify", "--max-order", "8")
+    lines = out.splitlines()
+    assert rc == 0 and len(lines) == 15
+    assert lines[11].split() == ["D8", "order", "8", "fails", "ZNthm"]
+    assert lines[-1] == "summary: 12 hold, 2 fail, 0 undecided, contradictions: 0"
+
+
+@pytest.mark.parametrize(
+    "group, selector, text",
+    [
+        ("S4", "derived", "order-12 normal subgroup in S4: exists (order 2) "
+         "[space 12, examined 1]"),
+        ("Q8", "frattini", "order-2 normal subgroup in Q8: none [space 4, examined 0]"),
+        ("S4", "frattini", "order-1 normal subgroup in S4: exists (order 24) "
+         "[space 1, examined 1]"),
+    ],
+)
+def test_complement_keyword_selectors(capsys, group, selector, text):
+    rc, out, _ = run(capsys, "complement", "--group", group, "--normal", selector)
+    assert rc == 0 and out == f"complement of {text}\n"
 
 
 def test_engine_error_exit_code(capsys):

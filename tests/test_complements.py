@@ -9,6 +9,7 @@ from gaschuetz import (
     quaternion8,
     symmetric,
 )
+from gaschuetz.catalog import resolve_group
 from gaschuetz.complements import (
     Embedding,
     all_complements,
@@ -213,3 +214,49 @@ def test_schur_zassenhaus_small():
 
             if gcd(N.order, G.order // N.order) == 1:
                 assert find_complement(G, N).exists
+
+
+def test_exhaustive_search_matches_the_subgroup_lattice(small_catalog_groups):
+    # every complement exactly once: no duplicate and no dropped subgroup
+    pairs = 0
+    for entry, G in small_catalog_groups:
+        if G.order > 24:
+            continue
+        for N in normal_subgroups_fast(G):
+            index = G.order // N.order
+            expected = sorted(
+                K.element_tuples for K in all_subgroups(G)
+                if K.order == index and len(K.element_set & N.element_set) == 1
+            )
+            _, found = exhaustive_search(G, N)
+            assert [K.element_tuples for K in found] == expected, (entry.name, N.order)
+            pairs += 1
+    assert pairs == 618
+
+
+def _normals_of_order(G, m):
+    return [N for N in normal_subgroups_fast(G) if N.order == m]
+
+
+def test_search_counts_are_pinned():
+    # find: first complement after orbit representatives; exhaustive: every tuple
+    S4 = symmetric(4)
+    (V4,) = _normals_of_order(S4, 4)
+    r = find_complement(S4, V4)
+    assert (r.exists, r.search_space, r.examined) == (True, 16, 1)
+    report, found = exhaustive_search(S4, V4)
+    assert report.examined == 4 and len(found) == 4
+
+    G = resolve_group("G32_17")
+    counts = sorted(
+        (r.search_space, r.examined)
+        for r in (find_complement(G, N) for N in _normals_of_order(G, 8))
+    )
+    assert counts == [(64, 0)] * 6 + [(64, 16)]
+
+    E = resolve_group("C2xC2xC2xC2xC2")
+    for N in _normals_of_order(E, 2):
+        r = find_complement(E, N)
+        assert (r.exists, r.search_space, r.examined) == (True, 16, 1)
+        report, found = exhaustive_search(E, N)
+        assert report.examined == 16 and len(found) == 16

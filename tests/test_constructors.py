@@ -302,6 +302,14 @@ def test_astronomical_sizes_refused_before_computing():
         direct_power(cyclic(1), 10 ** 5)
 
 
+@pytest.mark.parametrize("helper", [quaternion_matrices, dihedral8_matrices])
+@pytest.mark.parametrize("p", [1, 2, 4, 9])
+def test_matrix_helpers_refuse_p_not_an_odd_prime(helper, p):
+    # over F_2 both copies collapse, and Z/4, Z/9 are not fields
+    with pytest.raises(PreconditionError, match="odd prime"):
+        helper(p)
+
+
 def test_matrix_group_d8_over_f5():
     D = matrix_group(dihedral8_matrices(5), 5)
     assert D.order == 8
