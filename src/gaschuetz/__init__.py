@@ -15,7 +15,6 @@ from .structure import (
     conjugacy_classes,
     derived_series,
     derived_subgroup,
-    exponent,
     is_abelian,
     is_metabelian,
     is_perfect,

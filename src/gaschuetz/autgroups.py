@@ -28,13 +28,14 @@ validating |Aut(N)| full assignments one by one.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from . import config
 from .complements import find_complement
 from .errors import AutBudgetError, PreconditionError
 from .group import FiniteGroup, conjugation_perm, extend_images, is_normal, reduce_generators
-from .perm import Permutation, mult, perm_order
-from .structure import center, cosets, derived_subgroup, element_fingerprints, exponent
+from .perm import Permutation, mult, perm_order, power
+from .structure import center, cosets, derived_subgroup, element_fingerprints
 
 
 @dataclass
@@ -253,11 +254,18 @@ def prop_special_search(N: FiniteGroup):
     """Search for (gamma, k): gamma^k inner-derived, (delta gamma)^k != 1 always.
 
     Scans the cosets of Inn in Aut but Inn itself (delta = gamma^-1 kills
-    every k); the all-delta condition is constant on each coset, and when
-    it holds the coset is swept for a member whose k-th power lands in
-    Inn(N)'.  Returns (gamma, k) with both conditions re-verified, or None
-    when the whole space is exhausted.  k is capped at exponent(Aut(N)):
-    both conditions are periodic in k with that period.
+    every k) in canonical order.  The first coset with a hit gives its
+    least k and the first member gamma with gamma^k in Inn(N)'; None when
+    no coset has one.  The all-delta condition says that no member of
+    the coset has order dividing k.
+
+    Let d be the coset's order in Aut/Inn.  Inn' lies in Inn, so
+    gamma^k in Inn' forces d | k, and every member's order is a multiple
+    of d.  A member of order exactly d thus divides every k worth trying,
+    and the coset is skipped as soon as one turns up; otherwise k = d
+    passes the all-delta condition and is tried first.  Both conditions
+    are periodic in k with period L, the lcm of the members' orders, and
+    no multiple of L passes, so k < L.
     """
     if not center(N).is_trivial():
         raise PreconditionError("search requires a centerless group")
@@ -266,26 +274,28 @@ def prop_special_search(N: FiniteGroup):
     if carrier.order == inn.order:
         return None
     inn_derived = derived_subgroup(inn).element_set
-    exp = exponent(carrier)
     walk = cosets(carrier, inn)
     next(walk)  # Inn itself
     for coset in walk:
-        orders = sorted({perm_order(t) for t in coset})
-        good_k = [k for k in range(1, exp + 1) if all(k % o for o in orders)]
-        if not good_k:
-            continue
-        k_ok = set(good_k)
-        k_max = good_k[-1]
-        best = None
-        for gamma in coset:
-            power = gamma
-            for k in range(1, k_max + 1):
-                if k > 1:
-                    power = mult(power, gamma)
-                if k in k_ok and power in inn_derived:
-                    if best is None or k < best[1]:
-                        best = (gamma, k)
-                    break
-        if best is not None:
-            return Permutation._wrap(best[0]), best[1]
+        for k in _coset_exponents(coset, inn.element_set):
+            for gamma in coset:
+                if power(gamma, k) in inn_derived:
+                    return Permutation._wrap(gamma), k
     return None
+
+
+def _coset_exponents(coset, inn):
+    """The k < L, multiples of the coset's order d in Aut/Inn, that no
+    member's order divides, ascending; empty if a member has order d."""
+    first = coset[0]
+    d, x = 1, first
+    while x not in inn:
+        x = mult(x, first)
+        d += 1
+    orders = set()
+    for gamma in coset:
+        o = perm_order(gamma)
+        if o == d:
+            return []
+        orders.add(o)
+    return [k for k in range(d, lcm(*orders), d) if all(k % o for o in orders)]

@@ -5,8 +5,6 @@ Commutator convention: [x, y] = x y x^-1 y^-1.
 
 from __future__ import annotations
 
-from math import lcm
-
 from .errors import GroupError, NotNormalError, NotPrimeError
 from .group import (
     FiniteGroup, conjugate_by, intersection, is_normal, normal_closure, normalizes, orbit,
@@ -37,10 +35,6 @@ def prime_factors(n: int) -> list[int]:
     if n > 1:
         out.append(n)
     return out
-
-
-def exponent(G: FiniteGroup) -> int:
-    return lcm(*(perm_order(t) for t in G.element_tuples))
 
 
 def center(G: FiniteGroup) -> FiniteGroup:

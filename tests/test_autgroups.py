@@ -1,5 +1,6 @@
 import itertools
 import random
+from math import lcm
 
 import pytest
 
@@ -14,7 +15,7 @@ from gaschuetz import (
     symmetric,
     wreath_cyclic,
 )
-from gaschuetz import autgroups
+from gaschuetz import autgroups, perm
 from gaschuetz.autgroups import (
     ProductTable,
     aut_group,
@@ -28,6 +29,7 @@ from gaschuetz.errors import AutBudgetError, PreconditionError
 from gaschuetz.group import FiniteGroup, is_normal
 from gaschuetz.isomorphism import is_isomorphic
 from gaschuetz.perm import mult, perm_order
+from gaschuetz.structure import cosets
 
 
 def oracle_aut_order(G):
@@ -157,16 +159,20 @@ def test_prop_special_s3_none():
     assert prop_special_search(symmetric(3)) is None
 
 
-def test_prop_special_wreath_hit_verified():
-    N = wreath_cyclic(symmetric(3), 2).group
-    hit = prop_special_search(N)
-    assert hit is not None
-    gamma, k = hit
+def assert_special_pair(N, gamma, k):
+    """gamma is outer, gamma^k lies in Inn(N)', and no (delta gamma)^k is 1."""
     a = aut_group(N)
     assert gamma.images not in a.inn.element_set
     assert (gamma ** k).images in derived_subgroup(a.inn).element_set
     for d in a.inn.element_tuples:
         assert k % perm_order(mult(d, gamma.images)) != 0
+
+
+def test_prop_special_wreath_hit_verified():
+    N = wreath_cyclic(symmetric(3), 2).group
+    hit = prop_special_search(N)
+    assert hit is not None
+    assert_special_pair(N, *hit)
 
 
 def test_prop_special_requires_centerless():
@@ -269,3 +275,87 @@ def test_isomorphism_search_builds_few_columns():
     assert is_isomorphic(G, H)
     assert len(ProductTable.of(G).columns) < 10
     assert len(ProductTable.of(H).columns) < 10
+
+
+# -- the prop-special search ---------------------------------------------------
+
+
+def full_sweep(N):
+    """The prop-special search without the order-d argument: every member
+    of every outer coset is powered through every k up to exponent(Aut(N))
+    that no member's order divides; the least k of the first coset with a
+    hit, and the first member reaching Inn' at that k."""
+    aut = aut_group(N)
+    inn_derived = derived_subgroup(aut.inn).element_set
+    exp = lcm(*(perm_order(t) for t in aut.carrier.element_tuples))
+    walk = cosets(aut.carrier, aut.inn)
+    next(walk)
+    for coset in walk:
+        orders = {perm_order(t) for t in coset}
+        good = [k for k in range(1, exp + 1) if all(k % o for o in orders)]
+        if not good:
+            continue
+        best = None
+        for gamma in coset:
+            power = gamma
+            for k in range(1, good[-1] + 1):
+                if k > 1:
+                    power = mult(power, gamma)
+                if k in good and power in inn_derived:
+                    if best is None or k < best[1]:
+                        best = (gamma, k)
+                    break
+        if best is not None:
+            return best
+    return None
+
+
+# A hit (S3wrC2), groups whose outer cosets all hold a member of order d
+# (G48_52, G52_5, D38, G39_2), and groups with cosets whose k = d is tried
+# without a hit (D34, D26, G18_3, G36_8, G57_2, G60_10).
+SWEPT = ("S3wrC2", "G48_52", "G52_5", "D38", "G39_2",
+         "D34", "D26", "G18_3", "G36_8", "G57_2", "G60_10")
+
+
+@pytest.mark.parametrize("name", SWEPT)
+def test_prop_special_matches_the_full_sweep(catalog_groups, name):
+    G = next(G for e, G in catalog_groups if e.name == name)
+    for N in (G, relabelled(G, 5)):
+        hit = prop_special_search(N)
+        assert (hit and (hit[0].images, hit[1])) == full_sweep(N)
+
+
+@pytest.mark.parametrize(
+    "name, k",
+    [("A6", 2), ("C5^2:Q8", 6), ("S3wrC2", 2), ("G48_51", None), ("G50_3", None)],
+)
+def test_prop_special_catalog_answers(catalog_groups, name, k):
+    N = next(G for e, G in catalog_groups if e.name == name)
+    hit = prop_special_search(N)
+    assert (hit and hit[1]) == k
+    if hit is not None:
+        assert_special_pair(N, *hit)
+
+
+def test_prop_special_search_makes_few_products(catalog_groups, monkeypatch):
+    """On G48_51 each of the 119 outer cosets holds a member of its order
+    in Out(N), so every coset is skipped once that member turns up and
+    none is powered through.  The full sweep made 674,016 products and
+    11,472 order computations here."""
+    N = next(G for e, G in catalog_groups if e.name == "G48_51")
+    derived_subgroup(aut_group(N).inn)
+    products, orders = [], []
+
+    def counted_mult(x, y):
+        products.append(None)
+        return mult(x, y)
+
+    def counted_order(x):
+        orders.append(None)
+        return perm_order(x)
+
+    monkeypatch.setattr(autgroups, "mult", counted_mult)
+    monkeypatch.setattr(perm, "mult", counted_mult)  # the products of perm.power
+    monkeypatch.setattr(autgroups, "perm_order", counted_order)
+    assert prop_special_search(N) is None
+    assert len(products) <= 1000 and len(orders) <= 1000, (len(products), len(orders))
