@@ -273,7 +273,10 @@ def prop_special_search(N: FiniteGroup):
     carrier, inn = aut.carrier, aut.inn
     if carrier.order == inn.order:
         return None
-    inn_derived = derived_subgroup(inn).element_set
+    # Inn(N)' is the image of N' under g -> conjugation by g
+    inn_derived = carrier.generated_subgroup(
+        [conjugation_perm(N, g) for g in derived_subgroup(N)._raw_gens]
+    ).element_set
     walk = cosets(carrier, inn)
     next(walk)  # Inn itself
     for coset in walk:

@@ -5,6 +5,12 @@ canonically sorted element set.  Values are immutable once built; every
 derived per-group fact is kept through ``FiniteGroup.cached``.  Groups
 beyond the configured element cap are refused with
 :class:`SizeLimitError` rather than enumerated.
+
+Every closure is ``close_set``, Dimino's coset walk (G. Butler,
+*Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): a
+closed group H grows to K by whole right cosets H y, found from coset
+representatives times generators, for about |K| + |K:H| |gens|
+products.  A seed passed to it must be closed; it is that H.
 """
 
 from __future__ import annotations
@@ -17,17 +23,32 @@ from .perm import (
 
 
 def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=None):
-    """Breadth-first closure of raw image tuples under right multiplication.
+    """Closure of raw image tuples under right multiplication, by cosets.
 
-    seed: optional starting element set, already closed (e.g. an
-        existing subgroup); its elements are not checked again.
+    Dimino's algorithm: the set grows by whole right cosets H y of a
+    closed group H.  A list of coset representatives starts at 1; for
+    each representative r and generator g, a product y = r g outside the
+    set adds the coset H y (all new, since the set is a union of such
+    cosets) and joins the list.  Extending H to K costs about
+    |K| + |K:H| |gens| products.
+
+    seed: optional starting element set, which must be closed (a
+        subgroup); it is H for one walk over all of ``gens``, and its
+        elements are not checked again.  The result is the set of
+        products s w, s in the seed and w in <gens>: the group
+        <seed, gens> when the seed lies in <gens>, as at every caller.
+    Without a seed the walk goes stage by stage: the group of gens[:i]
+    is H for gens[:i+1], and a stage whose generators all lie in H
+    already is skipped.
     cap: hard limit; exceeding it raises SizeLimitError.
     abort_over: soft limit; exceeding it returns None (search pruning).
     forbidden: set of raw tuples; touching one returns None immediately
         (the identity is never treated as forbidden).
 
     Returns the closed set of raw tuples, or None if aborted.  Each
-    generator is reached as 1 g and checked like any other new element.
+    element is checked as it is added, so the limits and ``forbidden``
+    act as in a breadth-first closure, and a cap overrun reports
+    cap + 1 elements.
     """
     ident = identity_images(degree)
     gens = [g for g in gens if g != ident]
@@ -36,26 +57,30 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
             raise DegreeMismatchError("generator degree mismatch")
     elements = set(seed or ())
     elements.add(ident)
-    frontier = list(elements)
-    while frontier:
-        new_frontier = []
-        for x in frontier:
-            for g in gens:
-                y = mult(x, g)
+    stages = [gens] if seed is not None else [gens[:i + 1] for i in range(len(gens))]
+    for stage in stages:
+        if all(g in elements for g in stage):
+            continue
+        closed = list(elements)
+        reps = [ident]
+        for r in reps:  # the list grows while it is walked
+            for g in stage:
+                y = mult(r, g)
                 if y in elements:
                     continue
-                if forbidden is not None and y in forbidden:
-                    return None
-                elements.add(y)
-                new_frontier.append(y)
-                if cap is not None and len(elements) > cap:
-                    raise SizeLimitError(
-                        f"group exceeds element cap {cap}",
-                        required_order=len(elements),
-                    )
-                if abort_over is not None and len(elements) > abort_over:
-                    return None
-        frontier = new_frontier
+                for h in closed:
+                    x = mult(h, y)
+                    if forbidden is not None and x in forbidden:
+                        return None
+                    elements.add(x)
+                    if cap is not None and len(elements) > cap:
+                        raise SizeLimitError(
+                            f"group exceeds element cap {cap}",
+                            required_order=len(elements),
+                        )
+                    if abort_over is not None and len(elements) > abort_over:
+                        return None
+                reps.append(y)
     return elements
 
 
@@ -196,7 +221,7 @@ def reduce_generators(elements, degree):
         if cand in current:
             continue
         gens.append(cand)
-        current = close_set(gens, degree)
+        current = close_set(gens, degree, seed=current)
         if len(current) == len(elements):
             break
     return drop_redundant(gens, degree, len(elements))

@@ -21,9 +21,10 @@ from gaschuetz.errors import (
     NotNormalError,
     SizeLimitError,
 )
+from gaschuetz import group
 from gaschuetz.complements import find_complement
 from gaschuetz.group import close_set, reduce_generators
-from gaschuetz.perm import Permutation, identity_images
+from gaschuetz.perm import Permutation, identity_images, mult
 from gaschuetz.structure import quotient
 
 
@@ -204,3 +205,106 @@ def test_close_set_matches_naive_closure(small_catalog_groups):
             close_set(gens, d, cap=n - 1)
         assert ei.value.required_order == n
         assert close_set(gens, d, cap=n) == full
+
+
+def bfs_close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=None):
+    """Oracle: the breadth-first closure close_set replaced.  It multiplies
+    every element, the seed's included, by every generator."""
+    ident = identity_images(degree)
+    gens = [g for g in gens if g != ident]
+    elements = set(seed or ())
+    elements.add(ident)
+    frontier = list(elements)
+    while frontier:
+        new_frontier = []
+        for x in frontier:
+            for g in gens:
+                y = mult(x, g)
+                if y in elements:
+                    continue
+                if forbidden is not None and y in forbidden:
+                    return None
+                elements.add(y)
+                new_frontier.append(y)
+                if cap is not None and len(elements) > cap:
+                    raise SizeLimitError("cap", required_order=len(elements))
+                if abort_over is not None and len(elements) > abort_over:
+                    return None
+        frontier = new_frontier
+    return elements
+
+
+def assert_same_closure(gens, degree, **kw):
+    """close_set and the breadth-first oracle agree: the set, None, or the
+    SizeLimitError with its required order."""
+    try:
+        want = bfs_close_set(gens, degree, **kw)
+    except SizeLimitError as e:
+        with pytest.raises(SizeLimitError) as ei:
+            close_set(gens, degree, **kw)
+        assert ei.value.required_order == e.required_order == kw["cap"] + 1
+        return None
+    assert close_set(gens, degree, **kw) == want
+    return want
+
+
+def test_close_set_matches_breadth_first_closure(small_catalog_groups):
+    """The coset walk against the breadth-first closure on every group of
+    order <= 63: skipped stages, prefix and non-prefix seeds, forbidden
+    elements met inside a coset, and both limits."""
+    for _, G in small_catalog_groups:
+        d, gens = G.degree, list(G._raw_gens)
+        ident = identity_images(d)
+        full = assert_same_closure(gens, d)
+        n = len(full)
+        if n == 1:
+            continue
+        # an identity, a repeated and a redundant generator: skipped stages
+        a = gens[0]
+        assert_same_closure([ident] + gens + [a], d)
+        assert_same_closure([a, mult(a, a)] + gens[1:] + [mult(gens[-1], a)], d)
+        # seeds generated by every prefix
+        for k in range(len(gens) + 1):
+            seed = bfs_close_set(gens[:k], d)
+            assert assert_same_closure(gens, d, seed=seed) == full
+        # a closed seed <h> not generated by a prefix of [a, h]
+        for h in sorted(full - {ident})[::7]:
+            seed = bfs_close_set([h], d)
+            both = assert_same_closure([a, h], d, seed=seed)
+            assert both == bfs_close_set([a, h], d)
+            if a not in seed:
+                # h a lies in the coset <h> a, not among the generators
+                inside = mult(next(x for x in sorted(seed) if x != ident), a)
+                assert assert_same_closure([a, h], d, seed=seed, forbidden={inside}) is None
+        if len(gens) > 1 and n > 2:
+            # g0 g1 is first met filling the coset <g0> g1
+            assert close_set(gens, d, forbidden={mult(gens[0], gens[1])}) is None
+        for limit in (n - 1, n):
+            assert_same_closure(gens, d, abort_over=limit)
+            assert_same_closure(gens, d, seed=bfs_close_set(gens[:1], d), abort_over=limit)
+        for cap in {1, n // 2, n - 1}:
+            if cap < n:
+                assert_same_closure(gens, d, cap=cap)
+
+
+@pytest.mark.parametrize("name, products, seeded", [("S3wrC2", 107, 250), ("G48_51", 70, 93)])
+def test_close_set_products_are_pinned(catalog_groups, monkeypatch, name, products, seeded):
+    """The coset walk makes about |K| + |K:H| |gens| products, from 1 and
+    from the seed <g0>; the breadth-first closure made |K| |gens| either
+    way, 360 on S3wrC2 and 144 on G48_51."""
+    G = next(G for e, G in catalog_groups if e.name == name)
+    gens, d, n = list(G._raw_gens), G.degree, G.order
+    assert len(gens) >= 3
+    seed = close_set(gens[:1], d)
+    seen = []
+
+    def counted(x, y):
+        seen.append(None)
+        return mult(x, y)
+
+    monkeypatch.setattr(group, "mult", counted)
+    assert len(close_set(gens, d)) == n
+    unseeded = len(seen)
+    assert len(close_set(gens, d, seed=seed)) == n
+    assert (unseeded, len(seen) - unseeded) == (products, seeded)
+    assert max(unseeded, seeded) < n * len(gens)
