@@ -18,11 +18,14 @@ values -- that table is then the automorphism as a permutation of the
 indices, so acceptance is exact, not heuristic.  The same search, run
 between two groups' tables, decides isomorphism (``TransporterSearch``).
 
-The enumeration follows the stabilizer chain of the generator base:
-automorphisms fixing g_0, ..., g_{k-1} and sending g_k to x form a left
-coset of the next stabilizer, so one transporter per image plus the
-recursively enumerated stabilizer assembles the whole group without
-validating |Aut(N)| full assignments one by one.
+The carrier comes from the stabilizer chain of the generator base by
+Schreier orbits, the orbit-stabilizer step of Schreier-Sims (G. Butler,
+LNCS 559, 1991; Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, ch. 4).  From the deepest generator up, the transporters
+found so far fix g_0, ..., g_{k-1}: the orbit of g_k under them needs no
+search, and an image without a transporter rules out its whole orbit.
+|Aut(N)| is the product of the orbit sizes, and the transporters are the
+carrier's generators, closed by ``close_set``.
 """
 
 from __future__ import annotations
@@ -33,7 +36,9 @@ from math import lcm
 from . import config
 from .complements import find_complement
 from .errors import AutBudgetError, PreconditionError
-from .group import FiniteGroup, conjugation_perm, extend_images, is_normal, reduce_generators
+from .group import (
+    FiniteGroup, close_set, conjugation_perm, extend_images, is_normal, orbit, reduce_generators,
+)
 from .perm import Permutation, mult, perm_order, power
 from .structure import center, cosets, derived_subgroup, element_fingerprints
 
@@ -173,40 +178,34 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
 
     search = TransporterSearch.between(N, N)
     gens, candidates = search.gens, search.candidates
-    m = len(gens)
-    identity_auto = tuple(range(n))
+    transporters, order = [], 1
 
-    def stab_elements(k):
-        """All automorphisms fixing gens[0..k-1] pointwise, as index perms."""
-        if k == m:
-            return [identity_auto]
-        deeper = stab_elements(k + 1)
+    def act(x, automorphism):
+        return automorphism[x]
+
+    for k in reversed(range(len(gens))):
+        # every transporter so far fixes gens[:k]: orbits under them lie
+        # inside the orbits of the automorphisms fixing gens[:k]
         prefix = list(gens[:k])
-        out = []
+        reached = orbit(gens[k], transporters, act)
+        ruled_out = set()
         for x in candidates[k]:
-            if not search.compatible(prefix, x):
+            if x in reached or x in ruled_out or not search.compatible(prefix, x):
                 continue
-            if x == gens[k]:
-                tau = identity_auto
+            tau = search.first(prefix + [x])
+            if tau is None:
+                ruled_out |= orbit(x, transporters, act)
             else:
-                tau = search.first(prefix + [x])
-                if tau is None:
-                    continue
-            if tau == identity_auto:
-                out.extend(deeper)
-            else:
-                out.extend(mult(tau, sigma) for sigma in deeper)
-            if len(out) > cap:
-                raise AutBudgetError(f"automorphism group exceeds carrier cap {cap}")
-        return out
+                transporters.append(tau)
+                reached = orbit(gens[k], transporters, act)
+        order *= len(reached)
+        if order > cap:
+            raise AutBudgetError(f"automorphism group exceeds carrier cap {cap}")
 
-    autos = stab_elements(0)
-    auto_set = set(autos)
-    if len(auto_set) != len(autos):
-        raise AutBudgetError("internal: duplicate automorphisms assembled")
-
-    carrier_gens = reduce_generators(auto_set, n) if len(auto_set) > 1 else []
-    carrier = FiniteGroup(n, carrier_gens, elements=auto_set)
+    elements = close_set(transporters, n, abort_over=order)
+    if elements is None or len(elements) != order:
+        raise AutBudgetError("internal: transporters do not close to the orbit product")
+    carrier = FiniteGroup(n, transporters, elements=elements)
     inn = carrier.generated_subgroup([conjugation_perm(N, g) for g in N._raw_gens])
 
     z = center(N).order

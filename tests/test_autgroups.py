@@ -15,7 +15,7 @@ from gaschuetz import (
     symmetric,
     wreath_cyclic,
 )
-from gaschuetz import autgroups, perm
+from gaschuetz import autgroups, config, perm
 from gaschuetz.autgroups import (
     ProductTable,
     aut_group,
@@ -25,8 +25,9 @@ from gaschuetz.autgroups import (
     rose_criterion,
 )
 from gaschuetz.catalog import build_named_group
+from gaschuetz.cli import main
 from gaschuetz.errors import AutBudgetError, PreconditionError
-from gaschuetz.group import FiniteGroup, conjugation_perm, is_normal
+from gaschuetz.group import FiniteGroup, close_set, conjugation_perm, is_normal
 from gaschuetz.isomorphism import is_isomorphic
 from gaschuetz.perm import mult, perm_order
 from gaschuetz.structure import cosets
@@ -244,10 +245,11 @@ def test_not_isomorphic_q8_and_d8_tops(catalog_entries):
 @pytest.mark.parametrize(
     "name, calls, aut_order, out_order",
     [
-        ("C5^2:Q8", 19180, 2400, 12),
-        ("A6", 152, 1440, 4),
-        ("S5", 24, 120, 1),
-        ("S3wrC2", 28, 144, 2),
+        ("C5^2:Q8", 1513, 2400, 12),
+        ("A6", 2, 1440, 4),
+        ("S5", 4, 120, 1),
+        ("S3wrC2", 4, 144, 2),
+        ("(C3^2:Q8)xC2", 132, 1728, 24),
     ],
 )
 def test_search_tree_is_pinned(catalog_entries, monkeypatch, name, calls, aut_order, out_order):
@@ -264,6 +266,109 @@ def test_search_tree_is_pinned(catalog_entries, monkeypatch, name, calls, aut_or
     monkeypatch.setattr(autgroups, "validate", counted)
     a = aut_group(entry.group())
     assert (len(seen), a.carrier.order, a.out_order) == (calls, aut_order, out_order)
+
+
+# -- the carrier by Schreier orbits ---------------------------------------------
+
+
+NAMED = ("C5^2:Q8", "A6", "S5", "S3wrC2", "(C3^2:Q8)xC2")
+
+
+def stabilizer_chain_elements(N):
+    """Aut(N) as the element-by-element enumeration of the stabilizer chain:
+    the automorphisms fixing gens[:k] and sending gens[k] to x are one
+    transporter times every automorphism fixing gens[:k+1].  Refuses past
+    the carrier cap exactly as aut_group does."""
+    cap = config.aut_carrier_cap()
+    search = autgroups.TransporterSearch.between(N, N)
+    gens, candidates = search.gens, search.candidates
+    identity = tuple(range(N.order))
+
+    def stab_elements(k):
+        if k == len(gens):
+            return [identity]
+        deeper = stab_elements(k + 1)
+        prefix = list(gens[:k])
+        out = []
+        for x in candidates[k]:
+            if not search.compatible(prefix, x):
+                continue
+            tau = identity if x == gens[k] else search.first(prefix + [x])
+            if tau is None:
+                continue
+            out.extend(mult(tau, sigma) for sigma in deeper)
+            if len(out) > cap:
+                raise AutBudgetError(f"automorphism group exceeds carrier cap {cap}")
+        return out
+
+    autos = stab_elements(0)
+    assert len(set(autos)) == len(autos)
+    return set(autos)
+
+
+@pytest.mark.parametrize("carrier_cap, refusals", [(None, 10), ("30", 492)])
+def test_carrier_matches_the_stabilizer_chain_enumeration(
+    catalog_entries, monkeypatch, carrier_cap, refusals
+):
+    """Every catalog group of order <= 63 and the named groups, each bundled
+    and relabelled: the same carrier, Inn and |Out|, or the same refusal."""
+    if carrier_cap is None:
+        monkeypatch.delenv("GASCHUETZ_AUT_CARRIER_CAP", raising=False)
+    else:
+        monkeypatch.setenv("GASCHUETZ_AUT_CARRIER_CAP", carrier_cap)
+    entries = [e for e in catalog_entries if "named-large" not in e.tags or e.name in NAMED]
+    refused = 0
+    for entry in entries:
+        for N in (entry.group(), relabelled(entry.group(), 7)):
+            try:
+                expected = stabilizer_chain_elements(N)
+            except AutBudgetError as err:
+                with pytest.raises(AutBudgetError, match=str(err)):
+                    aut_group(N)
+                refused += 1
+                continue
+            a = aut_group(N)
+            inn = close_set([conjugation_perm(N, g) for g in N._raw_gens], N.order)
+            assert a.carrier.element_set == expected, entry.name
+            assert a.inn.element_set == inn, entry.name
+            assert a.out_order == len(expected) // len(inn), entry.name
+    assert refused == refusals
+
+
+def test_carrier_cap_is_checked_before_the_closure(monkeypatch, capsys):
+    """|Aut(S3wrC2)| = 144: the orbit product is refused at cap 143 before
+    the transporters are closed, and built at 144."""
+    closures = []
+    inner = autgroups.close_set
+
+    def counted(*args, **kwargs):
+        closures.append(None)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(autgroups, "close_set", counted)
+    monkeypatch.setenv("GASCHUETZ_AUT_CARRIER_CAP", "143")
+    with pytest.raises(AutBudgetError, match="exceeds carrier cap 143"):
+        aut_group(build_named_group("S3wrC2"))
+    assert closures == []
+    monkeypatch.setenv("GASCHUETZ_AUT_CARRIER_CAP", "144")
+    assert aut_group(build_named_group("S3wrC2")).carrier.order == 144
+    assert len(closures) == 1
+
+    monkeypatch.delenv("GASCHUETZ_AUT_CARRIER_CAP")
+    assert main(["aut", "C2^4"]) == 1  # |GL(4, 2)| = 20160
+    assert capsys.readouterr().err == "error: automorphism group exceeds carrier cap 20000\n"
+
+
+@pytest.mark.parametrize("name", NAMED)
+def test_carrier_generators_are_irredundant_in_order(catalog_groups, name):
+    """Each carrier generator lies outside the closure of those before it,
+    so the quotient lift search and the class walks see no idle generator."""
+    G = next(G for e, G in catalog_groups if e.name == name)
+    carrier = aut_group(G).carrier
+    gens = carrier._raw_gens
+    for i, g in enumerate(gens):
+        assert g not in close_set(gens[:i], carrier.degree), i
+    assert close_set(gens, carrier.degree) == carrier.element_set
 
 
 def test_isomorphism_search_builds_few_columns():
