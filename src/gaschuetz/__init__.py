@@ -3,7 +3,6 @@
 from .perm import Permutation
 from .group import (
     FiniteGroup,
-    Homomorphism,
     intersection,
     is_normal,
     is_subgroup,

@@ -2,21 +2,22 @@
 
 aut_group backtracks over images of a small generating set of N.  The
 search runs on N's element indices, not on permutation tuples: a
-``ProductTable`` answers every product as a lookup, col(h)[y] being the
-index of y h, and builds a column from |N| products only when the search
-first reads h; element orders are memoized per index.  So the search
-costs one column per element it tries, never the full |N| x |N| table
-(the multiplication-table approach of Cannon and Holt, J. Symbolic
-Comput. 35, 2003).
+``group.ProductTable`` answers every product as a lookup, col(h)[y]
+being the index of y h, and builds a column from |N| products only
+when the search first reads h; element orders are memoized per index.
+So the search costs one column per element it tries, never the full
+|N| x |N| table (the multiplication-table approach of Cannon and Holt,
+J. Symbolic Comput. 35, 2003).
 
 Candidate images are filtered by cheap invariants (element order,
 centralizer size) and pruned by word-order signatures, which read only
 the columns of their two arguments.  A full assignment is accepted iff
-the generator images extend without conflict (``group.extend_images``,
-stepping through columns) to a table of |N| indices with |N| distinct
-values -- that table is then the automorphism as a permutation of the
-indices, so acceptance is exact, not heuristic.  The same search, run
-between two groups' tables, decides isomorphism (``TransporterSearch``).
+the generator images extend without conflict (``ProductTable.extend``,
+which also certifies ``ActionSpec``'s maps) to a table of |N| indices
+with |N| distinct values -- that table is then the automorphism as a
+permutation of the indices, so acceptance is exact, not heuristic.  The
+same search, run between two groups' tables, decides isomorphism
+(``TransporterSearch``).
 
 The carrier comes from the stabilizer chain of the generator base by
 Schreier orbits, the orbit-stabilizer step of Schreier-Sims (G. Butler,
@@ -37,7 +38,7 @@ from . import config
 from .complements import find_complement
 from .errors import AutBudgetError, PreconditionError
 from .group import (
-    FiniteGroup, close_set, conjugation_perm, extend_images, is_normal, orbit, reduce_generators,
+    FiniteGroup, ProductTable, close_set, conjugation_perm, is_normal, orbit, reduce_generators,
 )
 from .perm import Permutation, mult, perm_order, power
 from .structure import center, cosets, derived_subgroup, element_fingerprints
@@ -49,39 +50,6 @@ class AutGroup:
     carrier: FiniteGroup       # acts on the |N| elements of N
     inn: FiniteGroup           # conjugation images, normal in carrier
     out_order: int
-
-
-class ProductTable:
-    """G's multiplication on element indices, built one column at a time.
-
-    ``col(h)[y]`` is the index of y h; a column is built from |G| products
-    the first time it is read, so a search touching k elements as right
-    factors costs k |G| products, never a full |G| x |G| table.  Element
-    orders are memoized per index.  One table per group, cached on it.
-    """
-
-    def __init__(self, G: FiniteGroup):
-        self.elements = G.element_tuples
-        self.index = G.element_index
-        self.columns = {}
-        self.orders = {}
-
-    @classmethod
-    def of(cls, G: FiniteGroup) -> "ProductTable":
-        return G.cached("product_table", cls)
-
-    def col(self, h):
-        column = self.columns.get(h)
-        if column is None:
-            g, index = self.elements[h], self.index
-            column = self.columns[h] = [index[mult(y, g)] for y in self.elements]
-        return column
-
-    def order(self, x):
-        o = self.orders.get(x)
-        if o is None:
-            o = self.orders[x] = perm_order(self.elements[x])
-        return o
 
 
 def _word_sig(table, a, b):
@@ -102,12 +70,10 @@ def validate(source, target, gens, imgs):
     ``gens`` index elements generating the whole source group; n distinct
     values make the conflict-free table of ``extend_images`` a bijection.
     """
-    steps = [(source.col(g).__getitem__, target.col(h).__getitem__) for g, h in zip(gens, imgs)]
-    n = len(source.elements)
-    table = extend_images(steps, 0, 0, n)
-    if table is None or len(set(table.values())) != n:
+    images = source.extend(gens, target, imgs)
+    if images is None or len(set(images)) != len(images):
         return None
-    return tuple(map(table.__getitem__, range(n)))
+    return images
 
 
 class TransporterSearch:

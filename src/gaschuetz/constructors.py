@@ -17,7 +17,7 @@ from math import factorial
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, Homomorphism, element_perm, extend_images, right_mult_steps
+from .group import FiniteGroup, ProductTable, extend_images
 from .perm import (
     Permutation, direct_sum, identity_images, images_of, inverse, mult, perm_order, power,
 )
@@ -240,10 +240,10 @@ class ActionSpec:
     """A homomorphism acting -> Aut(target), one automorphism per generator.
 
     Each automorphism is given by its images of the target's generators,
-    certified as an endomorphism by ``Homomorphism`` and as a bijection
-    here, and kept as the permutation it induces on the target's element
-    indices; the homomorphism acting -> Aut(target) is certified at
-    construction too.
+    extended over the target's product table by ``ProductTable.extend``
+    as in the automorphism search, refused unless bijective, and kept as
+    the permutation it induces on the target's element indices; the
+    homomorphism acting -> Aut(target) is certified at construction too.
     """
 
     acting: FiniteGroup
@@ -266,12 +266,12 @@ class ActionSpec:
         if len(self.images) != len(acting.generators):
             raise PreconditionError("one automorphism required per acting generator")
         self._aut_maps = [self._as_automorphism(row) for row in self.images]
-        self._table = extend_images(
-            right_mult_steps(acting._raw_gens, self._aut_maps),
-            identity_images(acting.degree),
-            identity_images(target.order),
-            acting.order,
-        )
+        table = ProductTable.of(acting)
+        steps = [
+            (table.col(table.index[g]).__getitem__, lambda y, aut=aut: mult(y, aut))
+            for g, aut in zip(acting._raw_gens, self._aut_maps)
+        ]
+        self._table = extend_images(steps, 0, identity_images(target.order), acting.order)
         if self._table is None:
             raise PreconditionError(
                 "automorphism assignment does not extend to the acting group"
@@ -279,14 +279,20 @@ class ActionSpec:
 
     def _as_automorphism(self, row):
         """Turn generator images into the element index permutation; verify bijectivity."""
-        table = Homomorphism(self.target, self.target, row)._map
-        if len(set(table.values())) != len(table):
+        if len(row) != len(self.target.generators):
+            raise GroupError("one image required per source generator")
+        table, idx = ProductTable.of(self.target), self.target.element_index
+        gens = [idx[g] for g in self.target._raw_gens]
+        aut = table.extend(gens, table, [idx[e.images] for e in row])
+        if aut is None:
+            raise GroupError("generator images do not extend to a homomorphism")
+        if len(set(aut)) != len(aut):
             raise PreconditionError("generator images define a non-bijective map")
-        return element_perm(self.target, table.__getitem__)
+        return aut
 
     def automorphism_of(self, h):
         """Index permutation of the automorphism attached to an arbitrary element."""
-        return self._table[images_of(h)]
+        return self._table[self.acting.element_index[images_of(h)]]
 
     @classmethod
     def trivial(cls, acting, target):
@@ -316,9 +322,8 @@ class SemidirectProduct:
         self.h_image = FiniteGroup(degree, h_gens, order=H.order)
 
     def _n_point_perm(self, raw):
-        rinv = inverse(raw)
-        n_part = element_perm(self._N, lambda t: mult(t, rinv))
-        return direct_sum((n_part, self._h_identity))
+        table = ProductTable.of(self._N)
+        return direct_sum((table.col(table.index[inverse(raw)]), self._h_identity))
 
     def embed_n(self, x) -> Permutation:
         return Permutation._wrap(self._n_point_perm(images_of(x)))

@@ -11,6 +11,10 @@ Every closure is ``close_set``, Dimino's coset walk (G. Butler,
 closed group H grows to K by whole right cosets H y, found from coset
 representatives times generators, for about |K| + |K:H| |gens|
 products.  A seed passed to it must be closed; it is that H.
+
+A ``ProductTable`` holds a group's products on element indices, one lazy
+column per right factor; its ``extend`` certifies a map given by generator
+images, for the automorphism search and for actions into Aut(N) alike.
 """
 
 from __future__ import annotations
@@ -330,9 +334,45 @@ def extend_images(steps, identity, image_identity, size):
     return table if len(table) == size else None
 
 
-def right_mult_steps(gens, images):
-    """extend_images steps for tuple generators and tuple images."""
-    return [(lambda x, g=g: mult(x, g), lambda y, h=h: mult(y, h)) for g, h in zip(gens, images)]
+class ProductTable:
+    """G's multiplication on element indices, built one column at a time.
+
+    ``col(h)[y]`` is the index of y h; a column is built from |G| products
+    the first time it is read, so a search touching k elements as right
+    factors costs k |G| products, never a full |G| x |G| table.  Element
+    orders are memoized per index.  One table per group, cached on it.
+    """
+
+    def __init__(self, G: FiniteGroup):
+        self.elements = G.element_tuples
+        self.index = G.element_index
+        self.columns = {}
+        self.orders = {}
+
+    @classmethod
+    def of(cls, G: FiniteGroup) -> "ProductTable":
+        return G.cached("product_table", cls)
+
+    def col(self, h):
+        column = self.columns.get(h)
+        if column is None:
+            g, index = self.elements[h], self.index
+            column = self.columns[h] = [index[mult(y, g)] for y in self.elements]
+        return column
+
+    def order(self, x):
+        o = self.orders.get(x)
+        if o is None:
+            o = self.orders[x] = perm_order(self.elements[x])
+        return o
+
+    def extend(self, gens, target, imgs):
+        """gens[i] -> imgs[i] of ``target`` as a homomorphism: a tuple of target
+        indices, or None if the images do not extend over both tables' columns.
+        ``gens`` index elements generating the whole group."""
+        steps = [(self.col(g).__getitem__, target.col(h).__getitem__) for g, h in zip(gens, imgs)]
+        table = extend_images(steps, 0, 0, len(self.elements))
+        return None if table is None else tuple(map(table.__getitem__, range(len(table))))
 
 
 def orbit(start, gens, act):
@@ -360,49 +400,8 @@ def conjugate_by(x, pair):
     return mult(mult(g, x), ginv)
 
 
-def element_perm(G: FiniteGroup, f):
-    """The permutation of G's element indices that the element map f induces."""
-    idx = G.element_index
-    return tuple(idx[f(t)] for t in G.element_tuples)
-
-
 def conjugation_perm(G: FiniteGroup, g):
     """Conjugation x -> g x g^-1 as a permutation of G's element indices."""
     pair = (g, inverse(g))
-    return element_perm(G, lambda x: conjugate_by(x, pair))
-
-
-class Homomorphism:
-    """A map between groups, given by images of the source generators.
-
-    Consistency is certified at construction: ``extend_images`` returns
-    the map's table iff the images extend to a homomorphism.
-    """
-
-    def __init__(self, source: FiniteGroup, target: FiniteGroup, generator_images):
-        if len(generator_images) != len(source.generators):
-            raise GroupError("one image required per source generator")
-        imgs = [as_permutation(h, target.degree, "image") for h in generator_images]
-        self.source = source
-        self.target = target
-        self.generator_images = tuple(imgs)
-        self._map = extend_images(
-            right_mult_steps(source._raw_gens, [p.images for p in imgs]),
-            identity_images(source.degree),
-            identity_images(target.degree),
-            source.order,
-        )
-        if self._map is None:
-            raise GroupError("generator images do not extend to a homomorphism")
-
-    def __call__(self, g):
-        return Permutation._wrap(self._map[images_of(g)])
-
-    def image(self) -> FiniteGroup:
-        return FiniteGroup(
-            self.target.degree, self.generator_images or [self.target.identity]
-        )
-
-    def kernel(self) -> FiniteGroup:
-        tident = identity_images(self.target.degree)
-        return self.source.subgroup(x for x, fx in self._map.items() if fx == tident)
+    idx = G.element_index
+    return tuple(idx[conjugate_by(x, pair)] for x in G.element_tuples)

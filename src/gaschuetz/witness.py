@@ -149,6 +149,12 @@ def build_znthm(N: FiniteGroup, q: int) -> WitnessBundle:
     if gcd(q, N.order) != 1:
         raise PreconditionError(f"q = {q} must be coprime to |N| = {N.order}")
     zorder = z.order()
+    # |N| >= 2 makes |N|^q at least 2^q: past cap.bit_length() the order
+    # is refused before it is computed or printed, as in wreath_cyclic
+    if q >= config.element_cap().bit_length():
+        raise SizeLimitError(
+            f"construction needs a direct product of order {N.order}^{q + 1}*{q}"
+        )
     required = N.order ** (q + 1) * q // zorder
     if N.order * (N.order ** q * q) > config.element_cap():
         raise SizeLimitError(
@@ -400,6 +406,10 @@ def build_perfect(N: FiniteGroup, q: int) -> Embedding:
     if gcd(q, aut_order) != 1:
         raise PreconditionError(
             f"q = {q} must be coprime to |Aut(N)| = {aut_order}"
+        )
+    if N.order > 1 and q >= config.element_cap().bit_length():  # as in build_znthm
+        raise SizeLimitError(
+            f"the construction needs a group of order {q}*{N.order}^{q}*{aut_order}"
         )
     required = q * N.order ** q * aut_order
     raise SizeLimitError(

@@ -1,6 +1,27 @@
 import pytest
 
 from gaschuetz.catalog import load_bundled_catalog
+from gaschuetz.constructors import (
+    ActionSpec, binary_tetrahedral_matrices, cyclic, direct_product,
+)
+from gaschuetz.witness import baer_bundle
+
+
+@pytest.fixture
+def baer_blow_up():
+    """The Baer bundle, and its order-48 G acting on C5 x C5 through the
+    binary tetrahedral matrices and the scalar 2 over F5, the matrices
+    that build the bundle's G: the action of the coprime blow-up."""
+    b = baer_bundle()
+    L = direct_product(cyclic(5), cyclic(5))
+    e1, e2 = L.generators
+
+    def vec(a, c):
+        return (e1 ** a) * (e2 ** c)
+
+    mats5 = binary_tetrahedral_matrices(5) + [((2, 0), (0, 2))]
+    images = [[vec(m[0][0], m[1][0]), vec(m[0][1], m[1][1])] for m in mats5]
+    return b, ActionSpec(b.embedding.G, L, images)
 
 
 @pytest.fixture(scope="session")

@@ -136,6 +136,39 @@ def test_closed_stdout_exits_quietly():
     assert proc.returncode == 1 and proc.stderr == b""
 
 
+def _run_module(*argv):
+    """The CLI in a fresh interpreter, killed after 10 s."""
+    src = os.path.dirname(os.path.dirname(gaschuetz.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "gaschuetz", *argv], capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=10,
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "znthm", "--group", "D8", "--q", "4767"], "order 8^4768*4767"),
+        (["witness", "znthm", "--group", "SL23", "--q", "100000007"],
+         "order 24^100000008*100000007"),
+        (["complement", "--group", "S4", "--normal", "sylow3317044064679887385961981"],
+         "primality is decided below"),
+    ],
+    ids=["znthm-power-over-4300-digits", "znthm-huge-q", "sylow-past-primality-bound"],
+)
+def test_astronomical_numbers_refused_before_computing(argv, message):
+    proc = _run_module(*argv)
+    assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
+def test_sylow_selector_with_a_large_prime():
+    proc = _run_module("complement", "--group", "S4", "--normal", "sylow2305843009213693951")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert "complement of order-1 normal subgroup in S4: exists" in proc.stdout
+
+
 def test_full_search_implies_verify(capsys, monkeypatch):
     seen = []
 

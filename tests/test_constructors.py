@@ -28,7 +28,7 @@ from gaschuetz.constructors import (
 )
 from gaschuetz.errors import GroupError, PreconditionError, SizeLimitError
 from gaschuetz.group import intersection, normal_closure
-from gaschuetz.perm import mult, perm_order
+from gaschuetz.perm import identity_images, mult, perm_order
 from gaschuetz.structure import conjugacy_classes
 
 
@@ -121,6 +121,56 @@ def test_semidirect_degenerate_trivial_acting():
     assert sd.group.order == 6
 
 
+def _closed_map(gens, images, identity, image_identity):
+    """{x: f(x)} for the map gens[i] -> images[i], closed breadth-first over
+    tuple products and checked on every edge: the tuple-level reference
+    for the product-table certificate of ``ActionSpec``."""
+    f = {identity: image_identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for x in frontier:
+            for g, h in zip(gens, images):
+                y, fy = mult(x, g), mult(f[x], h)
+                if y not in f:
+                    f[y] = fy
+                    new.append(y)
+                assert f[y] == fy, "the images do not extend to a homomorphism"
+        frontier = new
+    return f
+
+
+def _assert_matches_tuple_oracle(spec):
+    """Every automorphism of spec equals the tuple-level map closed from its
+    generator images, then re-indexed on the target's elements."""
+    T, A = spec.target, spec.acting
+    idx, ident = T.element_index, identity_images(T.degree)
+    auts = []
+    for row in spec.images:
+        f = _closed_map(T._raw_gens, [e.images for e in row], ident, ident)
+        auts.append(tuple(idx[f[t]] for t in T.element_tuples))
+        assert sorted(auts[-1]) == list(range(T.order))
+    assert spec._aut_maps == auts
+    on_acting = _closed_map(
+        A._raw_gens, auts, identity_images(A.degree), identity_images(T.order)
+    )
+    assert len(on_acting) == A.order
+    for h in A.element_tuples:
+        assert spec.automorphism_of(h) == on_acting[h]
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+@pytest.mark.parametrize("helper", [quaternion_matrices, dihedral8_matrices])
+def test_action_spec_matches_tuple_oracle(helper, p):
+    _assert_matches_tuple_oracle(elementary_semidirect(p, helper(p)).spec)
+
+
+def test_trivial_and_blow_up_actions_match_tuple_oracle(baer_blow_up):
+    _assert_matches_tuple_oracle(ActionSpec.trivial(cyclic(4), symmetric(3)))
+    _assert_matches_tuple_oracle(ActionSpec.trivial(dihedral(8), quaternion8()))
+    _assert_matches_tuple_oracle(baer_blow_up[1])
+
+
 def test_action_spec_rejects_non_automorphism():
     N = cyclic(4)
     H = cyclic(2)
@@ -128,6 +178,15 @@ def test_action_spec_rejects_non_automorphism():
     sq = (N.generators[0] ** 2)
     with pytest.raises(PreconditionError):
         ActionSpec(H, N, [[sq]])
+
+
+def test_action_spec_names_the_non_bijective_map():
+    # a non-bijective map e never has e^k = 1, so the acting-side
+    # certificate refuses it as well; the message tells which check ran
+    N, H = cyclic(4), cyclic(2)
+    with pytest.raises(PreconditionError) as ei:
+        ActionSpec(H, N, [[N.generators[0] ** 2]])
+    assert str(ei.value) == "generator images define a non-bijective map"
 
 
 def test_action_spec_rejects_non_homomorphism():

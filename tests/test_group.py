@@ -1,13 +1,9 @@
-import itertools
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gaschuetz import (
     FiniteGroup,
-    Homomorphism,
     alternating,
-    cyclic,
     intersection,
     is_normal,
     is_subgroup,
@@ -148,28 +144,6 @@ def test_reduce_generators_small():
 def test_declared_order_cross_check():
     with pytest.raises(GroupError):
         FiniteGroup(3, [Permutation([1, 2, 0])], order=5).element_tuples
-
-
-def test_homomorphism_verification_accepts_and_rejects():
-    C6 = cyclic(6)
-    C3 = cyclic(3)
-    # x -> x^2 reduction: valid
-    h = Homomorphism(C6, C3, [C3.generators[0]])
-    assert h.kernel().order == 2
-    assert h.image().order == 3
-    # C3 has no element of order 6 to receive the generator faithfully:
-    C2 = cyclic(2)
-    with pytest.raises(GroupError):
-        Homomorphism(C3, C2, [C2.generators[0]])
-
-
-def test_homomorphism_respects_all_products():
-    S3 = symmetric(3)
-    C2 = cyclic(2)
-    sign = Homomorphism(S3, C2, [C2.generators[0], C2.identity])
-    for a, b in itertools.product(S3.elements, repeat=2):
-        assert sign(a * b) == sign(a) * sign(b)
-    assert sign.kernel().order == 3
 
 
 def test_close_set_matches_naive_closure(small_catalog_groups):

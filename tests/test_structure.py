@@ -20,7 +20,7 @@ from gaschuetz import (
     sylow,
     symmetric,
 )
-from gaschuetz.errors import NotNormalError, NotPrimeError
+from gaschuetz.errors import NotNormalError, NotPrimeError, PreconditionError
 from gaschuetz.group import close_set, orbit
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import inverse, mult, perm_order
@@ -30,6 +30,7 @@ from gaschuetz.structure import (
     conjugacy_classes,
     cosets,
     element_fingerprints,
+    is_prime,
     is_solvable,
     prime_factors,
 )
@@ -142,6 +143,34 @@ def test_sylow_s4():
 def test_sylow_rejects_composite():
     with pytest.raises(NotPrimeError):
         sylow(symmetric(3), 4)
+
+
+def _prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+# The least strong pseudoprimes to the first k prime bases, k = 1, 2, 4,
+# 5, 7, 9 and 12: the last passes every base but 41.
+_PSEUDOPRIMES = [
+    2047, 1373653, 3215031751, 2152302898747, 341550071728321,
+    3825123056546413051, 318665857834031151167461,
+]
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == _prime_by_trial_division(n) for n in range(-2, 20000))
+    assert not any(is_prime(n) for n in _PSEUDOPRIMES)
+    # the largest prime below 10^12 and two Mersenne primes
+    assert all(is_prime(p) for p in (10 ** 12 - 11, 2 ** 31 - 1, 2 ** 61 - 1))
+
+
+def test_is_prime_refuses_past_its_bound():
+    # the least strong pseudoprime to all 13 bases: no longer a proof
+    with pytest.raises(PreconditionError, match="primality is decided below"):
+        is_prime(3317044064679887385961981)
+    # a base that divides decides at any size
+    assert not is_prime(10 ** 5000)
+    assert not is_prime(41 * 10 ** 30)
 
 
 def test_sylow_oracle_various(small_catalog_groups):

@@ -9,7 +9,6 @@ from gaschuetz import (
     quaternion8,
     symmetric,
 )
-from gaschuetz.constructors import ActionSpec, binary_tetrahedral_matrices
 from gaschuetz.errors import GroupError, PreconditionError, SizeLimitError
 from gaschuetz.group import FiniteGroup
 from gaschuetz.witness import (
@@ -86,29 +85,11 @@ def test_blow_up_trivial_returns_original():
     assert blow_up(cyclic(1), b, None) is b
 
 
-def test_blow_up_baer_to_frobenius():
+def test_blow_up_baer_to_frobenius(baer_blow_up):
     """The order-48 example acts on the 5x5 translation plane; blowing up
     yields the order-1200 group over the order-200 Frobenius core."""
-    b = baer_bundle()
-    G = b.embedding.G
-    L = None
-    from gaschuetz.constructors import cyclic as _c, direct_product
-
-    L = direct_product(_c(5), _c(5))
-    # matrix images over F5 for the three binary-tetrahedral generators
-    # and the scalar 2, matching the construction of the bundle's G
-    mats5 = binary_tetrahedral_matrices(5) + [((2, 0), (0, 2))]
-    e1, e2 = L.generators
-
-    def vec(a, c):
-        return (e1 ** a) * (e2 ** c)
-
-    images = [
-        [vec(m[0][0], m[1][0]), vec(m[0][1], m[1][1])]
-        for m in mats5
-    ]
-    spec = ActionSpec(G, L, images)
-    big = blow_up(L, b, spec)
+    b, spec = baer_blow_up
+    big = blow_up(spec.target, b, spec)
     assert big.embedding.G.order == 1200
     assert big.embedding.N.order == 200
     assert big.embedding.G.order // big.embedding.H.order == 3
