@@ -101,7 +101,7 @@ class TransporterSearch:
         lists go first, to prune early.
         """
         fp_g, fp_h = element_fingerprints(G), element_fingerprints(H)
-        gens = reduce_generators(set(G.element_tuples), G.degree)
+        gens = reduce_generators(set(G.element_tuples), G.degree, within=G)
         cands = [[i for i, t in enumerate(H.element_tuples) if fp_h[t] == fp_g[g]] for g in gens]
         order_by = sorted(range(len(gens)), key=lambda i: (len(cands[i]), i))
         return cls(
@@ -172,13 +172,12 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
     if elements is None or len(elements) != order:
         raise AutBudgetError("internal: transporters do not close to the orbit product")
     carrier = FiniteGroup(n, transporters, elements=elements)
+    # generated_subgroup refuses a conjugation outside the carrier
     inn = carrier.generated_subgroup([conjugation_perm(N, g) for g in N._raw_gens])
 
     z = center(N).order
     if inn.order != N.order // z:
         raise AutBudgetError("internal: |Inn| != |N| / |Z(N)|")
-    if not inn.element_set <= carrier.element_set:
-        raise AutBudgetError("internal: inner automorphisms missing from carrier")
     if not is_normal(inn, carrier):
         raise AutBudgetError("internal: Inn not normal in carrier")
 

@@ -24,6 +24,7 @@ touched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import prod
 
 from .errors import NotNormalError, PreconditionError
@@ -35,6 +36,7 @@ from .group import (
     is_normal,
     is_subgroup,
     orbit,
+    product,
     reduce_generators,
 )
 from .perm import Permutation, identity_images, inverse, perm_order
@@ -78,24 +80,25 @@ def small_generating_set(Q: FiniteGroup) -> list[Permutation]:
         return []
     ident = identity_images(Q.degree)
     declared = dict.fromkeys(g for g in Q._raw_gens if g != ident)
-    gens = drop_redundant(list(declared), Q.degree, Q.order)
+    gens = drop_redundant(list(declared), Q.degree, Q.order, within=Q)
     if len(gens) > 4:
-        rebuilt = reduce_generators(set(Q.element_tuples), Q.degree)
+        rebuilt = reduce_generators(set(Q.element_tuples), Q.degree, within=Q)
         if len(rebuilt) < len(gens):
             gens = rebuilt
     return [Permutation._wrap(g) for g in gens]
 
 
-def _orbit_reps(candidates, N: FiniteGroup):
-    """Representatives of the N-conjugation orbits on the candidate list."""
+def _orbit_reps(candidates, N: FiniteGroup, G: FiniteGroup):
+    """Representatives of the N-conjugation orbits on candidates in G."""
     conj = [(g, inverse(g)) for g in N._raw_gens]
+    act = partial(conjugate_by, mul=product(G))
     cand_set = set(candidates)
     reps = []
     seen = set()
     for t in sorted(candidates):
         if t in seen:
             continue
-        orb = orbit(t, conj, conjugate_by)
+        orb = orbit(t, conj, act)
         if not orb <= cand_set:
             # conjugation must preserve the fiber and the order filter
             raise AssertionError("orbit left the candidate fiber")
@@ -128,7 +131,7 @@ def _search(G, N, *, collect_all=False):
     if not all(levels):
         return ComplementReport(False, None, full_space, 0), []
     if not collect_all:
-        levels[0] = _orbit_reps(levels[0], N)
+        levels[0] = _orbit_reps(levels[0], N, G)
     forbidden = frozenset(t for t in N.element_tuples if t != ident)
     found = []
     examined = 0
@@ -138,7 +141,7 @@ def _search(G, N, *, collect_all=False):
         last = len(lifts) + 1 == len(levels)
         for x in levels[len(lifts)]:
             trial = close_set(lifts + [x], degree, seed=closed,
-                              forbidden=forbidden, abort_over=index)
+                              forbidden=forbidden, abort_over=index, within=G)
             examined += last
             if trial is None:
                 continue
@@ -179,8 +182,9 @@ def complements_conjugate(G: FiniteGroup, N: FiniteGroup) -> bool:
         return False
     keys = {K.element_set for K in comps}
     gens = [(g, inverse(g)) for g in G._raw_gens]
+    mul = product(G)
 
     def conjugate_set(elems, pair):
-        return frozenset(conjugate_by(t, pair) for t in elems)
+        return frozenset(conjugate_by(t, pair, mul) for t in elems)
 
     return keys <= orbit(comps[0].element_set, gens, conjugate_set)

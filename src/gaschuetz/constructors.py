@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import config
-from .errors import GroupError, PreconditionError, SizeLimitError
+from .errors import GroupError, PreconditionError, SizeLimitError, order_text
 from .group import FiniteGroup, ProductTable, extend_images
 from .perm import (
     Permutation, direct_sum, identity_images, images_of, inverse, mult, perm_order, power,
@@ -201,7 +201,8 @@ def direct_product(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
     known = None
     if A._order is not None and B._order is not None:
         known = A._order * B._order
-        _refuse_over_cap(known, f"direct product of order {known} over element cap")
+        text = order_text(known, f"{A._order}*{B._order}")
+        _refuse_over_cap(known, f"direct product of order {text} over element cap")
     return FiniteGroup(A.degree + B.degree, gens, order=known)
 
 
@@ -222,9 +223,10 @@ def direct_power(A: FiniteGroup, k: int) -> FiniteGroup:
         raise PreconditionError(f"direct power exponent must be >= 1, got {k}")
     order = A.order
     if order > 1:
-        for _ in range(k - 1):
+        for j in range(2, k + 1):
             order *= A.order
-            _refuse_over_cap(order, f"direct product of order {order} over element cap")
+            text = order_text(order, f"{A.order}^{j}")
+            _refuse_over_cap(order, f"direct product of order {text} over element cap")
     degree = A.degree * k
     if degree > config.element_cap():
         raise SizeLimitError(f"direct power of degree {degree} over element cap")
@@ -421,7 +423,8 @@ def wreath_cyclic(N: FiniteGroup, q: int) -> WreathProduct:
     # order that large is refused before it is computed or printed
     small = q <= cap and (N.order == 1 or q < cap.bit_length())
     order = N.order ** q * q if small else None
-    _refuse_over_cap(order, f"wreath product would have order {order or f'{N.order}^{q}*{q}'}")
+    text = order_text(order, f"{N.order}^{q}*{q}")
+    _refuse_over_cap(order, f"wreath product would have order {text}")
     D = direct_power(N, q)
     d = N.degree
     if q == 1:

@@ -8,6 +8,17 @@ def quoted(text: str) -> str:
     return f"{text[:60]!r}... ({len(text)} characters)"
 
 
+def order_text(order, formula: str) -> str:
+    """An order for a message: in decimal, or as ``formula`` when it is None
+    or has more digits than the interpreter converts to a string."""
+    if order is None:
+        return formula
+    try:
+        return str(order)
+    except ValueError:
+        return formula
+
+
 class GroupError(Exception):
     """Base class for all engine errors."""
 

@@ -12,6 +12,14 @@ closed group H grows to K by whole right cosets H y, found from coset
 representatives times generators, for about |K| + |K:H| |gens|
 products.  A seed passed to it must be closed; it is that H.
 
+Products inside a group whose elements are known come from
+``product(G)``.  When the stabilizer of point 0 is trivial, as in a
+regular representation, an element is named by its image of 0, and
+x y is the element z with z[0] = x[y[0]]: one lookup instead of a
+degree-length tuple (Holt, Eick and O'Brien, *Handbook of Computational
+Group Theory*, 2005, ch. 4).  Otherwise it is ``perm.mult``.  Closures,
+conjugation orbits and cosets inside a known group take that product.
+
 A ``ProductTable`` holds a group's products on element indices, one lazy
 column per right factor; its ``extend`` certifies a map given by generator
 images, for the automorphism search and for actions into Aut(N) alike.
@@ -26,7 +34,8 @@ from .perm import (
 )
 
 
-def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=None):
+def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=None,
+              within=None):
     """Closure of raw image tuples under right multiplication, by cosets.
 
     Dimino's algorithm: the set grows by whole right cosets H y of a
@@ -48,6 +57,10 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
     abort_over: soft limit; exceeding it returns None (search pruning).
     forbidden: set of raw tuples; touching one returns None immediately
         (the identity is never treated as forbidden).
+    within: a group containing the generators and the seed; the walk
+        multiplies by ``product(within)``.  Once its elements are known, a
+        generator outside it raises GroupError, since a lookup would name
+        a wrong element.
 
     Returns the closed set of raw tuples, or None if aborted.  Each
     element is checked as it is added, so the limits and ``forbidden``
@@ -59,6 +72,12 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
     for g in gens:
         if len(g) != degree:
             raise DegreeMismatchError("generator degree mismatch")
+    mul = mult
+    if within is not None:
+        mul = product(within)
+        known = within._element_set
+        if known is not None and any(g not in known for g in gens):
+            raise GroupError("closure generator outside the ambient group")
     elements = set(seed or ())
     elements.add(ident)
     stages = [gens] if seed is not None else [gens[:i + 1] for i in range(len(gens))]
@@ -69,11 +88,11 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
         reps = [ident]
         for r in reps:  # the list grows while it is walked
             for g in stage:
-                y = mult(r, g)
+                y = mul(r, g)
                 if y in elements:
                     continue
                 for h in closed:
-                    x = mult(h, y)
+                    x = mul(h, y)
                     if forbidden is not None and x in forbidden:
                         return None
                     elements.add(x)
@@ -86,6 +105,35 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
                         return None
                 reps.append(y)
     return elements
+
+
+def product(G):
+    """(x, y) -> x y for elements of G, by lookup where G allows it.
+
+    When G's elements are known and no two share an image of point 0,
+    the product is the element with image x[y[0]] there: one list lookup
+    returning G's own tuple.  Otherwise it is ``mult``.  The choice is
+    cached on G once its elements are known; before that this returns
+    ``mult`` and caches nothing, since it never enumerates G.  A caller
+    about to walk G's elements reads them first, then takes the product.
+    """
+    if G._element_tuples is None:
+        return mult
+    return G.cached("product", _product)
+
+
+def _product(G):
+    elements = G._element_tuples
+    # more elements than points cannot all move 0 to different points
+    if len(elements) > G.degree or len({t[0] for t in elements}) < len(elements):
+        return mult
+    at = [None] * G.degree  # at[p]: the element moving 0 to p
+    for t in elements:
+        at[t[0]] = t
+
+    def lookup(x, y):
+        return at[x[y[0]]]
+    return lookup
 
 
 class FiniteGroup:
@@ -199,21 +247,22 @@ class FiniteGroup:
         """Wrap a known-closed element collection as a subgroup of self."""
         elems = {images_of(e) for e in elements}
         elems.add(identity_images(self.degree))
-        gens = reduce_generators(elems, self.degree)
+        gens = reduce_generators(elems, self.degree, within=self)
         return FiniteGroup(self.degree, gens, elements=elems)
 
     def generated_subgroup(self, gens) -> "FiniteGroup":
         raw = [images_of(g) for g in gens]
-        elems = close_set(raw, self.degree, cap=config.element_cap())
+        elems = close_set(raw, self.degree, cap=config.element_cap(), within=self)
         return FiniteGroup(self.degree, raw, elements=elems)
 
 
-def reduce_generators(elements, degree):
+def reduce_generators(elements, degree, *, within=None):
     """Pick a small generating set for a known element set, greedily.
 
     Scans elements by decreasing order (ties broken canonically) and adds
     one whenever it enlarges the generated subgroup, then drops the picks
-    that later ones made redundant.  Deterministic.
+    that later ones made redundant.  Deterministic.  ``within`` is a group
+    containing the elements, passed on to ``close_set``.
     """
     ident = identity_images(degree)
     if len(elements) == 1:
@@ -225,13 +274,13 @@ def reduce_generators(elements, degree):
         if cand in current:
             continue
         gens.append(cand)
-        current = close_set(gens, degree, seed=current)
+        current = close_set(gens, degree, seed=current, within=within)
         if len(current) == len(elements):
             break
-    return drop_redundant(gens, degree, len(elements))
+    return drop_redundant(gens, degree, len(elements), within=within)
 
 
-def drop_redundant(gens, degree, order):
+def drop_redundant(gens, degree, order, *, within=None):
     """gens, generating a group of ``order``, without the redundant ones.
 
     One forward pass drops each generator that the others still generate
@@ -244,7 +293,7 @@ def drop_redundant(gens, degree, order):
         if len(kept) == 1:
             break
         trial = [x for x in kept if x != g]
-        if len(close_set(trial, degree)) == order:
+        if len(close_set(trial, degree, within=within)) == order:
             kept = trial
     return kept
 
@@ -271,7 +320,7 @@ def normalizes(t, P: FiniteGroup) -> bool:
     """t P t^-1 = P: t conjugates every generator of P into P."""
     pair = (t, inverse(t))
     pset = P.element_set
-    return all(conjugate_by(g, pair) in pset for g in P._raw_gens)
+    return all(conjugate_by(g, pair, mult) in pset for g in P._raw_gens)
 
 
 def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -286,8 +335,9 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     ident = identity_images(G.degree)
     gens = [t for t in dict.fromkeys(map(images_of, seed)) if t != ident]
     pairs = [(g, inverse(g)) for g in G._raw_gens]
+    mul = product(G)
     cap = config.element_cap()
-    current = close_set(gens, G.degree, cap=cap)
+    current = close_set(gens, G.degree, cap=cap, within=G)
     # <gens> is normal once the conjugates of every generator lie in it,
     # so each round conjugates only the generators the last round added.
     added = list(gens)
@@ -295,12 +345,12 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
         new = {}
         for pair in pairs:
             for n in added:
-                c = conjugate_by(n, pair)
+                c = conjugate_by(n, pair, mul)
                 if c not in current:
                     new[c] = None
         if new:
             gens.extend(new)
-            current = close_set(gens, G.degree, seed=current, cap=cap)
+            current = close_set(gens, G.degree, seed=current, cap=cap, within=G)
         added = list(new)
     return G.subgroup(current)
 
@@ -338,14 +388,16 @@ class ProductTable:
     """G's multiplication on element indices, built one column at a time.
 
     ``col(h)[y]`` is the index of y h; a column is built from |G| products
-    the first time it is read, so a search touching k elements as right
-    factors costs k |G| products, never a full |G| x |G| table.  Element
+    by ``product(G)`` (lookups in a regular G) the first time it is read,
+    so a search touching k elements as right factors costs k |G|
+    products, never a full |G| x |G| table.  Element
     orders are memoized per index.  One table per group, cached on it.
     """
 
     def __init__(self, G: FiniteGroup):
         self.elements = G.element_tuples
         self.index = G.element_index
+        self.product = product(G)
         self.columns = {}
         self.orders = {}
 
@@ -356,8 +408,8 @@ class ProductTable:
     def col(self, h):
         column = self.columns.get(h)
         if column is None:
-            g, index = self.elements[h], self.index
-            column = self.columns[h] = [index[mult(y, g)] for y in self.elements]
+            g, index, mul = self.elements[h], self.index, self.product
+            column = self.columns[h] = [index[mul(y, g)] for y in self.elements]
         return column
 
     def order(self, x):
@@ -394,14 +446,22 @@ def orbit(start, gens, act):
     return seen
 
 
-def conjugate_by(x, pair):
-    """g x g^-1 for pair = (g, g^-1): conjugation as an ``orbit`` action."""
+def conjugate_by(x, pair, mul):
+    """g x g^-1 for pair = (g, g^-1) under the product ``mul``.
+
+    With ``partial(conjugate_by, mul=product(G))`` it is conjugation
+    inside G as an ``orbit`` action.
+    """
     g, ginv = pair
-    return mult(mult(g, x), ginv)
+    return mul(mul(g, x), ginv)
 
 
 def conjugation_perm(G: FiniteGroup, g):
-    """Conjugation x -> g x g^-1 as a permutation of G's element indices."""
+    """Conjugation x -> g x g^-1 as a permutation of G's element indices.
+
+    g need only normalize G; one in G conjugates by G's product.
+    """
     pair = (g, inverse(g))
     idx = G.element_index
-    return tuple(idx[conjugate_by(x, pair)] for x in G.element_tuples)
+    mul = product(G) if g in G.element_set else mult
+    return tuple(idx[conjugate_by(x, pair, mul)] for x in G.element_tuples)

@@ -14,22 +14,24 @@ from math import gcd
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, close_set, is_normal, normal_closure
-from .perm import identity_images, mult
+from .group import FiniteGroup, close_set, is_normal, normal_closure, product
+from .perm import identity_images
 from .structure import conjugacy_classes, prime_factors
 
 
 def _cyclic_generators(G: FiniteGroup):
     """The canonical generator of each nontrivial cyclic subgroup, sorted."""
     ident = identity_images(G.degree)
+    elements = G.element_tuples
+    mul = product(G)
     by_key = {}
-    for t in G.element_tuples:
+    for t in elements:
         if t == ident:
             continue
         powers = [ident, t]
         x = t
         while True:
-            x = mult(x, t)
+            x = mul(x, t)
             if x == ident:
                 break
             powers.append(x)
@@ -60,7 +62,7 @@ def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
             if all(g in xset for g in agens):
                 continue
             gens = list(X._raw_gens) + list(agens)
-            elems = close_set(gens, degree, seed=xset)
+            elems = close_set(gens, degree, seed=xset, within=G)
             key = frozenset(elems)
             if key not in found:
                 J = FiniteGroup(degree, gens, elements=elems)

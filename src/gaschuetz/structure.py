@@ -5,9 +5,12 @@ Commutator convention: [x, y] = x y x^-1 y^-1.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
     FiniteGroup, conjugate_by, intersection, is_normal, normal_closure, normalizes, orbit,
+    product,
 )
 from .perm import Permutation, images_of, inverse, mult, perm_order, power
 
@@ -158,8 +161,10 @@ def _grow_sylow(G: FiniteGroup, p: int) -> FiniteGroup:
 
 def centralizer_of_subgroup(G: FiniteGroup, A: FiniteGroup) -> FiniteGroup:
     agens = A._raw_gens
+    elements = G.element_tuples
+    mul = product(G)
     return G.subgroup(
-        {t for t in G.element_tuples if all(mult(t, a) == mult(a, t) for a in agens)}
+        {t for t in elements if all(mul(t, a) == mul(a, t) for a in agens)}
     )
 
 
@@ -170,12 +175,14 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
 
 def _conjugacy_classes(G: FiniteGroup) -> list[tuple]:
     gens = [(g, inverse(g)) for g in G._raw_gens]
+    elements = G.element_tuples
+    act = partial(conjugate_by, mul=product(G))
     seen = set()
     classes = []
-    for t in G.element_tuples:
+    for t in elements:
         if t in seen:
             continue
-        cls = orbit(t, gens, conjugate_by)
+        cls = orbit(t, gens, act)
         seen |= cls
         classes.append(tuple(sorted(cls)))
     classes.sort(key=lambda c: c[0])
@@ -208,10 +215,12 @@ def cosets(G: FiniteGroup, N: FiniteGroup):
     when its least member is met, so the first coset is N itself.
     """
     nelems = N.element_tuples
+    elements = G.element_tuples
+    mul = product(G)
     seen = set()
-    for t in G.element_tuples:
+    for t in elements:
         if t not in seen:
-            coset = tuple(sorted(mult(t, n) for n in nelems))
+            coset = tuple(sorted(mul(t, n) for n in nelems))
             seen.update(coset)
             yield coset
 
@@ -229,14 +238,17 @@ class QuotientProjection:
         self.source = source
         self.cosets = cosets
         self._index_of = {x: i for i, coset in enumerate(cosets) for x in coset}
+        self._product = product(source)
         self._perm_cache = {}
 
     def _image_raw(self, raw):
         got = self._perm_cache.get(raw)
         if got is None:
+            if raw not in self._index_of:
+                raise GroupError("projected element lies outside the source group")
             # left translation xN -> (g x)N, matching the group product
-            index_of = self._index_of
-            got = tuple(index_of[mult(raw, coset[0])] for coset in self.cosets)
+            index_of, mul = self._index_of, self._product
+            got = tuple(index_of[mul(raw, coset[0])] for coset in self.cosets)
             if len(self._perm_cache) < 4096:
                 self._perm_cache[raw] = got
         return got

@@ -46,7 +46,7 @@ from .constructors import (
     sl_2_3,
     wreath_cyclic,
 )
-from .errors import GroupError, PreconditionError, SizeLimitError
+from .errors import GroupError, PreconditionError, SizeLimitError, order_text
 from .group import FiniteGroup, is_normal, is_subgroup
 from .perm import Permutation, mult, perm_order
 from .structure import (
@@ -157,9 +157,11 @@ def build_znthm(N: FiniteGroup, q: int) -> WitnessBundle:
         )
     required = N.order ** (q + 1) * q // zorder
     if N.order * (N.order ** q * q) > config.element_cap():
+        power = f"{N.order}^{q + 1}*{q}"
         raise SizeLimitError(
             f"construction needs a direct product of order "
-            f"{N.order ** (q + 1) * q}; the quotient would have order {required}",
+            f"{order_text(N.order ** (q + 1) * q, power)}; "
+            f"the quotient would have order {order_text(required, f'{power}/{zorder}')}",
             required_order=required,
         )
     world = _WreathCentral(N, q, z)
@@ -412,8 +414,9 @@ def build_perfect(N: FiniteGroup, q: int) -> Embedding:
             f"the construction needs a group of order {q}*{N.order}^{q}*{aut_order}"
         )
     required = q * N.order ** q * aut_order
+    text = order_text(required, f"{q}*{N.order}^{q}*{aut_order}")
     raise SizeLimitError(
-        f"the construction needs a group of order {required}; "
+        f"the construction needs a group of order {text}; "
         f"cap is {config.element_cap()}",
         required_order=required,
     )

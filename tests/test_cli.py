@@ -136,12 +136,12 @@ def test_closed_stdout_exits_quietly():
     assert proc.returncode == 1 and proc.stderr == b""
 
 
-def _run_module(*argv):
-    """The CLI in a fresh interpreter, killed after 10 s."""
+def _run_module(*argv, **env):
+    """The CLI in a fresh interpreter with extra environment ``env``, killed after 10 s."""
     src = os.path.dirname(os.path.dirname(gaschuetz.__file__))
     return subprocess.run(
         [sys.executable, "-m", "gaschuetz", *argv], capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=src), timeout=10,
+        env=dict(os.environ, PYTHONPATH=src, **env), timeout=10,
     )
 
 
@@ -158,6 +158,24 @@ def _run_module(*argv):
 )
 def test_astronomical_numbers_refused_before_computing(argv, message):
     proc = _run_module(*argv)
+    assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert message in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["witness", "znthm", "--group", "D8", "--q", "4767"],
+         "order 8^4768*4767; the quotient would have order 8^4768*4767/2"),
+        (["verdict", "C8wrC4767"], "wreath product would have order 8^4767*4767"),
+    ],
+    ids=["znthm", "wreath"],
+)
+def test_orders_past_the_digit_limit_print_as_formulas(argv, message):
+    """Under a 1,501-digit element cap these orders are computed, refused,
+    and too long for a decimal string: the message gives them as formulas."""
+    proc = _run_module(*argv, GASCHUETZ_ELEMENT_CAP="1" + "0" * 1500)
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr

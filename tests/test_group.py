@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,11 +19,14 @@ from gaschuetz.errors import (
     NotNormalError,
     SizeLimitError,
 )
-from gaschuetz import group
+from gaschuetz import group, lattice
+from gaschuetz.autgroups import aut_group
 from gaschuetz.complements import find_complement
-from gaschuetz.group import close_set, reduce_generators
+from gaschuetz.constructors import cyclic
+from gaschuetz.group import close_set, product, reduce_generators
 from gaschuetz.perm import Permutation, identity_images, mult
 from gaschuetz.structure import quotient
+from test_autgroups import relabelled
 
 
 def brute_closure(gens, degree):
@@ -282,3 +287,102 @@ def test_close_set_products_are_pinned(catalog_groups, monkeypatch, name, produc
     assert len(close_set(gens, d, seed=seed)) == n
     assert (unseeded, len(seen) - unseeded) == (products, seeded)
     assert max(unseeded, seeded) < n * len(gens)
+
+
+# -- products by lookup ----------------------------------------------------------
+
+
+def test_product_lookup_agrees_with_mult(small_catalog_groups):
+    """On every regular group of order <= 63, bundled and relabelled, the
+    product is a lookup, equal to mult on every element times every
+    generator and on a seeded sample of pairs.  A5 on 5 points is the
+    one group there that is not regular."""
+    rng = random.Random(18)
+    irregular = []
+    for entry, bundled in small_catalog_groups:
+        for G in (bundled, relabelled(bundled, 3)):
+            elements = G.element_tuples
+            mul = product(G)
+            if len({t[0] for t in elements}) < len(elements):
+                assert mul is mult
+                irregular.append(entry.name)
+                continue
+            assert mul is not mult
+            for x in elements:
+                for g in G._raw_gens:
+                    assert mul(x, g) == mult(x, g)
+            for _ in range(64):
+                x, y = rng.choice(elements), rng.choice(elements)
+                assert mul(x, y) == mult(x, y)
+    assert irregular == ["A5", "A5"]
+
+
+def test_joins_within_the_group_match_plain_closures(small_catalog_groups, monkeypatch):
+    """Every join normal_subgroups_fast makes (its cache bypassed), closed
+    inside G by lookups, equals the same closure by mult."""
+    joins = []
+
+    def checked(gens, degree, *, within, **kw):
+        got = close_set(gens, degree, within=within, **kw)
+        assert got == close_set(gens, degree, **kw)
+        joins.append(within)
+        return got
+
+    monkeypatch.setattr(lattice, "close_set", checked)
+    for _, bundled in small_catalog_groups:
+        for G in (bundled, relabelled(bundled, 3)):
+            before = len(joins)
+            normals = lattice._joins(G, lattice._class_closures(G))
+            assert all(J is G for J in joins[before:])
+            assert len(joins) - before >= len(normals) - 1
+    assert joins
+
+
+def test_product_falls_back_to_mult(catalog_groups):
+    """A6, C5^2:Q8 and an Aut carrier fix no point 0 regularly: mult."""
+    by_name = {e.name: G for e, G in catalog_groups}
+    carrier = aut_group(by_name["Q8"]).carrier
+    for G in (by_name["A6"], by_name["C5^2:Q8"], carrier):
+        assert G.element_tuples and product(G) is mult
+
+
+def test_product_of_an_unenumerated_group_runs_no_closure(monkeypatch):
+    calls = []
+    real = group.close_set
+
+    def counted(*args, **kw):
+        calls.append(None)
+        return real(*args, **kw)
+
+    monkeypatch.setattr(group, "close_set", counted)
+    G = cyclic(6)
+    assert product(G) is mult
+    assert calls == [] and G._element_tuples is None
+    assert len(G.element_tuples) == 6 and len(calls) == 1
+    assert product(G) is not mult and len(calls) == 1
+
+
+def test_close_set_within_refuses_outside_generators():
+    """A generator outside the ambient would be named wrongly by a lookup."""
+    r = cyclic(6)._raw_gens[0]
+    r2 = mult(r, r)
+    C3 = FiniteGroup(6, [r2])
+    assert len(C3.element_tuples) == 3
+    with pytest.raises(GroupError):
+        close_set([r], 6, within=C3)
+    with pytest.raises(GroupError):
+        C3.generated_subgroup([r])
+    assert close_set([r2], 6, within=C3) == C3.element_set
+    # an ambient whose elements are unknown is not enumerated: mult closes
+    unknown = FiniteGroup(6, [r2])
+    assert len(close_set([r], 6, within=unknown)) == 6
+    assert unknown._element_tuples is None
+
+
+def test_projection_refuses_outside_elements():
+    G = cyclic(6)
+    r = G._raw_gens[0]
+    _, proj = quotient(G, G.generated_subgroup([mult(r, mult(r, r))]))
+    assert proj(r).order() == 3
+    with pytest.raises(GroupError):
+        proj((1, 0, 2, 3, 4, 5))

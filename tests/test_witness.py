@@ -111,6 +111,14 @@ def test_build_perfect_error_paths():
     assert ei.value.required_order == 7 * 60 ** 7 * 120
 
 
+def test_build_perfect_names_an_unprintable_order(monkeypatch):
+    """60^2423 has over 4,300 digits: the refusal gives the order as a formula."""
+    monkeypatch.setenv("GASCHUETZ_ELEMENT_CAP", "1" + "0" * 1500)
+    with pytest.raises(SizeLimitError, match=r"order 2423\*60\^2423\*120; cap is 10") as ei:
+        build_perfect(alternating(5), 2423)
+    assert ei.value.required_order == 2423 * 60 ** 2423 * 120
+
+
 def test_witness_bundle_serialization_shape():
     b = baer_bundle()
     data = json.loads(b.to_json())
