@@ -196,11 +196,15 @@ def is_characteristic(M: FiniteGroup, N: FiniteGroup) -> bool:
 
 
 def rose_criterion(N: FiniteGroup) -> bool:
-    """Trivial center and Inn(N) complemented in Aut(N).
+    """Trivial center and Inn(N) complemented in Aut(N); cached on N.
 
     Holding, it makes N complemented in every group embedding it
     normally.
     """
+    return N.cached("rose", _rose_criterion)
+
+
+def _rose_criterion(N: FiniteGroup) -> bool:
     if not center(N).is_trivial():
         return False
     aut = aut_group(N)

@@ -27,7 +27,6 @@ from .structure import (
     all_sylow_abelian,
     center,
     center_meet_derived,
-    derived_subgroup,
     is_abelian,
     is_metabelian,
     is_perfect,
@@ -69,26 +68,17 @@ def _rule_composite(N: FiniteGroup) -> list[str]:
 
     Returns the evidence when a reduction applies, an empty list otherwise.
     """
-    normals = normal_subgroups_fast(N)
-    # (ii): direct decompositions with characteristic factors
-    by_order = {}
-    for A in normals:
-        by_order.setdefault(A.order, []).append(A)
-    for A in normals:
-        if A.order in (1, N.order):
-            continue
-        want = N.order // A.order
-        for B in by_order.get(want, []):
-            if B.order in (1, N.order):
-                continue
-            if len(A.element_set & B.element_set) != 1:
-                continue
-            # fast gcd pre-filter for characteristic factors
-            if gcd(A.order // derived_subgroup(A).order, center(B).order) != 1:
-                continue
-            if gcd(B.order // derived_subgroup(B).order, center(A).order) != 1:
-                continue
-            if not (is_characteristic(A, N) and is_characteristic(B, N)):
+    chars = [
+        M for M in normal_subgroups_fast(N)
+        if M.order not in (1, N.order) and is_characteristic(M, N)
+    ]
+    if not chars:
+        return []
+    # (ii): direct decompositions with characteristic factors; such factors
+    # have gcd(|A:A'|, |Z(B)|) = 1, as f: A -> Z(B) gives ab -> a f(a) b
+    for A in chars:
+        for B in chars:
+            if A.order * B.order != N.order or len(A.element_set & B.element_set) != 1:
                 continue
             va, vb = verdict(A), verdict(B)
             if va.status == HOLDS and vb.status == HOLDS:
@@ -96,14 +86,8 @@ def _rule_composite(N: FiniteGroup) -> list[str]:
                     f"N = A x B with characteristic factors of orders "
                     f"{A.order} and {B.order}, both holding"
                 ]
-    # (iii) and (iv)
-    chars = [M for M in normals if M.order not in (1, N.order) and is_characteristic(M, N)]
-    z_order = center(N).order
-    out_order = None
-    try:
-        out_order = aut_group(N).out_order
-    except (AutBudgetError, SizeLimitError):
-        pass
+    # (iii) and (iv); is_characteristic has built Aut(N) already
+    z_out = center(N).order * aut_group(N).out_order
     for M in chars:
         Q, _ = quotient(N, M)
         if verdict(Q).status != HOLDS:
@@ -116,19 +100,13 @@ def _rule_composite(N: FiniteGroup) -> list[str]:
                 ]
         except (AutBudgetError, SizeLimitError):
             pass
-        if out_order is not None and gcd(M.order, z_order * out_order) == 1:
-            if all_sylow_abelian(M) and find_complement(N, M).exists:
-                return [
-                    f"characteristic M of order {M.order} coprime to "
-                    f"|Z(N)||Out(N)| = {z_order * out_order}, abelian Sylows, "
-                    f"complemented; N/M (order {Q.order}) holds"
-                ]
+        if gcd(M.order, z_out) == 1 and all_sylow_abelian(M) and find_complement(N, M).exists:
+            return [
+                f"characteristic M of order {M.order} coprime to "
+                f"|Z(N)||Out(N)| = {z_out}, abelian Sylows, "
+                f"complemented; N/M (order {Q.order}) holds"
+            ]
     return []
-
-
-# Exact facts several rules read, kept on N.
-def _rose(N: FiniteGroup) -> bool:
-    return N.cached("rose", rose_criterion)
 
 
 def _prop_special(N: FiniteGroup):
@@ -157,13 +135,13 @@ RULES = (
      lambda N: center_meet_derived(N).order == 1 and is_metabelian(N)
      and ["metabelian with Z(N) meet N' = 1"]),
     (HOLDS, "perfect-split", "perfect",
-     lambda N: center(N).is_trivial() and is_perfect(N) and _rose(N)
+     lambda N: center(N).is_trivial() and is_perfect(N) and rose_criterion(N)
      and ["perfect, centerless, inner automorphisms split off"]),
     (FAILS, "perfect-no-split", "perfect",
-     lambda N: center(N).is_trivial() and is_perfect(N) and not _rose(N)
+     lambda N: center(N).is_trivial() and is_perfect(N) and not rose_criterion(N)
      and ["perfect, centerless, inner automorphisms do not split off"]),
     (HOLDS, "rose", "rose",
-     lambda N: center(N).is_trivial() and _rose(N)
+     lambda N: center(N).is_trivial() and rose_criterion(N)
      and ["centerless, inner automorphisms split off"]),
     (FAILS, "prop-special", "special-pair", _prop_special),
     (HOLDS, "composite-2.8", "composite", lambda N: _rule_composite(N)),

@@ -10,8 +10,6 @@ lattice order cap.
 
 from __future__ import annotations
 
-from math import gcd
-
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
 from .group import FiniteGroup, close_set, is_normal, normal_closure, product
@@ -35,11 +33,9 @@ def _cyclic_generators(G: FiniteGroup):
             if x == ident:
                 break
             powers.append(x)
-        key = frozenset(powers)
-        order = len(powers)
-        if key not in by_key:
-            # t^i generates <t> exactly when gcd(i, |t|) = 1
-            by_key[key] = min(powers[i] for i in range(1, order) if gcd(i, order) == 1)
+        # elements come in canonical order: the first to generate a
+        # subgroup is its least generator
+        by_key.setdefault(frozenset(powers), t)
     return sorted(by_key.values())
 
 

@@ -150,6 +150,18 @@ def test_rose_and_completeness():
     assert rose_criterion(symmetric(5))
 
 
+def test_rose_criterion_is_cached_on_the_group(monkeypatch):
+    calls = []
+    find = autgroups.find_complement
+    monkeypatch.setattr(
+        autgroups, "find_complement", lambda *args: calls.append(args) or find(*args)
+    )
+    G = symmetric(4)
+    assert rose_criterion(G) and rose_criterion(G)
+    assert len(calls) == 1
+    assert G._cache["rose"] is True
+
+
 def test_rose_direct_product_reduction():
     # criterion passes to direct products of criterion groups
     S3 = symmetric(3)

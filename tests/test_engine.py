@@ -1,5 +1,6 @@
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from math import gcd
 
 import pytest
 
@@ -14,6 +15,7 @@ from gaschuetz import (
     wreath_cyclic,
 )
 from gaschuetz import engine
+from gaschuetz.autgroups import is_characteristic
 from gaschuetz.constructors import elementary_semidirect, quaternion_matrices
 from gaschuetz.engine import (
     FAILS,
@@ -28,6 +30,8 @@ from gaschuetz.engine import (
     verdict,
 )
 from gaschuetz.errors import GroupError, SizeLimitError
+from gaschuetz.lattice import normal_subgroups_fast
+from gaschuetz.structure import center, derived_subgroup, is_abelian
 
 
 def test_verdict_rule_constants_enforced():
@@ -117,7 +121,52 @@ def test_composite_rule_direct_factor():
     # product whose factors hold for different reasons
     G = direct_product(symmetric(4), cyclic(5))
     v = verdict(G)
-    assert v.status == HOLDS
+    assert (v.status, v.rule, v.evidence) == (
+        HOLDS, "composite-2.8",
+        ["N = A x B with characteristic factors of orders 5 and 24, both holding"],
+    )
+
+
+@pytest.mark.parametrize("name", ["G48_45", "G48_46"])
+def test_composite_rule_characteristic_quotient(catalog_groups, name):
+    # the two catalog groups the composite rule decides, both by clause (iii)
+    N = next(G for entry, G in catalog_groups if entry.name == name)
+    v = verdict(N)
+    assert (v.status, v.rule, v.evidence) == (
+        HOLDS, "composite-2.8",
+        ["characteristic M of order 12 splits off its inner automorphisms "
+         "and N/M (order 4) holds"],
+    )
+
+
+def test_direct_factor_with_a_map_into_the_other_center_is_not_characteristic(
+    small_catalog_groups,
+):
+    # N = A x B and a nontrivial f: A -> Z(B) give the automorphism
+    # ab -> a f(a) b, which moves A; the composite rule relies on it to draw
+    # its direct factors from the characteristic subgroups alone.  Abelian N
+    # never reaches that rule (and Aut(C2^5) is over the carrier cap).
+    pairs = blocked = 0
+    for entry, N in small_catalog_groups:
+        if is_abelian(N):
+            continue
+        normals = [A for A in normal_subgroups_fast(N) if A.order not in (1, N.order)]
+        for A in normals:
+            for B in normals:
+                if A.order * B.order != N.order or len(A.element_set & B.element_set) != 1:
+                    continue
+                pairs += 1
+                if gcd(A.order // derived_subgroup(A).order, center(B).order) > 1:
+                    blocked += 1
+                    assert not is_characteristic(A, N), (entry.name, A.order, B.order)
+    print(f"{pairs} ordered direct decompositions, {blocked} with gcd(|A:A'|, |Z(B)|) > 1")
+    assert (pairs, blocked) == (1622, 1464)
+
+
+def test_composite_rule_needs_no_aut_group_without_characteristic_subgroups():
+    A5 = alternating(5)
+    assert engine._rule_composite(A5) == []
+    assert "aut" not in A5._cache
 
 
 def test_explain_mentions_facts():

@@ -12,6 +12,7 @@ from gaschuetz import (
 from gaschuetz.errors import PreconditionError, SizeLimitError
 from gaschuetz.group import is_subgroup
 from gaschuetz.lattice import (
+    _cyclic_generators,
     all_subgroups,
     frattini,
     maximal_subgroups,
@@ -93,6 +94,15 @@ def test_size_cap(monkeypatch):
     monkeypatch.setenv("GASCHUETZ_LATTICE_CAP", "10")
     with pytest.raises(SizeLimitError):
         all_subgroups(symmetric(4))
+
+
+def test_cyclic_generators_are_the_least_generators(small_catalog_groups):
+    for entry, G in small_catalog_groups:
+        generators_of = {}
+        for t in G.element_tuples:
+            generators_of.setdefault(G.generated_subgroup([t]).element_set, []).append(t)
+        least = sorted(min(ts) for key, ts in generators_of.items() if len(key) > 1)
+        assert _cyclic_generators(G) == least, entry.name
 
 
 def test_normal_subgroup_paths_agree(small_catalog_groups):
