@@ -45,6 +45,8 @@ class CatalogEntry:
     tags: list[str] = field(default_factory=list)
 
     def group(self) -> FiniteGroup:
+        if self.degree > config.element_cap():
+            raise SizeLimitError(f"catalog group of degree {self.degree} over element cap")
         return FiniteGroup(self.degree, self.generators)
 
     def to_json(self) -> str:
@@ -74,7 +76,7 @@ def load_catalog(path) -> list[CatalogEntry]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
             raise CatalogError(f"line {lineno}: invalid JSON: {e}", line=lineno)
         try:
             degree, gens, tags = obj["degree"], obj["generators"], obj.get("tags", [])

@@ -313,14 +313,9 @@ def is_normal(N: FiniteGroup, G: FiniteGroup) -> bool:
     gset = G.element_set
     if any(n not in gset for n in N._raw_gens):
         return False
-    return all(normalizes(g, N) for g in G._raw_gens)
-
-
-def normalizes(t, P: FiniteGroup) -> bool:
-    """t P t^-1 = P: t conjugates every generator of P into P."""
-    pair = (t, inverse(t))
-    pset = P.element_set
-    return all(conjugate_by(g, pair, mult) in pset for g in P._raw_gens)
+    pairs = ((g, inverse(g)) for g in G._raw_gens)
+    return all(conjugate_by(n, pair, mult) in N.element_set
+               for pair in pairs for n in N._raw_gens)
 
 
 def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:

@@ -9,10 +9,10 @@ from functools import partial
 
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
-    FiniteGroup, conjugate_by, intersection, is_normal, normal_closure, normalizes, orbit,
+    FiniteGroup, close_set, conjugate_by, intersection, is_normal, normal_closure, orbit,
     product,
 )
-from .perm import Permutation, images_of, inverse, mult, perm_order, power
+from .perm import Permutation, images_of, inverse, mult, perm_order
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -108,15 +108,6 @@ def derived_series(G: FiniteGroup) -> list[FiniteGroup]:
             return series
 
 
-def _p_part(t, p):
-    """The p-element power of a raw tuple (identity if order is coprime to p)."""
-    o = perm_order(t)
-    m = o
-    while m % p == 0:
-        m //= p
-    return power(t, m)
-
-
 def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup; cached on G."""
     if not is_prime(p):
@@ -125,37 +116,32 @@ def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
 
 
 def _grow_sylow(G: FiniteGroup, p: int) -> FiniteGroup:
-    """A Sylow p-subgroup, grown from a p-element through normalizers.
+    """A Sylow p-subgroup: the p-group grown greedily in one pass over G.
 
-    While P is not yet full, its normalizer contains a p-element outside
-    P (standard Sylow theory), and adjoining it keeps a p-group.
+    G's elements are walked once in canonical order.  Each p-element t
+    outside P is adjoined when <P, t>, one closure bounded by |G|_p, is
+    still a p-group.  Every p-subgroup lies in a Sylow subgroup (Sylow's
+    theorem), so a maximal p-subgroup is Sylow, and the pass ends at one:
+    a p-element x refused against an earlier P0 inside the final P lies
+    in no p-group together with P, since <P0, x> lies in <P, x>.
     """
     n = G.order
     target = 1
     while n % p == 0:
         target *= p
         n //= p
-    if target == 1:
-        return FiniteGroup.trivial(G.degree)
-    seed = None
+    P = FiniteGroup.trivial(G.degree)
     for t in G.element_tuples:
-        if perm_order(t) % p == 0:
-            seed = _p_part(t, p)
+        if P.order == target:
             break
-    P = G.generated_subgroup([seed])
-    while P.order < target:
-        pset = P.element_set
-        found = None
-        for t in G.element_tuples:
-            if not normalizes(t, P):
-                continue
-            u = _p_part(t, p)
-            if u not in pset:
-                found = u
-                break
-        if found is None:
-            raise GroupError("sylow growth stalled (internal invariant violated)")
-        P = G.generated_subgroup(list(P._raw_gens) + [found])
+        if t in P.element_set or target % perm_order(t):
+            continue
+        gens = P._raw_gens + (t,)
+        elems = close_set(gens, G.degree, seed=P.element_set, abort_over=target, within=G)
+        if elems is not None and target % len(elems) == 0:
+            P = FiniteGroup(G.degree, gens, elements=elems)
+    if P.order != target:
+        raise GroupError("sylow pass ended below |G|_p (internal invariant violated)")
     return P
 
 

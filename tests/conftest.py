@@ -1,9 +1,12 @@
+import random
+
 import pytest
 
 from gaschuetz.catalog import load_bundled_catalog
 from gaschuetz.constructors import (
     ActionSpec, binary_tetrahedral_matrices, cyclic, direct_product,
 )
+from gaschuetz.group import FiniteGroup
 from gaschuetz.witness import baer_bundle
 
 
@@ -44,3 +47,20 @@ def small_catalog_groups(catalog_groups):
 @pytest.fixture(scope="session")
 def named_large_groups(catalog_groups):
     return [(e, G) for e, G in catalog_groups if "named-large" in e.tags]
+
+
+@pytest.fixture(scope="session")
+def relabelled():
+    """relabelled(G, seed): G with every generator conjugated by a seeded
+    permutation of its points."""
+    def relabel(G, seed):
+        sigma = list(range(G.degree))
+        random.Random(seed).shuffle(sigma)
+        gens = []
+        for g in G._raw_gens:
+            h = [0] * G.degree
+            for i, gi in enumerate(g):
+                h[sigma[i]] = sigma[gi]
+            gens.append(h)
+        return FiniteGroup(G.degree, gens)
+    return relabel

@@ -6,6 +6,8 @@ the session-scoped catalog fixtures, so caches warm up the way a single
 classification session would.
 """
 
+import hashlib
+import json
 import random
 import time
 from math import gcd
@@ -23,7 +25,8 @@ from gaschuetz import (
     wreath_cyclic,
 )
 from gaschuetz.autgroups import aut_group, is_complete, prop_special_search, rose_criterion
-from gaschuetz.catalog import classify, resolve_group
+from gaschuetz.catalog import classify, load_bundled_catalog, resolve_group
+from gaschuetz.cli import main
 from gaschuetz.complements import complements_conjugate, find_complement
 from gaschuetz.engine import FAILS, HOLDS, UNDECIDED, all_firings, fired_statuses, verdict
 from gaschuetz.group import is_subgroup
@@ -389,3 +392,32 @@ def test_classification_run_reports_undecided(catalog_entries):
         f"{s['fails']} fail, {s['undecided']} undecided ({undecided}), "
         f"0 contradictions"
     )
+
+
+# SHA-256 digests of whole outputs.  A change that is meant to keep every
+# answer, its evidence and every printed subgroup keeps these; one that
+# moves a digest says which output changed and why.
+BAER_JSON_DIGEST = "d2126d73b0caad70e7160edf1c4c7713417b241db92fd789311bcf5838e05e55"
+CLASSIFY_DIGESTS = {
+    False: "5c65d440fbf0233cf1bd59cf8fbd7e2328467f5cd6d96fad5f0e9bbeeaf1476b",
+    True: "44e043d85697ca0fea41bcfea12674a57145f7d068135acd8795a5eecb41c259",
+}
+
+
+def _sha256(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+def test_witness_baer_json_is_pinned(capsys):
+    # H is sylow(G, 2); its generators are printed
+    assert main(["witness", "baer", "--json"]) == 0
+    assert _sha256(capsys.readouterr().out) == BAER_JSON_DIGEST
+
+
+@pytest.mark.parametrize("check_exclusion", [False, True])
+def test_classification_report_is_pinned(check_exclusion):
+    report = classify(load_bundled_catalog(), check_exclusion=check_exclusion)
+    del report["timing"]
+    for row in report["groups"]:
+        del row["time_ms"]
+    assert _sha256(json.dumps(report, sort_keys=True)) == CLASSIFY_DIGESTS[check_exclusion]

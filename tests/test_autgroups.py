@@ -1,5 +1,4 @@
 import itertools
-import random
 from math import lcm
 
 import pytest
@@ -27,7 +26,7 @@ from gaschuetz.autgroups import (
 from gaschuetz.catalog import build_named_group
 from gaschuetz.cli import main
 from gaschuetz.errors import AutBudgetError, PreconditionError
-from gaschuetz.group import FiniteGroup, close_set, conjugation_perm, is_normal
+from gaschuetz.group import close_set, conjugation_perm, is_normal
 from gaschuetz.isomorphism import is_isomorphic
 from gaschuetz.perm import mult, perm_order
 from gaschuetz.structure import cosets
@@ -214,19 +213,6 @@ def test_baer_completeness_direction():
 # -- the product table and the index search ------------------------------------
 
 
-def relabelled(G, seed):
-    """G with every generator conjugated by a seeded permutation of its points."""
-    sigma = list(range(G.degree))
-    random.Random(seed).shuffle(sigma)
-    gens = []
-    for g in G._raw_gens:
-        h = [0] * G.degree
-        for i, gi in enumerate(g):
-            h[sigma[i]] = sigma[gi]
-        gens.append(h)
-    return FiniteGroup(G.degree, gens)
-
-
 def test_product_table_matches_mult_and_perm_order(small_catalog_groups):
     for entry, G in small_catalog_groups:
         table = ProductTable(G)  # uncached: the session's groups keep no full table
@@ -243,7 +229,7 @@ def test_product_table_is_cached_on_the_group():
 
 
 @pytest.mark.parametrize("name", ["C5^2:Q8", "A6", "(C3^2:Q8)xC2"])
-def test_isomorphic_to_relabelled_copy(catalog_entries, name):
+def test_isomorphic_to_relabelled_copy(catalog_entries, relabelled, name):
     entry = next(e for e in catalog_entries if e.name == name)
     for seed in (1, 2):
         assert is_isomorphic(entry.group(), relabelled(entry.group(), seed)), seed
@@ -320,7 +306,7 @@ def stabilizer_chain_elements(N):
 
 @pytest.mark.parametrize("carrier_cap, refusals", [(None, 10), ("30", 492)])
 def test_carrier_matches_the_stabilizer_chain_enumeration(
-    catalog_entries, monkeypatch, carrier_cap, refusals
+    catalog_entries, relabelled, monkeypatch, carrier_cap, refusals
 ):
     """Every catalog group of order <= 63 and the named groups, each bundled
     and relabelled: the same carrier, Inn and |Out|, or the same refusal."""
@@ -383,7 +369,7 @@ def test_carrier_generators_are_irredundant_in_order(catalog_groups, name):
     assert close_set(gens, carrier.degree) == carrier.element_set
 
 
-def test_isomorphism_search_builds_few_columns():
+def test_isomorphism_search_builds_few_columns(relabelled):
     """Over the Aut cap the table stays lazy: a full |G| x |G| table of
     S4wrC2 would hold 1,152 columns."""
     G = build_named_group("S4wrC2")
@@ -435,7 +421,7 @@ SWEPT = ("S3wrC2", "G48_52", "G52_5", "D38", "G39_2",
 
 
 @pytest.mark.parametrize("name", SWEPT)
-def test_prop_special_matches_the_full_sweep(catalog_groups, name):
+def test_prop_special_matches_the_full_sweep(catalog_groups, relabelled, name):
     G = next(G for e, G in catalog_groups if e.name == name)
     for N in (G, relabelled(G, 5)):
         hit = prop_special_search(N)

@@ -308,3 +308,20 @@ def test_malformed_catalog_entry_exit_code(tmp_path, capsys):
     path.write_text('{"name": "zero", "degree": 0, "generators": [], "tags": []}\n')
     rc, _, err = run(capsys, "classify", "--catalog", str(path))
     assert rc == 2 and err.startswith("error: line 1") and "degree" in err
+
+
+def test_catalog_degree_over_the_element_cap_exit_code(tmp_path, capsys):
+    path = tmp_path / "huge.jsonl"
+    path.write_text('{"name": "X", "degree": 1000000000000000, "generators": []}\n')
+    for argv in (["classify", "--catalog", str(path)], ["verdict", str(path)]):
+        rc, _, err = run(capsys, *argv)
+        assert rc == 1, argv
+        assert err == "error: catalog group of degree 1000000000000000 over element cap\n"
+
+
+def test_catalog_integer_too_long_to_convert_exit_code(tmp_path, capsys):
+    # past Python's default limit of 4,300 digits json.loads raises a plain ValueError
+    path = tmp_path / "long.jsonl"
+    path.write_text('{"name": "X", "degree": ' + "1" * 4301 + ', "generators": []}\n')
+    rc, _, err = run(capsys, "classify", "--catalog", str(path))
+    assert rc == 2 and err.startswith("error: line 1: invalid JSON") and err.count("\n") == 1

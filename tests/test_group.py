@@ -26,7 +26,6 @@ from gaschuetz.constructors import cyclic
 from gaschuetz.group import close_set, product, reduce_generators
 from gaschuetz.perm import Permutation, identity_images, mult
 from gaschuetz.structure import quotient
-from test_autgroups import relabelled
 
 
 def brute_closure(gens, degree):
@@ -292,7 +291,7 @@ def test_close_set_products_are_pinned(catalog_groups, monkeypatch, name, produc
 # -- products by lookup ----------------------------------------------------------
 
 
-def test_product_lookup_agrees_with_mult(small_catalog_groups):
+def test_product_lookup_agrees_with_mult(small_catalog_groups, relabelled):
     """On every regular group of order <= 63, bundled and relabelled, the
     product is a lookup, equal to mult on every element times every
     generator and on a seeded sample of pairs.  A5 on 5 points is the
@@ -317,7 +316,9 @@ def test_product_lookup_agrees_with_mult(small_catalog_groups):
     assert irregular == ["A5", "A5"]
 
 
-def test_joins_within_the_group_match_plain_closures(small_catalog_groups, monkeypatch):
+def test_joins_within_the_group_match_plain_closures(
+    small_catalog_groups, relabelled, monkeypatch
+):
     """Every join normal_subgroups_fast makes (its cache bypassed), closed
     inside G by lookups, equals the same closure by mult."""
     joins = []

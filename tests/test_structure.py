@@ -20,8 +20,9 @@ from gaschuetz import (
     sylow,
     symmetric,
 )
-from gaschuetz.errors import NotNormalError, NotPrimeError, PreconditionError
-from gaschuetz.group import close_set, orbit
+from gaschuetz import structure
+from gaschuetz.errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
+from gaschuetz.group import FiniteGroup, close_set, orbit
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.structure import (
@@ -138,6 +139,39 @@ def test_sylow_s4():
     assert oracle_sylow_order(S4, 2) == 8
     assert sylow(S4, 3).order == 3
     assert sylow(cyclic(6), 5).order == 1
+    Q8 = quaternion8()
+    assert sylow(Q8, 2).element_set == Q8.element_set
+
+
+def test_sylow_pass_ending_below_the_p_part_is_an_internal_error(monkeypatch):
+    # every closure refused: the pass ends at the trivial group
+    monkeypatch.setattr(structure, "close_set", lambda *args, **kwargs: None)
+    with pytest.raises(GroupError, match="internal invariant"):
+        sylow(symmetric(4), 2)
+
+
+def test_sylow_of_relabelled_groups(small_catalog_groups, relabelled):
+    """Every catalog group of order <= 63 under seeds 1 and 2: P = sylow(G, p)
+    has order |G|_p, is the group of its own generators, holds the least
+    nontrivial element of G whose order divides |G|_p, and all_sylow_abelian
+    agrees with the bundled group."""
+    cases = 0
+    for entry, bundled in small_catalog_groups:
+        for seed in (1, 2):
+            G = relabelled(bundled, seed)
+            for p in prime_factors(G.order):
+                target = p
+                while G.order % (target * p) == 0:
+                    target *= p
+                P = sylow(G, p)
+                assert P.order == target, (entry.name, seed, p)
+                assert FiniteGroup(G.degree, P._raw_gens).element_set == P.element_set
+                least = next(t for t in G.element_tuples[1:] if target % perm_order(t) == 0)
+                assert least in P.element_set, (entry.name, seed, p)
+                cases += 1
+            assert all_sylow_abelian(G) == all_sylow_abelian(bundled), (entry.name, seed)
+    print(f"\n[sylow] {cases} (group, seed, prime) cases")
+    assert cases == 1116
 
 
 def test_sylow_rejects_composite():
