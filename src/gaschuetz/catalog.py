@@ -127,6 +127,9 @@ def load_bundled_catalog() -> list[CatalogEntry]:
 # -- name grammar -------------------------------------------------------------
 
 _TOKEN = re.compile(r"\s*(wr|SL23|Q8|[CDSA]\d+|[x:^()]|\d+)")
+# Each parenthesis costs the parser three stack frames and the evaluator
+# one; no meaningful name comes near this depth.
+MAX_NESTING = 100
 
 
 class _Parser:
@@ -140,6 +143,7 @@ class _Parser:
             self.tokens.append(m.group(1))
             pos = m.end()
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -174,9 +178,15 @@ class _Parser:
         if tok is None:
             raise UnknownNameError("group name ended unexpectedly")
         if tok == "(":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise UnknownNameError(
+                    f"group name nests parentheses deeper than {MAX_NESTING}"
+                )
             node = self.expr()
             if self.take() != ")":
                 raise UnknownNameError("unbalanced parenthesis in group name")
+            self.depth -= 1
         else:
             _check_atom(tok)
             node = ("atom", tok)
@@ -276,22 +286,36 @@ def _canonical_semidirect(left_node, right_node) -> FiniteGroup:
 
 
 def _eval_node(node) -> FiniteGroup:
+    """The group a parsed name denotes.
+
+    The left-deep chains that ``x`` and ``wr`` build are walked by a loop,
+    so only parentheses, which the parser caps, deepen the recursion.  The
+    walk down checks each wreath top, and the walk up evaluates each right
+    operand, in the order a recursion down the left operands would.
+    """
+    steps = []  # (operator, right operand), from the top of the chain down
+    while node[0] in ("x", "wr"):
+        op, node, right = node
+        if op == "wr":
+            if right[0] != "atom" or not right[1].startswith("C"):
+                raise UnknownNameError("wreath tops must be cyclic: use AwrC<q>")
+            right = numeral(right[1][1:])
+        steps.append((op, right))
     kind = node[0]
     if kind == "atom":
-        return _build_atom(node[1])
-    if kind == "^":
-        return direct_power(_eval_node(node[1]), node[2])
-    if kind == "x":
-        return direct_product(_eval_node(node[1]), _eval_node(node[2]))
-    if kind == ":":
-        return _canonical_semidirect(node[1], node[2])
-    if kind == "wr":
-        right = node[2]
-        if right[0] != "atom" or not right[1].startswith("C"):
-            raise UnknownNameError("wreath tops must be cyclic: use AwrC<q>")
-        q = numeral(right[1][1:])
-        return wreath_cyclic(_eval_node(node[1]), q).group
-    raise UnknownNameError(f"cannot evaluate group expression node {kind!r}")
+        group = _build_atom(node[1])
+    elif kind == "^":
+        group = direct_power(_eval_node(node[1]), node[2])
+    elif kind == ":":
+        group = _canonical_semidirect(node[1], node[2])
+    else:
+        raise UnknownNameError(f"cannot evaluate group expression node {kind!r}")
+    for op, right in reversed(steps):
+        if op == "x":
+            group = direct_product(group, _eval_node(right))
+        else:
+            group = wreath_cyclic(group, right).group
+    return group
 
 
 def build_named_group(name: str) -> FiniteGroup:

@@ -14,7 +14,8 @@ from gaschuetz.catalog import (
     resolve_group,
     save_catalog,
 )
-from gaschuetz import cyclic, direct_product
+from gaschuetz import catalog, cyclic, direct_product
+from gaschuetz.constructors import direct_power, wreath_cyclic
 from gaschuetz import engine
 from gaschuetz.engine import FAILS, FAILS_RULES, HOLDS, HOLDS_RULES, all_firings, fired_statuses
 from gaschuetz.errors import CatalogError, SizeLimitError, UnknownNameError
@@ -234,6 +235,45 @@ def test_name_builds_the_order_it_promises(tree):
             return
     assert order is not None and not over, name
     assert built == order, name
+
+
+def _recursive_eval(node):
+    """The evaluation down the left operands that catalog._eval_node unrolls."""
+    kind = node[0]
+    if kind == "atom":
+        return catalog._build_atom(node[1])
+    if kind == "^":
+        return direct_power(_recursive_eval(node[1]), node[2])
+    if kind == "x":
+        return direct_product(_recursive_eval(node[1]), _recursive_eval(node[2]))
+    if kind == ":":
+        return catalog._canonical_semidirect(node[1], node[2])
+    top = node[2]
+    if top[0] != "atom" or not top[1].startswith("C"):
+        raise UnknownNameError("wreath tops must be cyclic: use AwrC<q>")
+    return wreath_cyclic(_recursive_eval(node[1]), int(top[1][1:])).group
+
+
+@settings(deadline=None, max_examples=300, derandomize=True)
+@given(_NAMES)
+def test_name_evaluation_matches_the_recursive_one(tree):
+    """Every name builds the same generators, or fails with the same error,
+    as a plain recursion over its parse tree."""
+    try:
+        node = catalog._Parser(_render(tree)).parse()
+    except UnknownNameError:
+        return
+
+    def outcome(evaluate):
+        try:
+            G = evaluate(node)
+        except (UnknownNameError, SizeLimitError) as e:
+            return type(e), str(e)
+        return G.degree, G._raw_gens
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("GASCHUETZ_ELEMENT_CAP", str(_CAP))
+        assert outcome(catalog._eval_node) == outcome(_recursive_eval)
 
 
 def test_resolution_falls_back_to_catalog(catalog_entries):

@@ -121,6 +121,26 @@ def test_long_input_is_echoed_briefly(capsys, argv):
     assert err.count("\n") == 1 and len(err) < 200
 
 
+def test_deeply_nested_name_exit_code(capsys):
+    """Parentheses past the parser's nesting cap are refused, not recursed into."""
+    rc, _, err = run(capsys, "verdict", "(" * 3000 + "C2" + ")" * 3000)
+    assert rc == 2 and err.startswith("error: ") and err.count("\n") == 1
+    rc, out, _ = run(capsys, "verdict", "(" * 100 + "C2" + ")" * 100)
+    assert rc == 0 and "abelian of order 2" in out
+
+
+@pytest.mark.parametrize(
+    "op, atom, code, text",
+    [("x", "C1", 0, "abelian of order 1"), ("x", "C2", 1, "order 32768 over element cap"),
+     ("wr", "C2", 1, "order 32768")],
+)
+def test_long_chain_names_are_evaluated_by_a_loop(capsys, op, atom, code, text):
+    """3,000 factors build a left-deep tree that the evaluator walks by a loop."""
+    rc, out, err = run(capsys, "verdict", op.join([atom] * 3000))
+    assert rc == code and text in (out if code == 0 else err)
+    assert code == 0 or err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_closed_stdout_exits_quietly():
     reader, writer = os.pipe()
     os.close(reader)  # the pipe has no reader before the command writes

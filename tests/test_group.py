@@ -23,9 +23,10 @@ from gaschuetz import group, lattice
 from gaschuetz.autgroups import aut_group
 from gaschuetz.complements import find_complement
 from gaschuetz.constructors import cyclic
-from gaschuetz.group import close_set, product, reduce_generators
-from gaschuetz.perm import Permutation, identity_images, mult
+from gaschuetz.group import ProductTable, base, close_set, product, reduce_generators
+from gaschuetz.perm import Permutation, identity_images, inverse, mult
 from gaschuetz.structure import quotient
+from gaschuetz.witness import build_znthm
 
 
 def brute_closure(gens, degree):
@@ -291,29 +292,70 @@ def test_close_set_products_are_pinned(catalog_groups, monkeypatch, name, produc
 # -- products by lookup ----------------------------------------------------------
 
 
-def test_product_lookup_agrees_with_mult(small_catalog_groups, relabelled):
-    """On every regular group of order <= 63, bundled and relabelled, the
-    product is a lookup, equal to mult on every element times every
-    generator and on a seeded sample of pairs.  A5 on 5 points is the
-    one group there that is not regular."""
-    rng = random.Random(18)
-    irregular = []
-    for entry, bundled in small_catalog_groups:
-        for G in (bundled, relabelled(bundled, 3)):
-            elements = G.element_tuples
-            mul = product(G)
-            if len({t[0] for t in elements}) < len(elements):
-                assert mul is mult
-                irregular.append(entry.name)
-                continue
-            assert mul is not mult
-            for x in elements:
-                for g in G._raw_gens:
-                    assert mul(x, g) == mult(x, g)
-            for _ in range(64):
-                x, y = rng.choice(elements), rng.choice(elements)
-                assert mul(x, y) == mult(x, y)
-    assert irregular == ["A5", "A5"]
+# the catalog groups where some non-identity element fixes point 0, with the
+# length of the base the stabilizer descent finds for each
+IRREGULAR_BASES = {
+    "A5": 3, "S5": 4, "A6": 4, "S3wrC2": 4,
+    "C3^2:Q8": 2, "C5^2:Q8": 2, "C5^2:D8": 3, "(C3^2:Q8)xC2": 3,
+}
+
+
+def test_product_by_base_images_agrees_with_mult(catalog_groups, relabelled):
+    """In every enumerated group the product is a lookup by base images,
+    equal to mult on every element times every generator and on a seeded
+    sample of pairs: all catalog groups, bundled and relabelled, the Aut
+    carriers of Q8 and C5^2:Q8, the direct product P behind the D8, q = 3
+    witness, and an order-1 group.  A regular group's base is [0], and the
+    order-1 group's is empty."""
+    by_name = {e.name: G for e, G in catalog_groups}
+    extra = [aut_group(by_name[n]).carrier for n in ("Q8", "C5^2:Q8")]
+    extra.append(build_znthm(by_name["D8"], 3).construction.P)
+    extra.append(FiniteGroup.trivial(3))
+    rng = random.Random(21)
+    irregular = {}
+    cases = [(e.name, G) for e, bundled in catalog_groups
+             for G in (bundled, relabelled(bundled, 3))]
+    for name, G in cases + [(None, G) for G in extra]:
+        elements = G.element_tuples
+        mul = product(G)
+        assert mul is not mult
+        if len(elements) == 1:
+            assert base(G) == []
+        elif len({t[0] for t in elements}) == len(elements):
+            assert base(G) == [0]
+        elif name is not None:
+            irregular.setdefault(name, len(base(G)))
+        for x in elements:
+            for g in G._raw_gens:
+                assert mul(x, g) == mult(x, g)
+        for _ in range(64):
+            x, y = rng.choice(elements), rng.choice(elements)
+            assert mul(x, y) == mult(x, y)
+    assert irregular == IRREGULAR_BASES
+    assert [len(base(G)) for G in extra] == [2, 2, 4, 0]
+
+
+def test_product_table_never_calls_mult(catalog_groups, monkeypatch):
+    """Once a group's elements are known, its product-table columns come
+    from lookups alone, in regular and non-regular groups alike."""
+    by_name = {e.name: G for e, G in catalog_groups}
+    groups = [FiniteGroup(G.degree, G._raw_gens) for G in
+              [by_name[n] for n in [*IRREGULAR_BASES, "Q8", "G48_51"]]
+              + [aut_group(by_name["Q8"]).carrier]]
+    for G in groups:
+        assert G.element_tuples
+    calls = []
+
+    def counted(x, y):
+        calls.append(None)
+        return mult(x, y)
+
+    monkeypatch.setattr(group, "mult", counted)
+    for G in groups:
+        table = ProductTable(G)
+        for h in range(len(G.element_tuples)):
+            table.col(h)
+    assert calls == []
 
 
 def test_joins_within_the_group_match_plain_closures(
@@ -339,12 +381,27 @@ def test_joins_within_the_group_match_plain_closures(
     assert joins
 
 
-def test_product_falls_back_to_mult(catalog_groups):
-    """A6, C5^2:Q8 and an Aut carrier fix no point 0 regularly: mult."""
-    by_name = {e.name: G for e, G in catalog_groups}
-    carrier = aut_group(by_name["Q8"]).carrier
-    for G in (by_name["A6"], by_name["C5^2:Q8"], carrier):
-        assert G.element_tuples and product(G) is mult
+def test_is_normal_agrees_with_conjugation_by_mult(small_catalog_groups):
+    """is_normal conjugates by G's product; the same test by mult agrees on
+    every catalog group of order <= 63 for: each normal subgroup N in G
+    (normal), G in N (outside unless N = G), and each cyclic subgroup in G."""
+    def by_mult(N, G):
+        return all(n in G.element_set for n in N._raw_gens) and all(
+            mult(mult(g, n), inverse(g)) in N.element_set
+            for g in G._raw_gens for n in N._raw_gens
+        )
+
+    seen = {True: 0, False: 0}
+    for _, G in small_catalog_groups:
+        cyclics = {frozenset(close_set([t], G.degree)) for t in G.element_tuples}
+        cases = [(N, G) for N in lattice.normal_subgroups_fast(G)]
+        cases += [(G, N) for N, _ in cases]
+        cases += [(G.subgroup(C), G) for C in cyclics]
+        for N, M in cases:
+            got = is_normal(N, M)
+            assert got == by_mult(N, M)
+            seen[got] += 1
+    assert seen[True] > 0 and seen[False] > 0
 
 
 def test_product_of_an_unenumerated_group_runs_no_closure(monkeypatch):
