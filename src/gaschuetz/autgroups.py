@@ -144,26 +144,23 @@ def _aut_group(N: FiniteGroup, carrier_cap: int | None) -> AutGroup:
 
     search = TransporterSearch.between(N, N)
     gens, candidates = search.gens, search.candidates
-    transporters, order = [], 1
-
-    def act(x, automorphism):
-        return automorphism[x]
-
+    transporters, moves, order = [], [], 1
     for k in reversed(range(len(gens))):
         # every transporter so far fixes gens[:k]: orbits under them lie
         # inside the orbits of the automorphisms fixing gens[:k]
         prefix = list(gens[:k])
-        reached = orbit(gens[k], transporters, act)
+        reached = orbit(gens[k], moves)
         ruled_out = set()
         for x in candidates[k]:
             if x in reached or x in ruled_out or not search.compatible(prefix, x):
                 continue
             tau = search.first(prefix + [x])
             if tau is None:
-                ruled_out |= orbit(x, transporters, act)
+                ruled_out |= orbit(x, moves)
             else:
                 transporters.append(tau)
-                reached = orbit(gens[k], transporters, act)
+                moves.append(tau.__getitem__)
+                reached = orbit(gens[k], moves)
         order *= len(reached)
         if order > cap:
             raise AutBudgetError(f"automorphism group exceeds carrier cap {cap}")

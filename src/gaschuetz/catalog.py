@@ -34,7 +34,7 @@ from .engine import FAILS, HOLDS, UNDECIDED, all_firings, verdict
 from .errors import CatalogError, SizeLimitError, UnknownNameError, quoted
 from .group import FiniteGroup
 from .perm import perm_order
-from .structure import is_prime, prime_factors
+from .structure import is_prime, quotient
 
 
 @dataclass
@@ -421,42 +421,15 @@ def report_consistent(report: dict) -> bool:
 
 
 def abelian_invariants(G: FiniteGroup) -> list[int]:
-    """Invariant factors d1 | d2 | ... of an abelian group, from order counts."""
-    if G.order == 1:
-        return [1]
-    orders = [perm_order(t) for t in G.element_tuples]
-    parts: dict[int, list[int]] = {}
-    for p in prime_factors(G.order):
-        # r_i = number of cyclic p-factors with exponent >= i
-        ranks = []
-        prev = 1
-        i = 1
-        while True:
-            c = sum(1 for o in orders if (p ** i) % o == 0)
-            if c == prev:
-                break
-            ratio, r = c // prev, 0
-            while ratio > 1:
-                ratio //= p
-                r += 1
-            ranks.append(r)
-            prev = c
-            i += 1
-        factors = []
-        for j, r in enumerate(ranks):
-            nxt = ranks[j + 1] if j + 1 < len(ranks) else 0
-            factors.extend([p ** (j + 1)] * (r - nxt))
-        parts[p] = sorted(factors, reverse=True)
-    depth = max(len(v) for v in parts.values())
-    invariant = []
-    for i in range(depth):
-        d = 1
-        for lst in parts.values():
-            if i < len(lst):
-                d *= lst[i]
-        invariant.append(d)
-    invariant.sort()
-    return invariant
+    """Invariant factors d1 | d2 | ... of an abelian group, largest first split off
+    by quotients: a cyclic subgroup of largest order is a direct factor.
+    """
+    orders = []
+    while G.order > 1:
+        d, x = max((perm_order(t), t) for t in G.element_tuples)
+        orders.append(d)
+        G, _ = quotient(G, G.generated_subgroup([x]))
+    return sorted(orders) or [1]
 
 
 def abelian_name(G: FiniteGroup) -> str:

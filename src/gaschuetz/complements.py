@@ -24,22 +24,20 @@ touched.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 from math import prod
 
 from .errors import NotNormalError, PreconditionError
 from .group import (
     FiniteGroup,
     close_set,
-    conjugate_by,
+    conjugations,
     drop_redundant,
     is_normal,
     is_subgroup,
     orbit,
-    product,
     reduce_generators,
 )
-from .perm import Permutation, identity_images, inverse, perm_order
+from .perm import Permutation, identity_images, perm_order
 from .structure import quotient
 
 
@@ -90,15 +88,14 @@ def small_generating_set(Q: FiniteGroup) -> list[Permutation]:
 
 def _orbit_reps(candidates, N: FiniteGroup, G: FiniteGroup):
     """Representatives of the N-conjugation orbits on candidates in G."""
-    conj = [(g, inverse(g)) for g in N._raw_gens]
-    act = partial(conjugate_by, mul=product(G))
+    conj = conjugations(G, N._raw_gens)
     cand_set = set(candidates)
     reps = []
     seen = set()
     for t in sorted(candidates):
         if t in seen:
             continue
-        orb = orbit(t, conj, act)
+        orb = orbit(t, conj)
         if not orb <= cand_set:
             # conjugation must preserve the fiber and the order filter
             raise AssertionError("orbit left the candidate fiber")
@@ -181,10 +178,6 @@ def complements_conjugate(G: FiniteGroup, N: FiniteGroup) -> bool:
     if not comps:
         return False
     keys = {K.element_set for K in comps}
-    gens = [(g, inverse(g)) for g in G._raw_gens]
-    mul = product(G)
-
-    def conjugate_set(elems, pair):
-        return frozenset(conjugate_by(t, pair, mul) for t in elems)
-
-    return keys <= orbit(comps[0].element_set, gens, conjugate_set)
+    on_sets = [lambda elems, c=c: frozenset(map(c, elems))
+               for c in conjugations(G, G._raw_gens)]
+    return keys <= orbit(comps[0].element_set, on_sets)

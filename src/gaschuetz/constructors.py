@@ -427,11 +427,13 @@ def wreath_cyclic(N: FiniteGroup, q: int) -> WreathProduct:
     _refuse_over_cap(order, f"wreath product would have order {text}")
     D = direct_power(N, q)
     d = N.degree
+    gens = D._raw_gens
     if q == 1:
-        alpha = identity_images(D.degree)
+        alpha = identity_images(D.degree)  # no generator: each q = 1 level would add one
     else:
         alpha = tuple(((c + 1) % q) * d + i for c in range(q) for i in range(d))
-    W = FiniteGroup(D.degree, D._raw_gens + (alpha,), order=order)
+        gens += (alpha,)
+    W = FiniteGroup(D.degree, gens, order=order)
     return WreathProduct(
         group=W,
         base=D,

@@ -21,8 +21,9 @@ lookup instead of composing a degree-length tuple (Seress, *Permutation
 Group Algorithms*, 2003, ch. 4; Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005, 4.4).  A regular group's base is the
 point 0.  ``perm.mult`` stays for groups whose elements are not known
-yet.  Closures, normality tests, conjugation orbits and cosets inside a
-known group take that product.
+yet.  Closures, normality tests, cosets and conjugation (the maps
+``conjugations`` builds, which ``orbit`` walks) inside a known group take
+that product.
 
 A ``ProductTable`` holds a group's products on element indices, one lazy
 column per right factor; its ``extend`` certifies a map given by generator
@@ -353,10 +354,8 @@ def is_normal(N: FiniteGroup, G: FiniteGroup) -> bool:
     gset = G.element_set
     if any(n not in gset for n in N._raw_gens):
         return False
-    pairs = ((g, inverse(g)) for g in G._raw_gens)
-    mul = product(G)
-    return all(conjugate_by(n, pair, mul) in N.element_set
-               for pair in pairs for n in N._raw_gens)
+    return all(c(n) in N.element_set
+               for c in conjugations(G, G._raw_gens) for n in N._raw_gens)
 
 
 def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -370,8 +369,7 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     """Smallest normal subgroup of G containing the seed elements."""
     ident = identity_images(G.degree)
     gens = [t for t in dict.fromkeys(map(images_of, seed)) if t != ident]
-    pairs = [(g, inverse(g)) for g in G._raw_gens]
-    mul = product(G)
+    conj = conjugations(G, G._raw_gens)
     cap = config.element_cap()
     current = close_set(gens, G.degree, cap=cap, within=G)
     # <gens> is normal once the conjugates of every generator lie in it,
@@ -379,11 +377,11 @@ def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     added = list(gens)
     while added:
         new = {}
-        for pair in pairs:
+        for c in conj:
             for n in added:
-                c = conjugate_by(n, pair, mul)
-                if c not in current:
-                    new[c] = None
+                x = c(n)
+                if x not in current:
+                    new[x] = None
         if new:
             gens.extend(new)
             current = close_set(gens, G.degree, seed=current, cap=cap, within=G)
@@ -463,18 +461,18 @@ class ProductTable:
         return None if table is None else tuple(map(table.__getitem__, range(len(table))))
 
 
-def orbit(start, gens, act):
-    """The set of points reached from ``start`` by ``act(x, g)``, g in gens.
+def orbit(start, maps):
+    """The set of points reached from ``start`` by the maps, each a callable.
 
-    Points may be anything hashable; each is acted on once per generator.
+    Points may be anything hashable; each is mapped once by every map.
     """
     seen = {start}
     frontier = [start]
     while frontier:
         new = []
         for x in frontier:
-            for g in gens:
-                y = act(x, g)
+            for f in maps:
+                y = f(x)
                 if y not in seen:
                     seen.add(y)
                     new.append(y)
@@ -482,22 +480,21 @@ def orbit(start, gens, act):
     return seen
 
 
-def conjugate_by(x, pair, mul):
-    """g x g^-1 for pair = (g, g^-1) under the product ``mul``.
+def conjugations(G: FiniteGroup, by):
+    """One map x -> g x g^-1 of G's elements per g in ``by``, by ``product(G)``.
 
-    With ``partial(conjugate_by, mul=product(G))`` it is conjugation
-    inside G as an ``orbit`` action.
+    Once G's elements are known, a g outside G raises GroupError, as in
+    ``close_set``: a lookup with an outside factor would name a wrong element.
     """
-    g, ginv = pair
-    return mul(mul(g, x), ginv)
+    mul = product(G)
+    known = G._element_set
+    if known is not None and any(g not in known for g in by):
+        raise GroupError("conjugating element outside the group")
+    return [lambda x, g=g, ginv=inverse(g): mul(mul(g, x), ginv) for g in by]
 
 
 def conjugation_perm(G: FiniteGroup, g):
-    """Conjugation x -> g x g^-1 as a permutation of G's element indices.
-
-    g need only normalize G; one in G conjugates by G's product.
-    """
-    pair = (g, inverse(g))
+    """Conjugation x -> g x g^-1 by g in G as a permutation of G's element indices."""
     idx = G.element_index
-    mul = product(G) if g in G.element_set else mult
-    return tuple(idx[conjugate_by(x, pair, mul)] for x in G.element_tuples)
+    conj, = conjugations(G, [g])
+    return tuple(idx[conj(x)] for x in G.element_tuples)

@@ -5,11 +5,9 @@ Commutator convention: [x, y] = x y x^-1 y^-1.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
-    FiniteGroup, close_set, conjugate_by, intersection, is_normal, normal_closure, orbit,
+    FiniteGroup, close_set, conjugations, intersection, is_normal, normal_closure, orbit,
     product,
 )
 from .perm import Permutation, images_of, inverse, mult, perm_order
@@ -160,18 +158,17 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
 
 
 def _conjugacy_classes(G: FiniteGroup) -> list[tuple]:
-    gens = [(g, inverse(g)) for g in G._raw_gens]
     elements = G.element_tuples
-    act = partial(conjugate_by, mul=product(G))
+    conj = conjugations(G, G._raw_gens)
     seen = set()
     classes = []
+    # canonical order meets each class first at its least member
     for t in elements:
         if t in seen:
             continue
-        cls = orbit(t, gens, act)
+        cls = orbit(t, conj)
         seen |= cls
         classes.append(tuple(sorted(cls)))
-    classes.sort(key=lambda c: c[0])
     return classes
 
 

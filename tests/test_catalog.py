@@ -289,6 +289,11 @@ def test_abelian_invariants_and_names():
     assert abelian_invariants(direct_product(cyclic(2), cyclic(6))) == [2, 6]
     assert abelian_invariants(direct_product(cyclic(4), cyclic(6))) == [2, 12]
     assert abelian_name(direct_product(cyclic(3), cyclic(4))) == "C12"
+    for name, invariants in [
+        ("C2^6", [2] * 6), ("C3^4", [3] * 4), ("C4xC8xC2", [2, 4, 8]),
+        ("C5^2xC25", [5, 5, 25]), ("C2xC4xC8xC16", [2, 4, 8, 16]),
+    ]:
+        assert abelian_invariants(build_named_group(name)) == invariants
 
 
 # -- classification ---------------------------------------------------------------

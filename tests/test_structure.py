@@ -22,7 +22,7 @@ from gaschuetz import (
 )
 from gaschuetz import structure
 from gaschuetz.errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
-from gaschuetz.group import FiniteGroup, close_set, orbit
+from gaschuetz.group import FiniteGroup, close_set, conjugation_perm, orbit
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.structure import (
@@ -270,7 +270,7 @@ def _orbit_walk_cosets(G, N):
     coset_of = {}
     for t in G.element_tuples:
         if t not in coset_of:
-            members = orbit(t, N._raw_gens, mult)
+            members = orbit(t, [lambda x, g=g: mult(x, g) for g in N._raw_gens])
             rep = min(members)
             for x in members:
                 coset_of[x] = rep
@@ -338,6 +338,35 @@ def test_element_order_and_exponent():
 def test_conjugacy_classes_s4():
     sizes = sorted(len(c) for c in conjugacy_classes(symmetric(4)))
     assert sizes == [1, 3, 6, 6, 8]
+
+
+def _conjugate(g, x):
+    return mult(mult(g, x), inverse(g))
+
+
+def test_conjugation_matches_composed_permutations(small_catalog_groups, relabelled):
+    """Classes, in order, and conjugation permutations against g x g^-1
+    composed by ``perm.mult``, on each group and one relabelled copy."""
+    checked = 0
+    for entry, bundled in small_catalog_groups:
+        for G in (bundled, relabelled(bundled, 1)):
+            elements = G.element_tuples
+            classes, seen = [], set()
+            for t in elements:
+                if t not in seen:
+                    cls = {_conjugate(g, t) for g in elements}
+                    seen |= cls
+                    classes.append(tuple(sorted(cls)))
+            assert conjugacy_classes(G) == classes, entry.name
+            index = G.element_index
+            for g in G._raw_gens:
+                expected = tuple(index[_conjugate(g, x)] for x in elements)
+                assert conjugation_perm(G, g) == expected, entry.name
+            checked += 1
+    print(f"conjugation checked on {checked} groups")
+    C3 = FiniteGroup(4, [(1, 2, 0, 3)])
+    with pytest.raises(GroupError):
+        conjugation_perm(C3, (1, 0, 2, 3))
 
 
 def test_center_is_characteristic_ish_normal():
