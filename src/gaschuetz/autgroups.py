@@ -4,7 +4,7 @@ aut_group backtracks over images of a small generating set of N.  The
 search runs on N's element indices, not on permutation tuples: a
 ``group.ProductTable`` answers every product as a lookup, col(h)[y]
 being the index of y h, and builds a column from |N| products only
-when the search first reads h; element orders are memoized per index.
+when the search first reads h; element orders are ``group.element_order``.
 So the search costs one column per element it tries, never the full
 |N| x |N| table (the multiplication-table approach of Cannon and Holt,
 J. Symbolic Comput. 35, 2003).
@@ -38,9 +38,10 @@ from . import config
 from .complements import find_complement
 from .errors import AutBudgetError, PreconditionError
 from .group import (
-    FiniteGroup, ProductTable, close_set, conjugation_perm, is_normal, orbit, reduce_generators,
+    FiniteGroup, ProductTable, close_set, conjugation_perm, element_order, is_normal, orbit,
+    reduce_generators,
 )
-from .perm import Permutation, mult, perm_order, power
+from .perm import Permutation, mult, power
 from .structure import center, cosets, derived_subgroup, element_fingerprints
 
 
@@ -245,16 +246,17 @@ def prop_special_search(N: FiniteGroup):
     walk = cosets(carrier, inn)
     next(walk)  # Inn itself
     for coset in walk:
-        for k in _coset_exponents(coset, inn.element_set):
+        for k in _coset_exponents(coset, inn.element_set, element_order(carrier)):
             for gamma in coset:
                 if power(gamma, k) in inn_derived:
                     return Permutation._wrap(gamma), k
     return None
 
 
-def _coset_exponents(coset, inn):
+def _coset_exponents(coset, inn, order):
     """The k < L, multiples of the coset's order d in Aut/Inn, that no
-    member's order divides, ascending; empty if a member has order d."""
+    member's order divides, ascending; empty if a member has order d.
+    ``order`` gives the members' orders."""
     first = coset[0]
     d, x = 1, first
     while x not in inn:
@@ -262,7 +264,7 @@ def _coset_exponents(coset, inn):
         d += 1
     orders = set()
     for gamma in coset:
-        o = perm_order(gamma)
+        o = order(gamma)
         if o == d:
             return []
         orders.add(o)

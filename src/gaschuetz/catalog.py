@@ -32,8 +32,7 @@ from .constructors import (
 )
 from .engine import FAILS, HOLDS, UNDECIDED, all_firings, verdict
 from .errors import CatalogError, SizeLimitError, UnknownNameError, quoted
-from .group import FiniteGroup
-from .perm import perm_order
+from .group import FiniteGroup, element_order
 from .structure import is_prime, quotient
 
 
@@ -426,7 +425,9 @@ def abelian_invariants(G: FiniteGroup) -> list[int]:
     """
     orders = []
     while G.order > 1:
-        d, x = max((perm_order(t), t) for t in G.element_tuples)
+        elements = G.element_tuples
+        order = element_order(G)
+        d, x = max((order(t), t) for t in elements)
         orders.append(d)
         G, _ = quotient(G, G.generated_subgroup([x]))
     return sorted(orders) or [1]

@@ -32,12 +32,13 @@ from .group import (
     close_set,
     conjugations,
     drop_redundant,
+    element_order,
     is_normal,
     is_subgroup,
     orbit,
     reduce_generators,
 )
-from .perm import Permutation, identity_images, perm_order
+from .perm import Permutation, identity_images
 from .structure import quotient
 
 
@@ -123,8 +124,9 @@ def _search(G, N, *, collect_all=False):
     qgens = small_generating_set(Q)
     fibers = [proj.fiber(q) for q in qgens]
     full_space = prod(len(f) for f in fibers)
-    wants = [q.order() for q in qgens]
-    levels = [[x for x in f if perm_order(x) == w] for f, w in zip(fibers, wants)]
+    order = element_order(G)
+    wants = [element_order(Q)(q.images) for q in qgens]
+    levels = [[x for x in f if order(x) == w] for f, w in zip(fibers, wants)]
     if not all(levels):
         return ComplementReport(False, None, full_space, 0), []
     if not collect_all:

@@ -17,9 +17,9 @@ from math import factorial
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError, order_text
-from .group import FiniteGroup, ProductTable, extend_images
+from .group import FiniteGroup, ProductTable, element_order, extend_images
 from .perm import (
-    Permutation, direct_sum, identity_images, images_of, inverse, mult, perm_order, power,
+    Permutation, direct_sum, identity_images, images_of, inverse, mult, power,
 )
 from .structure import center, is_prime, quotient
 
@@ -359,7 +359,7 @@ class CentralProduct:
             raise PreconditionError("left element is not central")
         if zbar not in center(B).element_set:
             raise PreconditionError("right element is not central")
-        if perm_order(z) != perm_order(zbar):
+        if element_order(A)(z) != element_order(B)(zbar):
             raise PreconditionError("identified elements must have equal order")
         order = A.order * B.order
         _refuse_over_cap(order, f"central product needs a direct product of order {order}")

@@ -23,7 +23,8 @@ Computational Group Theory*, 2005, 4.4).  A regular group's base is the
 point 0.  ``perm.mult`` stays for groups whose elements are not known
 yet.  Closures, normality tests, cosets and conjugation (the maps
 ``conjugations`` builds, which ``orbit`` walks) inside a known group take
-that product.
+that product, and so do element orders: ``element_order`` walks the powers
+of x by lookups, once per cyclic subgroup.
 
 A ``ProductTable`` holds a group's products on element indices, one lazy
 column per right factor; its ``extend`` certifies a map given by generator
@@ -33,6 +34,7 @@ images, for the automorphism search and for actions into Aut(N) alike.
 from __future__ import annotations
 
 import functools
+from math import gcd
 
 from . import config
 from .errors import DegreeMismatchError, GroupError, SizeLimitError
@@ -128,6 +130,45 @@ def product(G):
     if G._element_tuples is None:
         return mult
     return G.cached("product", _product)
+
+
+def element_order(G):
+    """x -> |x| for x in G, by walking x's powers once G's elements are known.
+
+    Each walk multiplies by ``product(G)`` until it reaches 1 and records
+    |x^j| = |x| / gcd(|x|, j) for every power x^j it meets, so a cyclic
+    subgroup is walked once.  Cached on G once its elements are known;
+    before that this is ``perm_order`` and caches nothing, as ``product``
+    is ``mult``.  An x outside a known G raises GroupError, as in
+    ``close_set``: a lookup with an outside factor names a wrong element
+    and the walk may never reach 1.
+    """
+    if G._element_tuples is None:
+        return perm_order
+    return G.cached("element_order", _element_order)
+
+
+def _element_order(G):
+    mul, known = product(G), G._element_set
+    ident = identity_images(G.degree)
+    orders = {ident: 1}
+
+    def order(x):
+        o = orders.get(x)
+        if o is None:
+            if x not in known:
+                raise GroupError("element outside the group")
+            powers = [x]
+            y = mul(x, x)
+            while y != ident:
+                powers.append(y)
+                y = mul(y, x)
+            o = len(powers) + 1
+            for j, y in enumerate(powers, 1):
+                orders[y] = o // gcd(o, j)
+        return o
+
+    return order
 
 
 def base(G):
@@ -294,18 +335,20 @@ class FiniteGroup:
         return FiniteGroup(self.degree, raw, elements=elems)
 
 
-def reduce_generators(elements, degree, *, within=None):
+def reduce_generators(elements, degree, *, within):
     """Pick a small generating set for a known element set, greedily.
 
     Scans elements by decreasing order (ties broken canonically) and adds
     one whenever it enlarges the generated subgroup, then drops the picks
     that later ones made redundant.  Deterministic.  ``within`` is a group
-    containing the elements, passed on to ``close_set``.
+    containing the elements: their orders are ``element_order(within)``
+    and every closure multiplies by ``product(within)``.
     """
     ident = identity_images(degree)
     if len(elements) == 1:
         return []
-    ranked = sorted(elements, key=lambda t: (-perm_order(t), t))
+    order = element_order(within)
+    ranked = sorted(elements, key=lambda t: (-order(t), t))
     gens = []
     current = {ident}
     for cand in ranked:
@@ -424,16 +467,16 @@ class ProductTable:
     ``col(h)[y]`` is the index of y h; a column is built from |G| products
     by ``product(G)`` (lookups by base images) the first time it is read,
     so a search touching k elements as right factors costs k |G|
-    products, never a full |G| x |G| table.  Element
-    orders are memoized per index.  One table per group, cached on it.
+    products, never a full |G| x |G| table.  Element orders are
+    ``element_order(G)``.  One table per group, cached on it.
     """
 
     def __init__(self, G: FiniteGroup):
         self.elements = G.element_tuples
         self.index = G.element_index
         self.product = product(G)
+        self.element_order = element_order(G)
         self.columns = {}
-        self.orders = {}
 
     @classmethod
     def of(cls, G: FiniteGroup) -> "ProductTable":
@@ -447,10 +490,7 @@ class ProductTable:
         return column
 
     def order(self, x):
-        o = self.orders.get(x)
-        if o is None:
-            o = self.orders[x] = perm_order(self.elements[x])
-        return o
+        return self.element_order(self.elements[x])
 
     def extend(self, gens, target, imgs):
         """gens[i] -> imgs[i] of ``target`` as a homomorphism: a tuple of target

@@ -6,6 +6,13 @@ appears.  Every subgroup is a join of cyclic subgroups and every normal
 subgroup a join of conjugacy-class normal closures, so with those atoms
 the enumeration is exhaustive; the full lattice is guarded by the
 lattice order cap.
+
+A join X v A already found is not closed again.  The product set XA has
+|X| |A| / |X meet A| elements, counted by set operations on the two
+element sets.  A found subgroup Y of exactly that order containing X and
+A contains X v A, which contains XA; as |Y| = |XA|, Y = X v A, so the
+skip is exact.  For normal atoms XA is always the join, so every repeat
+is caught; for cyclic atoms, those where XA is a subgroup.
 """
 
 from __future__ import annotations
@@ -18,7 +25,8 @@ from .structure import conjugacy_classes, prime_factors
 
 
 def _cyclic_generators(G: FiniteGroup):
-    """The canonical generator of each nontrivial cyclic subgroup, sorted."""
+    """(element set, [least generator]) of each nontrivial cyclic subgroup,
+    sorted by generator."""
     ident = identity_images(G.degree)
     elements = G.element_tuples
     mul = product(G)
@@ -36,26 +44,34 @@ def _cyclic_generators(G: FiniteGroup):
         # elements come in canonical order: the first to generate a
         # subgroup is its least generator
         by_key.setdefault(frozenset(powers), t)
-    return sorted(by_key.values())
+    return sorted(((key, [t]) for key, t in by_key.items()), key=lambda atom: atom[1])
 
 
 def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
-    """Every join of atom subgroups of G, given by their generator lists.
+    """Every join of atom subgroups of G, each atom an (element set, generators) pair.
 
-    Breadth-first from the trivial group: each subgroup found is joined
-    with every atom it does not contain, and a new join keeps the
-    generators it was built from.  Sorted by order, then elements.
+    Breadth-first from the trivial group: each subgroup X found is joined
+    with every atom A it does not contain, and a new join keeps the
+    generators it was built from.  The join is not closed when a found
+    subgroup of order |X| |A| / |X meet A| contains X and A (see the module
+    docstring); such a join would only repeat a found one, so every new
+    join comes from the same first (X, A) pair as without the test.
+    Sorted by order, then elements.
     """
     degree = G.degree
     trivial = FiniteGroup.trivial(degree)
     found = {trivial.element_set: trivial}
+    by_order = {}  # order -> element sets of the found subgroups
     queue = [trivial]
     for X in queue:  # the queue grows while it is walked
         if X.order == G.order:
             continue
         xset = X.element_set
-        for agens in atoms:
-            if all(g in xset for g in agens):
+        for aset, agens in atoms:
+            if aset <= xset:
+                continue
+            size = len(xset) * len(aset) // len(xset & aset)
+            if any(aset <= Y and xset <= Y for Y in by_order.get(size, ())):
                 continue
             gens = list(X._raw_gens) + list(agens)
             elems = close_set(gens, degree, seed=xset, within=G)
@@ -63,6 +79,7 @@ def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
             if key not in found:
                 J = FiniteGroup(degree, gens, elements=elems)
                 found[key] = J
+                by_order.setdefault(len(key), []).append(key)
                 queue.append(J)
     return sorted(found.values(), key=lambda s: (s.order, s.element_tuples))
 
@@ -76,7 +93,7 @@ def all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
             required_order=G.order,
         )
     return G.cached(
-        "subgroups", lambda G: _joins(G, [[gen] for gen in _cyclic_generators(G)])
+        "subgroups", lambda G: _joins(G, _cyclic_generators(G))
     )
 
 
@@ -101,14 +118,15 @@ def normal_subgroups_fast(G: FiniteGroup) -> list[FiniteGroup]:
 
 
 def _class_closures(G: FiniteGroup):
-    """Generators of the distinct normal closures of nontrivial classes."""
+    """(element set, generators) of the distinct normal closures of nontrivial
+    classes."""
     ident = identity_images(G.degree)
     atoms = {}
     for cls in conjugacy_classes(G):
         if cls[0] != ident:
             C = normal_closure(G, [cls[0]])
             atoms.setdefault(C.element_set, C._raw_gens)
-    return list(atoms.values())
+    return list(atoms.items())
 
 
 def maximal_subgroups(G: FiniteGroup) -> list[FiniteGroup]:

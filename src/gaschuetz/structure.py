@@ -7,10 +7,10 @@ from __future__ import annotations
 
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
-    FiniteGroup, close_set, conjugations, intersection, is_normal, normal_closure, orbit,
-    product,
+    FiniteGroup, close_set, conjugations, element_order, intersection, is_normal, normal_closure,
+    orbit, product,
 )
-from .perm import Permutation, images_of, inverse, mult, perm_order
+from .perm import Permutation, images_of, inverse, mult
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -129,10 +129,12 @@ def _grow_sylow(G: FiniteGroup, p: int) -> FiniteGroup:
         target *= p
         n //= p
     P = FiniteGroup.trivial(G.degree)
-    for t in G.element_tuples:
+    elements = G.element_tuples
+    order = element_order(G)
+    for t in elements:
         if P.order == target:
             break
-        if t in P.element_set or target % perm_order(t):
+        if t in P.element_set or target % order(t):
             continue
         gens = P._raw_gens + (t,)
         elems = close_set(gens, G.degree, seed=P.element_set, abort_over=target, within=G)
@@ -179,8 +181,10 @@ def element_fingerprints(G: FiniteGroup) -> dict:
 
 def _element_fingerprints(G: FiniteGroup) -> dict:
     fp = {}
-    for cls in conjugacy_classes(G):
-        value = (perm_order(cls[0]), G.order // len(cls))
+    classes = conjugacy_classes(G)
+    order = element_order(G)
+    for cls in classes:
+        value = (order(cls[0]), G.order // len(cls))
         for t in cls:
             fp[t] = value
     return fp

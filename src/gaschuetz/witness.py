@@ -47,8 +47,8 @@ from .constructors import (
     wreath_cyclic,
 )
 from .errors import GroupError, PreconditionError, SizeLimitError, order_text
-from .group import FiniteGroup, is_normal, is_subgroup
-from .perm import Permutation, mult, perm_order
+from .group import FiniteGroup, element_order, is_normal, is_subgroup
+from .perm import Permutation, mult
 from .structure import (
     center,
     center_meet_derived,
@@ -135,8 +135,10 @@ def _pick_z(N: FiniteGroup) -> Permutation:
     meet = center_meet_derived(N)
     if meet.order == 1:
         raise PreconditionError("Z(N) meet N' is trivial")
-    for t in meet.element_tuples:  # canonical order
-        if is_prime(perm_order(t)):
+    elements = meet.element_tuples
+    order = element_order(meet)
+    for t in elements:  # canonical order
+        if is_prime(order(t)):
             return Permutation._wrap(t)
     raise GroupError("internal: no prime-order element in a nontrivial group")
 
@@ -256,7 +258,9 @@ def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> Witness
 
 
 def _is_cyclic(G: FiniteGroup) -> bool:
-    return any(perm_order(t) == G.order for t in G.element_tuples)
+    elements = G.element_tuples
+    order = element_order(G)
+    return any(order(t) == G.order for t in elements)
 
 
 def _reduced_nonexistence(world: _WreathCentral, n_hat: FiniteGroup) -> ComplementReport:
@@ -304,11 +308,9 @@ def baer_bundle() -> WitnessBundle:
     """The order-48 central product with its split-then-unsplit quaternion core."""
     sl = sl_2_3()
     c4 = cyclic(4)
-    z = next(
-        Permutation._wrap(t)
-        for t in center(sl).element_tuples
-        if perm_order(t) == 2
-    )
+    zs = center(sl)
+    order = element_order(zs)
+    z = next(Permutation._wrap(t) for t in zs.element_tuples if order(t) == 2)
     zbar = (c4.generators[0]) ** 2
     cp = central_product(sl, c4, z, zbar)
     G = cp.group

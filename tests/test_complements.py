@@ -160,7 +160,7 @@ def restart_prune_generating_set(Q):
                 changed = True
                 break
     if len(gens) > 4:
-        rebuilt = reduce_generators(set(Q.element_tuples), Q.degree)
+        rebuilt = reduce_generators(set(Q.element_tuples), Q.degree, within=Q)
         if len(rebuilt) < len(gens):
             gens = rebuilt
     return gens

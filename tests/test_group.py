@@ -23,8 +23,10 @@ from gaschuetz import group, lattice
 from gaschuetz.autgroups import aut_group
 from gaschuetz.complements import find_complement
 from gaschuetz.constructors import cyclic
-from gaschuetz.group import ProductTable, base, close_set, product, reduce_generators
-from gaschuetz.perm import Permutation, identity_images, inverse, mult
+from gaschuetz.group import (
+    ProductTable, base, close_set, element_order, product, reduce_generators,
+)
+from gaschuetz.perm import Permutation, identity_images, inverse, mult, perm_order
 from gaschuetz.structure import quotient
 from gaschuetz.witness import build_znthm
 
@@ -141,7 +143,7 @@ def test_normal_closure_of_double_transposition_is_v4():
 
 def test_reduce_generators_small():
     Q8 = quaternion8()
-    gens = reduce_generators(set(Q8.element_tuples), 8)
+    gens = reduce_generators(set(Q8.element_tuples), 8, within=Q8)
     assert len(close_set(gens, 8)) == 8
     assert len(gens) == 2
 
@@ -435,6 +437,43 @@ def test_close_set_within_refuses_outside_generators():
     unknown = FiniteGroup(6, [r2])
     assert len(close_set([r], 6, within=unknown)) == 6
     assert unknown._element_tuples is None
+
+
+def test_element_order_matches_perm_order(small_catalog_groups, named_large_groups, relabelled):
+    """Orders by power walks over lookups equal perm_order on every element of
+    each catalog group of order <= 63, of a relabelled copy (asked in reverse
+    order, so later walks meet powers recorded by earlier ones differently),
+    and of the Aut carriers of A6 and C5^2:Q8, whose bases have several points."""
+    by_name = {e.name: G for e, G in named_large_groups}
+    carriers = [aut_group(by_name[n]).carrier for n in ("A6", "C5^2:Q8")]
+    assert all(len(base(C)) > 1 for C in carriers)
+    checked = 0
+    for _, bundled in small_catalog_groups:
+        copy = relabelled(bundled, 5)
+        for G, elements in ((bundled, bundled.element_tuples),
+                            (copy, copy.element_tuples[::-1])):
+            order = element_order(G)
+            assert [order(t) for t in elements] == [perm_order(t) for t in elements]
+            checked += len(elements)
+    for C in carriers:
+        order = element_order(C)
+        assert [order(t) for t in C.element_tuples] == [perm_order(t) for t in C.element_tuples]
+        checked += C.order
+    assert checked > 10_000
+
+
+def test_element_order_refuses_outside_elements():
+    """An outside element would be walked by wrong lookups, maybe for ever."""
+    r = cyclic(6)._raw_gens[0]
+    C3 = FiniteGroup(6, [mult(r, r)])
+    assert element_order(C3) is perm_order  # elements unknown: nothing enumerated
+    assert C3._element_tuples is None
+    assert len(C3.element_tuples) == 3
+    order = element_order(C3)
+    assert order is element_order(C3) and order is not perm_order
+    with pytest.raises(GroupError):
+        order(r)
+    assert order(mult(r, r)) == 3
 
 
 def test_projection_refuses_outside_elements():

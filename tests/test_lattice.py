@@ -9,9 +9,11 @@ from gaschuetz import (
     quaternion8,
     symmetric,
 )
+from gaschuetz import lattice
 from gaschuetz.errors import PreconditionError, SizeLimitError
-from gaschuetz.group import is_subgroup
+from gaschuetz.group import FiniteGroup, close_set, is_subgroup
 from gaschuetz.lattice import (
+    _class_closures,
     _cyclic_generators,
     all_subgroups,
     frattini,
@@ -102,7 +104,63 @@ def test_cyclic_generators_are_the_least_generators(small_catalog_groups):
         for t in G.element_tuples:
             generators_of.setdefault(G.generated_subgroup([t]).element_set, []).append(t)
         least = sorted(min(ts) for key, ts in generators_of.items() if len(key) > 1)
-        assert _cyclic_generators(G) == least, entry.name
+        atoms = _cyclic_generators(G)
+        assert [gens for _, gens in atoms] == [[t] for t in least], entry.name
+        assert all(key == G.generated_subgroup(gens).element_set for key, gens in atoms)
+
+
+def plain_joins(G, atoms):
+    """The join walk without the order test: every join of a found subgroup
+    with an atom it does not contain is closed."""
+    degree = G.degree
+    trivial = FiniteGroup.trivial(degree)
+    found = {trivial.element_set: trivial}
+    queue = [trivial]
+    for X in queue:
+        if X.order == G.order:
+            continue
+        xset = X.element_set
+        for aset, agens in atoms:
+            if aset <= xset:
+                continue
+            gens = list(X._raw_gens) + list(agens)
+            elems = close_set(gens, degree, seed=xset, within=G)
+            key = frozenset(elems)
+            if key not in found:
+                found[key] = J = FiniteGroup(degree, gens, elements=elems)
+                queue.append(J)
+    return sorted(found.values(), key=lambda s: (s.order, s.element_tuples))
+
+
+def test_join_shortcut_matches_the_plain_walk(catalog_groups, small_catalog_groups, monkeypatch):
+    """Skipping a join a found subgroup of order |X||A|/|X meet A| already
+    is changes nothing: equal element sets and generator lists, in order,
+    for the normal lattice of every catalog group and the full lattice of
+    every group of order <= 63, S5 and C3^2:Q8.  With normal atoms every
+    repeat is skipped, so each closure the walk runs finds a new subgroup."""
+    def listing(subgroups):
+        return [(S.element_tuples, S._raw_gens) for S in subgroups]
+
+    closures = []
+
+    def counted(*args, **kw):
+        closures.append(None)
+        return close_set(*args, **kw)
+
+    monkeypatch.setattr(lattice, "close_set", counted)
+    by_name = {e.name: G for e, G in catalog_groups}
+    for entry, G in catalog_groups:
+        atoms = _class_closures(G)
+        closures.clear()
+        normals = lattice._joins(G, atoms)  # the cache bypassed, to count closures
+        assert len(closures) == len(normals) - 1, entry.name
+        assert listing(normals) == listing(plain_joins(G, atoms)), entry.name
+        assert listing(normal_subgroups_fast(G)) == listing(normals), entry.name
+    full = [(e.name, G) for e, G in small_catalog_groups]
+    full += [(name, by_name[name]) for name in ("S5", "C3^2:Q8")]
+    for name, G in full:
+        assert listing(all_subgroups(G)) == listing(
+            plain_joins(G, _cyclic_generators(G))), name
 
 
 def test_normal_subgroup_paths_agree(small_catalog_groups):
