@@ -20,21 +20,27 @@ z[b] = x[y[b]] for every base point b: G's own tuple, found by one
 lookup instead of composing a degree-length tuple (Seress, *Permutation
 Group Algorithms*, 2003, ch. 4; Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005, 4.4).  A regular group's base is the
-point 0.  ``perm.mult`` stays for groups whose elements are not known
-yet.  Closures, normality tests, cosets and conjugation (the maps
-``conjugations`` builds, which ``orbit`` walks) inside a known group take
-that product, and so do element orders: ``element_order`` walks the powers
-of x by lookups, once per cyclic subgroup.
+point 0.  The table from base images to element indices, ``at``, is
+built once per group (``base_table``).  ``perm.mult``, a C-level gather,
+stays for groups whose elements are not known yet.  Closures, normality
+tests, cosets and conjugation (the maps ``conjugations`` builds, which
+``orbit`` walks) inside a known group take that product, and so do
+element orders: ``element_order`` walks the powers of x by lookups, once
+per cyclic subgroup.
 
 A ``ProductTable`` holds a group's products on element indices, one lazy
-column per right factor; its ``extend`` certifies a map given by generator
-images, for the automorphism search and for actions into Aut(N) alike.
+column per right factor.  A column is one gather: G's elements read at
+the right factor's base images give every product's key, and the same
+``at`` table that ``product`` reads turns the keys into indices.  Its
+``extend`` certifies a map given by generator images, for the
+automorphism search and for actions into Aut(N) alike.
 """
 
 from __future__ import annotations
 
 import functools
 from math import gcd
+from operator import itemgetter
 
 from . import config
 from .errors import DegreeMismatchError, GroupError, SizeLimitError
@@ -120,9 +126,10 @@ def product(G):
     """(x, y) -> x y for elements of G, by lookup once G's elements are known.
 
     The product is the element of G whose images of the base points b
-    are x[y[b]] (see ``base``): G's own tuple, found by one list index
-    when the base is one point and by one dict lookup keyed by the tuple
-    of images otherwise.  It is cached on G once its elements are known;
+    are x[y[b]] (see ``base``): G's own tuple, found through ``at`` (see
+    ``base_table``) by one list index when the base is one point and by one
+    dict lookup keyed by the tuple of images otherwise, then read from G's
+    elements by its index.  It is cached on G once its elements are known;
     before that this returns ``mult`` and caches nothing, since it never
     enumerates G.  A caller about to walk G's elements reads them first,
     then takes the product.
@@ -189,30 +196,49 @@ def base(G):
     return points
 
 
-def _product(G):
-    elements = G._element_tuples
+def base_table(G):
+    """(points, at): G's base (see ``base``) and its element indices by base images.
+
+    ``at`` maps the images of the base points to the index (in
+    ``element_tuples``) of the element of G with those images: a list
+    indexed by the image of the one point when the base is one point, a
+    dict keyed by the tuple of images otherwise (the empty tuple for the
+    order-1 group).  Built once per group and read by ``product`` and
+    ``ProductTable`` alike; G's elements must be known.
+    """
+    return G.cached("base_table", _base_table)
+
+
+def _base_table(G):
+    elements = G.element_tuples
     points = tuple(base(G))
     if len(points) == 1:
         b, = points
-        at = [None] * G.degree  # at[p]: the element moving b to p
-        for t in elements:
-            at[t[b]] = t
+        at = [None] * G.degree  # at[p]: the index of the element moving b to p
+        for i, t in enumerate(elements):
+            at[t[b]] = i
     else:
-        at = {tuple(t[b] for b in points): t for t in elements}
-    return _lookup(points)(at)
+        at = {tuple(t[b] for b in points): i for i, t in enumerate(elements)}
+    return points, at
+
+
+def _product(G):
+    points, at = base_table(G)
+    return _lookup(points)(at, G.element_tuples)
 
 
 @functools.cache
 def _lookup(points):
-    """at -> (x, y -> at[key]), the key x[y[b]] spelled out for each base point b.
+    """(at, elements) -> (x, y -> elements[at[key]]), the key x[y[b]] spelled
+    out for each base point b.
 
     Compiled once per base: a key spelled out runs two to five times faster
-    than one built by a loop, ``map`` or ``itemgetter``.  ``points`` holds
-    only ints, so the source is fixed.
+    than one built by a loop, ``map`` or ``itemgetter`` when both factors
+    vary.  ``points`` holds only ints, so the source is fixed.
     """
     images = [f"x[y[{b}]]" for b in points]
     key = images[0] if len(images) == 1 else "(" + "".join(i + ", " for i in images) + ")"
-    return eval(f"lambda at: lambda x, y: at[{key}]", {})
+    return eval(f"lambda at, el: lambda x, y: el[at[{key}]]", {})
 
 
 class FiniteGroup:
@@ -464,17 +490,20 @@ def extend_images(steps, identity, image_identity, size):
 class ProductTable:
     """G's multiplication on element indices, built one column at a time.
 
-    ``col(h)[y]`` is the index of y h; a column is built from |G| products
-    by ``product(G)`` (lookups by base images) the first time it is read,
-    so a search touching k elements as right factors costs k |G|
-    products, never a full |G| x |G| table.  Element orders are
+    ``col(h)[y]`` is the index of y h, and a column is built the first
+    time it is read, so a search touching k elements as right factors
+    costs k columns, never a full |G| x |G| table.  With g = G[h] fixed,
+    the base images of y g are y's images at g's base images: one gather
+    ``itemgetter(g[b1], ..., g[bk])`` mapped over G's elements gives every
+    key, and the ``at`` table that ``product`` reads (``base_table``) turns
+    the keys into indices, both maps in C.  Element orders are
     ``element_order(G)``.  One table per group, cached on it.
     """
 
     def __init__(self, G: FiniteGroup):
         self.elements = G.element_tuples
         self.index = G.element_index
-        self.product = product(G)
+        self.points, self.at = base_table(G)
         self.element_order = element_order(G)
         self.columns = {}
 
@@ -485,8 +514,13 @@ class ProductTable:
     def col(self, h):
         column = self.columns.get(h)
         if column is None:
-            g, index, mul = self.elements[h], self.index, self.product
-            column = self.columns[h] = [index[mul(y, g)] for y in self.elements]
+            if self.points:
+                g = self.elements[h]
+                keys = map(itemgetter(*[g[b] for b in self.points]), self.elements)
+                column = list(map(self.at.__getitem__, keys))
+            else:  # the order-1 group
+                column = [0]
+            self.columns[h] = column
         return column
 
     def order(self, x):
@@ -497,8 +531,12 @@ class ProductTable:
         indices, or None if the images do not extend over both tables' columns.
         ``gens`` index elements generating the whole group."""
         steps = [(self.col(g).__getitem__, target.col(h).__getitem__) for g, h in zip(gens, imgs)]
-        table = extend_images(steps, 0, 0, len(self.elements))
-        return None if table is None else tuple(map(table.__getitem__, range(len(table))))
+        n = len(self.elements)
+        table = extend_images(steps, 0, 0, n)
+        if table is None:
+            return None
+        # one gather of the table in index order; a getter of one index returns a bare value
+        return itemgetter(*range(n))(table) if n > 1 else (table[0],)
 
 
 def orbit(start, maps):

@@ -5,10 +5,12 @@ Commutator convention: [x, y] = x y x^-1 y^-1.
 
 from __future__ import annotations
 
+from operator import itemgetter
+
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
-    FiniteGroup, close_set, conjugations, element_order, intersection, is_normal, normal_closure,
-    orbit, product,
+    FiniteGroup, base_table, close_set, conjugations, element_order, intersection, is_normal,
+    normal_closure, orbit, product,
 )
 from .perm import Permutation, images_of, inverse, mult
 
@@ -219,23 +221,40 @@ class QuotientProjection:
     full source-to-image table (the image degree is |G : N|, so a full
     table would be quadratic in |G|).  Cosets are numbered in the order
     of their least members, as ``cosets`` yields them; coset 0 is N.
+
+    g's image sends coset r N to (g r) N.  The base images of g r are g's
+    images at r's base images (see ``group.base_table``), so one gather
+    per base point b, ``itemgetter(r1[b], r2[b], ...)``, reads that
+    coordinate for every representative r at once; the ``at`` table of
+    G's product turns the keys into element indices, and a list over
+    element indices into coset numbers.
     """
 
     def __init__(self, source: FiniteGroup, cosets: list):
         self.source = source
         self.cosets = cosets
-        self._index_of = {x: i for i, coset in enumerate(cosets) for x in coset}
-        self._product = product(source)
         self._perm_cache = {}
+        if len(cosets) > 1:  # then G is not the order-1 group, and its base is not empty
+            points, self._at = base_table(source)
+            key = itemgetter(*points)  # x -> x's base images, as ``at`` is keyed
+            self._coset_of = [0] * source.order  # element index -> coset number
+            for i, coset in enumerate(cosets):
+                for j in map(self._at.__getitem__, map(key, coset)):
+                    self._coset_of[j] = i
+            reps = [coset[0] for coset in cosets]
+            self._coords = [itemgetter(*[r[b] for r in reps]) for b in points]
 
     def _image_raw(self, raw):
         got = self._perm_cache.get(raw)
         if got is None:
-            if raw not in self._index_of:
+            if raw not in self.source.element_set:
                 raise GroupError("projected element lies outside the source group")
-            # left translation xN -> (g x)N, matching the group product
-            index_of, mul = self._index_of, self._product
-            got = tuple(index_of[mul(raw, coset[0])] for coset in self.cosets)
+            if len(self.cosets) == 1:
+                got = (0,)
+            else:
+                coords = [c(raw) for c in self._coords]
+                keys = coords[0] if len(coords) == 1 else zip(*coords)
+                got = tuple(map(self._coset_of.__getitem__, map(self._at.__getitem__, keys)))
             if len(self._perm_cache) < 4096:
                 self._perm_cache[raw] = got
         return got

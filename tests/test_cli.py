@@ -71,6 +71,21 @@ def test_aut_and_rose(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, text",
+    [
+        (["verdict", "C1"], "C1 (order 1)\nstatus: holds\nrule: abelian\n  - abelian of order 1\n"),
+        (["aut", "C1"], "|Aut| = 1, |Inn| = 1, |Out| = 1\n"),
+        (["rose", "C1"], "splitting criterion: True (complete group)\n"),
+        (["complement", "--group", "C1", "--normal", "C1"],
+         "complement of order-1 normal subgroup in C1: exists (order 1) [space 1, examined 1]\n"),
+    ],
+)
+def test_order_one_group_commands(capsys, argv, text):
+    """The group of degree 1, whose products take mult's plain branch."""
+    assert run(capsys, *argv) == (0, text, "")
+
+
+@pytest.mark.parametrize(
     "name",
     ["Zork99", "C0", "S0", "D2", "D3", "C3wrC0",
      "C2^2:Q8", "C2^2:D8", "C1^2:Q8", "C4^2:Q8", "C9^2:Q8"],

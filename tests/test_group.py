@@ -360,6 +360,35 @@ def test_product_table_never_calls_mult(catalog_groups, monkeypatch):
     assert calls == []
 
 
+def test_product_table_columns_match_mult(small_catalog_groups, named_large_groups, relabelled):
+    """Each column, one gather of G's elements at the right factor's base
+    images read through the base table, equals the column of indices of
+    products by mult: every column of each catalog group of order <= 63 and
+    of a relabelled copy, the order-1 group (empty base), and a seeded
+    sample of columns of the Aut carriers of A6 and C5^2:Q8, whose bases
+    have several points.  The order-1 group's map extension, read out by
+    index, is a tuple too."""
+    by_name = {e.name: G for e, G in named_large_groups}
+    carriers = [aut_group(by_name[n]).carrier for n in ("A6", "C5^2:Q8")]
+    assert [len(base(C)) for C in carriers] == [3, 2]
+    rng = random.Random(24)
+    cases = [(G, range(G.order)) for _, bundled in small_catalog_groups
+             for G in (bundled, relabelled(bundled, 7))]
+    cases.append((FiniteGroup.trivial(2), range(1)))
+    cases += [(C, rng.sample(range(C.order), 24)) for C in carriers]
+    columns = 0
+    for G, hs in cases:
+        elements, index = G.element_tuples, G.element_index
+        table = ProductTable(G)
+        for h in hs:
+            g = elements[h]
+            assert table.col(h) == [index[mult(y, g)] for y in elements]
+            columns += 1
+    assert columns > 20_000
+    trivial = ProductTable(FiniteGroup.trivial(2))  # a one-index gather would give a bare 0
+    assert trivial.extend([], trivial, []) == (0,)
+
+
 def test_joins_within_the_group_match_plain_closures(
     small_catalog_groups, relabelled, monkeypatch
 ):

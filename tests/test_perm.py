@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -103,3 +106,33 @@ def test_power_matches_repeated_products(p):
         assert (p ** -k).images == expected_inv
         expected = mult(expected, raw)
         expected_inv = mult(expected_inv, raw_inv)
+
+
+def test_mult_is_the_gather_of_p_at_q():
+    """mult(p, q) is p read at q's images: every pair at degrees 0 to 3 (the
+    plain branch serves degrees 0 and 1), and seeded random pairs at degrees
+    up to 6144."""
+    for n in range(4):
+        perms_n = list(itertools.permutations(range(n)))
+        for p, q in itertools.product(perms_n, repeat=2):
+            got = mult(p, q)
+            assert type(got) is tuple and got == tuple(p[i] for i in q)
+    rng = random.Random(24)
+    for n in (4, 5, 8, 16, 48, 200, 360, 768, 6144):
+        for _ in range(8):
+            p, q = (tuple(rng.sample(range(n), n)) for _ in range(2))
+            assert mult(p, q) == tuple(p[i] for i in q)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2])
+def test_products_inverses_and_powers_at_degrees_below_three(n):
+    """The Permutation face at degrees 0, 1 and 2, where a gather of one index
+    would give a bare point: products, inverses and powers stay tuples."""
+    for p in map(Permutation, itertools.permutations(range(n))):
+        for q in map(Permutation, itertools.permutations(range(n))):
+            assert (p * q).images == tuple(p(i) for i in q.images)
+        assert p.inv().images == p.images  # every permutation of 2 points is an involution
+        assert (p * p.inv()).is_identity() and (p.inv() * p).is_identity()
+        for k in range(-3, 4):
+            want = p.images if k % 2 else identity_images(n)
+            assert (p ** k).images == want and type((p ** k).images) is tuple

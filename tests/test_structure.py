@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import lcm
 
 import pytest
@@ -35,6 +36,7 @@ from gaschuetz.structure import (
     is_solvable,
     prime_factors,
 )
+from gaschuetz.witness import build_znthm
 
 
 # -- oracles -----------------------------------------------------------------
@@ -263,6 +265,40 @@ def test_quotient_projection_is_homomorphism():
     assert Q.order == 6
     for a, b in itertools.product(S4.elements[:8], S4.elements[-8:]):
         assert proj(a * b) == proj(a) * proj(b)
+
+
+def _projection_by_mult(proj):
+    """g -> g's image by the plain coset action: g r by mult, looked up in a
+    table of every element's coset, for each coset representative r."""
+    index_of = {x: i for i, coset in enumerate(proj.cosets) for x in coset}
+    return lambda g: tuple(index_of[mult(g, coset[0])] for coset in proj.cosets)
+
+
+def test_projection_gathers_match_mult(small_catalog_groups, catalog_groups):
+    """Images by one gather per base point equal the plain coset action: every
+    element of each catalog group of order <= 63 over each of its normal
+    subgroups, and a seeded sample of the D8, q = 3 bundle's P (a base of
+    four points) over the preimages of N and H, over R, and over P itself."""
+    rng = random.Random(24)
+    cases = [(G, N, G.element_tuples) for _, G in small_catalog_groups
+             for N in normal_subgroups_fast(G)]
+    D8 = next(G for e, G in catalog_groups if e.name == "D8")
+    world = build_znthm(D8, 3).construction
+    P = world.P
+    r_hat = world.saturated(derived_subgroup(
+        FiniteGroup(P.degree, world.d_pairs, order=D8.order ** 3))._raw_gens)
+    sample = list(P._raw_gens) + rng.sample(P.element_tuples, 64)
+    for N in (world.saturated(world.n_pairs),
+              world.saturated(world.n_pairs + world.d_pairs), r_hat, P):
+        cases.append((P, N, sample))
+    coset_counts = set()
+    for G, N, elements in cases:
+        _, proj = quotient(G, N)
+        plain = _projection_by_mult(proj)
+        for g in elements:
+            assert proj._image_raw(g) == plain(g)
+        coset_counts.add(len(proj.cosets))
+    assert {1, 3, 63}.issubset(coset_counts)
 
 
 def _orbit_walk_cosets(G, N):
