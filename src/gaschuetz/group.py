@@ -23,10 +23,11 @@ Computational Group Theory*, 2005, 4.4).  A regular group's base is the
 point 0.  The table from base images to element indices, ``at``, is
 built once per group (``base_table``).  ``perm.mult``, a C-level gather,
 stays for groups whose elements are not known yet.  Closures, normality
-tests, cosets and conjugation (the maps ``conjugations`` builds, which
-``orbit`` walks) inside a known group take that product, and so do
-element orders: ``element_order`` walks the powers of x by lookups, once
-per cyclic subgroup.
+tests and conjugation (the maps ``conjugations`` builds, which ``orbit``
+walks) inside a known group take that product, and so do element orders:
+``element_order`` walks the powers of x by lookups, once per cyclic
+subgroup.  The coset walk (``structure.cosets``) reads ``at`` directly,
+by one gather per coset.
 
 A ``ProductTable`` holds a group's products on element indices, one lazy
 column per right factor.  A column is one gather: G's elements read at
@@ -203,8 +204,10 @@ def base_table(G):
     ``element_tuples``) of the element of G with those images: a list
     indexed by the image of the one point when the base is one point, a
     dict keyed by the tuple of images otherwise (the empty tuple for the
-    order-1 group).  Built once per group and read by ``product`` and
-    ``ProductTable`` alike; G's elements must be known.
+    order-1 group).  A base of several points gets its keys by one gather
+    per element, ``itemgetter(*points)``, zipped with the indices in C.
+    Built once per group and read by ``product``, ``ProductTable`` and the
+    coset walk (``structure.cosets``) alike; G's elements must be known.
     """
     return G.cached("base_table", _base_table)
 
@@ -217,8 +220,10 @@ def _base_table(G):
         at = [None] * G.degree  # at[p]: the index of the element moving b to p
         for i, t in enumerate(elements):
             at[t[b]] = i
-    else:
-        at = {tuple(t[b] for b in points): i for i, t in enumerate(elements)}
+    elif points:
+        at = dict(zip(map(itemgetter(*points), elements), range(len(elements))))
+    else:  # the order-1 group
+        at = {(): 0}
     return points, at
 
 

@@ -200,18 +200,55 @@ def is_solvable(G: FiniteGroup) -> bool:
 def cosets(G: FiniteGroup, N: FiniteGroup):
     """The cosets t N of N in G, each a sorted tuple, lazily.
 
-    G's elements are walked in canonical order and each coset is yielded
-    when its least member is met, so the first coset is N itself.
+    The tuples of the index walk (``_coset_indices``): each coset is
+    yielded when its least member is met in canonical order, so the first
+    coset is N itself.
     """
-    nelems = N.element_tuples
     elements = G.element_tuples
-    mul = product(G)
-    seen = set()
-    for t in elements:
-        if t not in seen:
-            coset = tuple(sorted(mul(t, n) for n in nelems))
-            seen.update(coset)
-            yield coset
+    walk = _coset_indices(_coset_members(G, N), G.order // N.order, [None] * G.order)
+    for coset in walk:
+        yield tuple(map(elements.__getitem__, coset))
+
+
+def _coset_indices(members, count: int, coset_of: list):
+    """The ``count`` cosets t N of N in G as ascending lists of element
+    indices, lazily, with ``members = _coset_members(G, N)``.
+
+    The one coset walk, which ``cosets`` and ``QuotientProjection`` read.
+    ``coset_of`` is a list over G's element indices, all None; each coset's
+    number is written into it as the coset is found.  The least index not
+    yet numbered is the next coset's least member, so cosets are numbered
+    in the order of their least members, coset 0 being N; index order is
+    canonical order.
+    """
+    i = 0
+    for number in range(count):
+        i = coset_of.index(None, i)
+        coset = members(i)
+        for j in coset:
+            coset_of[j] = number
+        yield coset
+
+
+def _coset_members(G: FiniteGroup, N: FiniteGroup):
+    """i -> the element indices of t N, ascending, for t the i-th element of G.
+
+    The base images of t n are t's images at n's base images (see
+    ``group.base_table``), so one gather, ``itemgetter(n1[b1], ..., n1[bk],
+    n2[b1], ...)`` over N's elements n and the base points b, applied to t,
+    gives the keys of all |N| members at once: the values in groups of k,
+    n-major.  ``at`` turns the keys into indices.
+    """
+    if N.order == 1:  # also the order-1 group, whose base is empty
+        return lambda i: [i]
+    elements = G.element_tuples
+    points, at = base_table(G)
+    k = len(points)
+    gather = itemgetter(*[n[b] for n in N.element_tuples for b in points])
+    look = at.__getitem__
+    if k == 1:
+        return lambda i: sorted(map(look, gather(elements[i])))
+    return lambda i: sorted(map(look, zip(*[iter(gather(elements[i]))] * k)))
 
 
 class QuotientProjection:
@@ -219,41 +256,46 @@ class QuotientProjection:
 
     Image permutations are computed per element on demand, never as a
     full source-to-image table (the image degree is |G : N|, so a full
-    table would be quadratic in |G|).  Cosets are numbered in the order
-    of their least members, as ``cosets`` yields them; coset 0 is N.
+    table would be quadratic in |G|).  One coset walk (``_coset_indices``)
+    numbers the cosets in the order of their least members, as ``cosets``
+    yields them; coset 0 is N.  The projection keeps only that numbering,
+    a list element index -> coset number, and the index of each coset's
+    least member as its representative; ``fiber`` and ``kernel`` recompute
+    a coset from its representative, by the walk's gather over N
+    (``_coset_members``), when asked.
 
     g's image sends coset r N to (g r) N.  The base images of g r are g's
     images at r's base images (see ``group.base_table``), so one gather
-    per base point b, ``itemgetter(r1[b], r2[b], ...)``, reads that
-    coordinate for every representative r at once; the ``at`` table of
-    G's product turns the keys into element indices, and a list over
-    element indices into coset numbers.
+    over the pairs (representative r, base point b), ``itemgetter(r1[b1],
+    ..., r1[bk], r2[b1], ...)``, applied to g gives the keys of every g r
+    at once, in groups of k; the ``at`` table of G's product turns the keys
+    into element indices, and the numbering into coset numbers.
     """
 
-    def __init__(self, source: FiniteGroup, cosets: list):
+    def __init__(self, source: FiniteGroup, N: FiniteGroup):
         self.source = source
-        self.cosets = cosets
         self._perm_cache = {}
-        if len(cosets) > 1:  # then G is not the order-1 group, and its base is not empty
+        self._coset_of = [None] * source.order  # element index -> coset number
+        self._members = _coset_members(source, N)
+        walk = _coset_indices(self._members, source.order // N.order, self._coset_of)
+        self._reps = [coset[0] for coset in walk]
+        if len(self._reps) > 1:  # then G is not the order-1 group, and its base is not empty
             points, self._at = base_table(source)
-            key = itemgetter(*points)  # x -> x's base images, as ``at`` is keyed
-            self._coset_of = [0] * source.order  # element index -> coset number
-            for i, coset in enumerate(cosets):
-                for j in map(self._at.__getitem__, map(key, coset)):
-                    self._coset_of[j] = i
-            reps = [coset[0] for coset in cosets]
-            self._coords = [itemgetter(*[r[b] for r in reps]) for b in points]
+            self._k = len(points)
+            elements = source.element_tuples
+            self._gather = itemgetter(*[elements[r][b] for r in self._reps for b in points])
 
     def _image_raw(self, raw):
         got = self._perm_cache.get(raw)
         if got is None:
             if raw not in self.source.element_set:
                 raise GroupError("projected element lies outside the source group")
-            if len(self.cosets) == 1:
+            if len(self._reps) == 1:
                 got = (0,)
             else:
-                coords = [c(raw) for c in self._coords]
-                keys = coords[0] if len(coords) == 1 else zip(*coords)
+                keys = self._gather(raw)
+                if self._k > 1:
+                    keys = zip(*[iter(keys)] * self._k)
                 got = tuple(map(self._coset_of.__getitem__, map(self._at.__getitem__, keys)))
             if len(self._perm_cache) < 4096:
                 self._perm_cache[raw] = got
@@ -262,12 +304,16 @@ class QuotientProjection:
     def __call__(self, g):
         return Permutation._wrap(self._image_raw(images_of(g)))
 
+    def _coset(self, number) -> tuple:
+        elements = self.source.element_tuples
+        return tuple(map(elements.__getitem__, self._members(self._reps[number])))
+
     def kernel(self) -> FiniteGroup:
-        return self.source.subgroup(self.cosets[0])
+        return self.source.subgroup(self._coset(0))
 
     def fiber(self, q) -> tuple:
         """All preimages of a quotient element: the image of coset 0."""
-        return self.cosets[images_of(q)[0]]
+        return self._coset(images_of(q)[0])
 
 
 def quotient(G: FiniteGroup, N: FiniteGroup):
@@ -278,8 +324,8 @@ def quotient(G: FiniteGroup, N: FiniteGroup):
     """
     if not is_normal(N, G):
         raise NotNormalError("quotient by a non-normal subgroup")
-    proj = QuotientProjection(G, list(cosets(G, N)))
-    m = len(proj.cosets)
+    proj = QuotientProjection(G, N)
+    m = G.order // N.order
     if m == 1:
         return FiniteGroup.trivial(1), proj
     qgens = [proj._image_raw(g) for g in G._raw_gens]

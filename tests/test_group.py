@@ -337,6 +337,39 @@ def test_product_by_base_images_agrees_with_mult(catalog_groups, relabelled):
     assert [len(base(G)) for G in extra] == [2, 2, 4, 0]
 
 
+def _base_table_reference(G, points):
+    """The base table keyed one element at a time: a list over the image of
+    a one-point base, else a dict from the tuple of images."""
+    if len(points) == 1:
+        at = [None] * G.degree
+        for i, t in enumerate(G.element_tuples):
+            at[t[points[0]]] = i
+        return at
+    return {tuple(t[b] for b in points): i for i, t in enumerate(G.element_tuples)}
+
+
+def test_base_table_matches_reference(catalog_groups, relabelled):
+    """``at`` equals the table keyed element by element, on a base of every
+    length met: empty (the order-1 group), one point (the regular catalog
+    groups), two to four points (the eight non-regular catalog groups, the
+    Aut carriers of Q8 and C5^2:Q8, the D8, q = 3 bundle's P and relabelled
+    copies), and eight points (C2^8 acting on 16 points, one transposition
+    per factor)."""
+    by_name = {e.name: G for e, G in catalog_groups}
+    groups = [G for _, G in catalog_groups]
+    groups += [relabelled(by_name[n], 9) for n in IRREGULAR_BASES]
+    groups += [aut_group(by_name[n]).carrier for n in ("Q8", "C5^2:Q8")]
+    groups.append(build_znthm(by_name["D8"], 3).construction.P)
+    groups.append(FiniteGroup(16, [[p ^ 1 if p // 2 == i else p for p in range(16)]
+                                   for i in range(8)]))
+    lengths = set()
+    for G in groups:
+        points, at = group.base_table(G)
+        assert at == _base_table_reference(G, points)
+        lengths.add(len(points))
+    assert lengths == {0, 1, 2, 3, 4, 8}
+
+
 def test_product_table_never_calls_mult(catalog_groups, monkeypatch):
     """Once a group's elements are known, its product-table columns come
     from lookups alone, in regular and non-regular groups alike."""

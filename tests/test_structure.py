@@ -23,7 +23,7 @@ from gaschuetz import (
 )
 from gaschuetz import structure
 from gaschuetz.errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
-from gaschuetz.group import FiniteGroup, close_set, conjugation_perm, orbit
+from gaschuetz.group import FiniteGroup, close_set, conjugation_perm, orbit, product
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.structure import (
@@ -267,11 +267,12 @@ def test_quotient_projection_is_homomorphism():
         assert proj(a * b) == proj(a) * proj(b)
 
 
-def _projection_by_mult(proj):
-    """g -> g's image by the plain coset action: g r by mult, looked up in a
-    table of every element's coset, for each coset representative r."""
-    index_of = {x: i for i, coset in enumerate(proj.cosets) for x in coset}
-    return lambda g: tuple(index_of[mult(g, coset[0])] for coset in proj.cosets)
+def _projection_by_mult(walk):
+    """g -> g's image by the plain coset action on the cosets ``walk``: g r by
+    mult, looked up in a table of every element's coset, for each coset
+    representative r."""
+    index_of = {x: i for i, coset in enumerate(walk) for x in coset}
+    return lambda g: tuple(index_of[mult(g, coset[0])] for coset in walk)
 
 
 def test_projection_gathers_match_mult(small_catalog_groups, catalog_groups):
@@ -294,10 +295,11 @@ def test_projection_gathers_match_mult(small_catalog_groups, catalog_groups):
     coset_counts = set()
     for G, N, elements in cases:
         _, proj = quotient(G, N)
-        plain = _projection_by_mult(proj)
+        walk = list(cosets(G, N))
+        plain = _projection_by_mult(walk)
         for g in elements:
             assert proj._image_raw(g) == plain(g)
-        coset_counts.add(len(proj.cosets))
+        coset_counts.add(len(walk))
     assert {1, 3, 63}.issubset(coset_counts)
 
 
@@ -336,6 +338,74 @@ def test_cosets_match_orbit_walk(small_catalog_groups):
             K, oracle = proj.kernel(), G.subgroup(members[0])
             assert K.element_tuples == oracle.element_tuples == N.element_tuples
             assert K._raw_gens == oracle._raw_gens
+
+
+def _tuple_walk_cosets(G, N):
+    """The coset walk on raw tuples, one member at a time: t N for each t of
+    G not yet seen, in canonical order, its members sorted as tuples."""
+    nelems = N.element_tuples
+    mul = product(G)
+    seen = set()
+    walk = []
+    for t in G.element_tuples:
+        if t not in seen:
+            coset = tuple(sorted(mul(t, n) for n in nelems))
+            seen.update(coset)
+            walk.append(coset)
+    return walk
+
+
+def _check_index_walk(G, N, sample=None):
+    """The index walk and the projection built from it against the raw-tuple
+    walk: the cosets, the numbering of every element, Q's generators, the
+    kernel, and the fiber of every quotient element (of the images of
+    ``sample`` instead, where Q is too large to enumerate)."""
+    walk = _tuple_walk_cosets(G, N)
+    assert list(cosets(G, N)) == walk
+    number = {x: c for c, coset in enumerate(walk) for x in coset}
+    Q, proj = quotient(G, N)
+    assert proj._coset_of == [number[t] for t in G.element_tuples]
+    mul = product(G)
+    if len(walk) == 1:
+        assert Q.order == 1 and Q._raw_gens == ()
+    else:
+        assert list(Q._raw_gens) == [
+            tuple(number[mul(g, coset[0])] for coset in walk) for g in G._raw_gens]
+    K = proj.kernel()
+    assert K.element_tuples == N.element_tuples
+    assert K._raw_gens == G.subgroup(walk[0])._raw_gens
+    qs = Q.element_tuples if sample is None else [proj._image_raw(g) for g in sample]
+    for q in qs:
+        assert proj.fiber(q) == walk[q[0]]
+    return len(walk)
+
+
+def test_index_walk_matches_tuple_walk(small_catalog_groups, catalog_groups, relabelled):
+    """Every catalog group of order <= 63 and a relabelled copy of each, over
+    each of its normal subgroups (N = 1, N = G and the order-1 group among
+    them); the D8, q = 3 bundle's P (a base of four points) over Z0, the
+    preimages of N and H, R, 1 and P; and G/R (a base of one point, degree
+    768) over the image of N."""
+    counts = set()
+    for entry, bundled in small_catalog_groups:
+        for G in (bundled, relabelled(bundled, 11)):
+            for N in normal_subgroups_fast(G):
+                counts.add(_check_index_walk(G, N))
+    D8 = next(G for e, G in catalog_groups if e.name == "D8")
+    world = build_znthm(D8, 3).construction
+    P = world.P
+    r_hat = world.saturated(derived_subgroup(
+        FiniteGroup(P.degree, world.d_pairs, order=D8.order ** 3))._raw_gens)
+    sample = list(P._raw_gens) + random.Random(25).sample(P.element_tuples, 32)
+    for N in (world.saturated(world.n_pairs),
+              world.saturated(world.n_pairs + world.d_pairs), r_hat, P):
+        counts.add(_check_index_walk(P, N))
+    for N in (world.z0, FiniteGroup.trivial(P.degree)):
+        counts.add(_check_index_walk(P, N, sample))
+    gbar, proj = quotient(P, r_hat)
+    nbar = gbar.generated_subgroup([proj(g) for g in world.n_pairs])
+    counts.add(_check_index_walk(gbar, nbar))
+    assert {1, 3, 63, 192, 768, 6144, 12288}.issubset(counts)
 
 
 def test_element_fingerprints_match_direct_count(small_catalog_groups):
