@@ -1,8 +1,9 @@
 """Command-line surface: verdicts, complements, classification, witnesses.
 
-Exit codes: 0 success, 1 engine error (budget, size, hypothesis) or
-standard output closed early, 2 usage error (unknown names, bad flags,
-unreadable or malformed catalog files, malformed GASCHUETZ_* values).
+Exit codes: 0 success, 1 engine error (budget, size, hypothesis), memory
+exhausted or standard output closed early, 2 usage error (unknown names,
+bad flags, unreadable or malformed catalog files, malformed GASCHUETZ_*
+values).
 """
 
 from __future__ import annotations
@@ -299,6 +300,9 @@ def main(argv=None) -> int:
         return 2
     except GroupError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
 
 

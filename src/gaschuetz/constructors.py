@@ -270,7 +270,7 @@ class ActionSpec:
         self._aut_maps = [self._as_automorphism(row) for row in self.images]
         table = ProductTable.of(acting)
         steps = [
-            (table.col(table.index[g]).__getitem__, lambda y, aut=aut: mult(y, aut))
+            (table.col(acting.element_index[g]).__getitem__, lambda y, aut=aut: mult(y, aut))
             for g, aut in zip(acting._raw_gens, self._aut_maps)
         ]
         self._table = extend_images(steps, 0, identity_images(target.order), acting.order)
@@ -325,7 +325,7 @@ class SemidirectProduct:
 
     def _n_point_perm(self, raw):
         table = ProductTable.of(self._N)
-        return direct_sum((table.col(table.index[inverse(raw)]), self._h_identity))
+        return direct_sum((table.col(self._N.element_index[inverse(raw)]), self._h_identity))
 
     def embed_n(self, x) -> Permutation:
         return Permutation._wrap(self._n_point_perm(images_of(x)))

@@ -20,21 +20,19 @@ z[b] = x[y[b]] for every base point b: G's own tuple, found by one
 lookup instead of composing a degree-length tuple (Seress, *Permutation
 Group Algorithms*, 2003, ch. 4; Holt, Eick and O'Brien, *Handbook of
 Computational Group Theory*, 2005, 4.4).  A regular group's base is the
-point 0.  The table from base images to element indices, ``at``, is
-built once per group (``base_table``).  ``perm.mult``, a C-level gather,
+point 0, and so is the order-1 group's.  ``perm.mult``, a C-level gather,
 stays for groups whose elements are not known yet.  Closures, normality
 tests and conjugation (the maps ``conjugations`` builds, which ``orbit``
-walks) inside a known group take that product, and so do element orders:
-``element_order`` walks the powers of x by lookups, once per cyclic
-subgroup.  The coset walk (``structure.cosets``) reads ``at`` directly,
-by one gather per coset.
+walks) inside a known group take that product, and so does
+``element_order``, which walks x's powers once per cyclic subgroup.
 
-A ``ProductTable`` holds a group's products on element indices, one lazy
-column per right factor.  A column is one gather: G's elements read at
-the right factor's base images give every product's key, and the same
-``at`` table that ``product`` reads turns the keys into indices.  Its
-``extend`` certifies a map given by generator images, for the
-automorphism search and for actions into Aut(N) alike.
+Each enumerated group has one lookup table, its ``ProductTable``: the
+base, the table ``at`` from base images to element indices, the product
+and order map above, and G's products on element indices, one gather per
+right factor.  ``products`` gathers one left factor times a fixed list
+of right factors, for ``structure``'s cosets and quotients.  ``extend``
+certifies a map given by generator images, for the automorphism search
+and for actions into Aut(N) alike.
 """
 
 from __future__ import annotations
@@ -44,7 +42,7 @@ from math import gcd
 from operator import itemgetter
 
 from . import config
-from .errors import DegreeMismatchError, GroupError, SizeLimitError
+from .errors import DegreeMismatchError, GroupError, PreconditionError, SizeLimitError
 from .perm import (
     Permutation, as_permutation, identity_images, images_of, inverse, mult, perm_order,
 )
@@ -127,17 +125,15 @@ def product(G):
     """(x, y) -> x y for elements of G, by lookup once G's elements are known.
 
     The product is the element of G whose images of the base points b
-    are x[y[b]] (see ``base``): G's own tuple, found through ``at`` (see
-    ``base_table``) by one list index when the base is one point and by one
-    dict lookup keyed by the tuple of images otherwise, then read from G's
-    elements by its index.  It is cached on G once its elements are known;
-    before that this returns ``mult`` and caches nothing, since it never
+    are x[y[b]] (see ``base``): G's own tuple, found by one lookup in G's
+    ``ProductTable``, which keeps this map once G's elements are known.
+    Before that this returns ``mult`` and builds nothing, since it never
     enumerates G.  A caller about to walk G's elements reads them first,
     then takes the product.
     """
     if G._element_tuples is None:
         return mult
-    return G.cached("product", _product)
+    return G.cached("product_table", ProductTable).product  # ProductTable.of, one call less per closure
 
 
 def element_order(G):
@@ -145,20 +141,19 @@ def element_order(G):
 
     Each walk multiplies by ``product(G)`` until it reaches 1 and records
     |x^j| = |x| / gcd(|x|, j) for every power x^j it meets, so a cyclic
-    subgroup is walked once.  Cached on G once its elements are known;
-    before that this is ``perm_order`` and caches nothing, as ``product``
-    is ``mult``.  An x outside a known G raises GroupError, as in
-    ``close_set``: a lookup with an outside factor names a wrong element
-    and the walk may never reach 1.
+    subgroup is walked once.  Kept on G's ``ProductTable`` once G's
+    elements are known; before that this is ``perm_order`` and builds
+    nothing, as ``product`` is ``mult``.  An x outside a known G raises
+    GroupError, as in ``close_set``: a lookup with an outside factor names
+    a wrong element and the walk may never reach 1.
     """
     if G._element_tuples is None:
         return perm_order
-    return G.cached("element_order", _element_order)
+    return G.cached("product_table", ProductTable).element_order  # as in product
 
 
-def _element_order(G):
-    mul, known = product(G), G._element_set
-    ident = identity_images(G.degree)
+def _order_walk(mul, known, ident):
+    """x -> |x| for x in ``known``, walking x's powers by ``mul`` (see ``element_order``)."""
     orders = {ident: 1}
 
     def order(x):
@@ -186,7 +181,8 @@ def base(G):
     first of them moves, keep the elements fixing it, and repeat until
     none is left.  No non-identity element then fixes every point taken,
     so two elements agreeing there are equal.  It costs about 2 |G|
-    element tests; a regular group's base is [0], the order-1 group's [].
+    element tests.  A regular group's base is [0], and so is the order-1
+    group's: one point names its only element.
     """
     rest = G.element_tuples[1:]  # canonical order puts the identity first
     points = []
@@ -194,42 +190,7 @@ def base(G):
         b = next(p for p, q in enumerate(rest[0]) if p != q)
         points.append(b)
         rest = [t for t in rest if t[b] == b]
-    return points
-
-
-def base_table(G):
-    """(points, at): G's base (see ``base``) and its element indices by base images.
-
-    ``at`` maps the images of the base points to the index (in
-    ``element_tuples``) of the element of G with those images: a list
-    indexed by the image of the one point when the base is one point, a
-    dict keyed by the tuple of images otherwise (the empty tuple for the
-    order-1 group).  A base of several points gets its keys by one gather
-    per element, ``itemgetter(*points)``, zipped with the indices in C.
-    Built once per group and read by ``product``, ``ProductTable`` and the
-    coset walk (``structure.cosets``) alike; G's elements must be known.
-    """
-    return G.cached("base_table", _base_table)
-
-
-def _base_table(G):
-    elements = G.element_tuples
-    points = tuple(base(G))
-    if len(points) == 1:
-        b, = points
-        at = [None] * G.degree  # at[p]: the index of the element moving b to p
-        for i, t in enumerate(elements):
-            at[t[b]] = i
-    elif points:
-        at = dict(zip(map(itemgetter(*points), elements), range(len(elements))))
-    else:  # the order-1 group
-        at = {(): 0}
-    return points, at
-
-
-def _product(G):
-    points, at = base_table(G)
-    return _lookup(points)(at, G.element_tuples)
+    return points or [0]
 
 
 @functools.cache
@@ -247,7 +208,7 @@ def _lookup(points):
 
 
 class FiniteGroup:
-    """A finite permutation group of fixed degree.
+    """A finite permutation group of fixed degree, at least 1.
 
     Generators may be Permutations or image sequences; each is validated.
     Facts a caller already knows are passed in, not recomputed: the
@@ -259,6 +220,8 @@ class FiniteGroup:
 
     def __init__(self, degree, generators, *, elements=None, order=None):
         self.degree = int(degree)
+        if self.degree < 1:  # a base needs a point, even in the order-1 group
+            raise PreconditionError(f"a permutation group has degree at least 1, not {degree}")
         self.generators = tuple(
             as_permutation(g, self.degree, "generator") for g in generators
         )
@@ -493,23 +456,37 @@ def extend_images(steps, identity, image_identity, size):
 
 
 class ProductTable:
-    """G's multiplication on element indices, built one column at a time.
+    """G's one lookup table: its base, its element indices by base images,
+    its product and order map on tuples, and its product on element indices.
+
+    ``points`` is G's base (see ``base``); ``at`` maps the base points'
+    images to the index of the element of G with those images: a list over
+    the image of the point for a one-point base (every regular group and
+    the order-1 group), else a dict keyed by the tuple of images.  Only
+    this module reads them.  ``product`` and ``element_order`` are the maps
+    the functions of those names return; ``order(x)`` is the order of the
+    x-th element.
 
     ``col(h)[y]`` is the index of y h, and a column is built the first
     time it is read, so a search touching k elements as right factors
     costs k columns, never a full |G| x |G| table.  With g = G[h] fixed,
     the base images of y g are y's images at g's base images: one gather
     ``itemgetter(g[b1], ..., g[bk])`` mapped over G's elements gives every
-    key, and the ``at`` table that ``product`` reads (``base_table``) turns
-    the keys into indices, both maps in C.  Element orders are
-    ``element_order(G)``.  One table per group, cached on it.
+    key, and ``at`` turns the keys into indices, both maps in C.  One table
+    per group, cached on it (``of``); G's elements must be known.
     """
 
     def __init__(self, G: FiniteGroup):
-        self.elements = G.element_tuples
-        self.index = G.element_index
-        self.points, self.at = base_table(G)
-        self.element_order = element_order(G)
+        self.elements = elements = G.element_tuples
+        self.points = points = tuple(base(G))
+        if len(points) == 1:  # at[p]: the index of the element moving the point to p
+            self.at = at = [None] * G.degree
+            for i, p in enumerate(map(itemgetter(*points), elements)):
+                at[p] = i
+        else:
+            self.at = dict(zip(map(itemgetter(*points), elements), range(len(elements))))
+        self.product = _lookup(points)(self.at, elements)
+        self.element_order = _order_walk(self.product, G.element_set, elements[0])
         self.columns = {}
 
     @classmethod
@@ -519,13 +496,9 @@ class ProductTable:
     def col(self, h):
         column = self.columns.get(h)
         if column is None:
-            if self.points:
-                g = self.elements[h]
-                keys = map(itemgetter(*[g[b] for b in self.points]), self.elements)
-                column = list(map(self.at.__getitem__, keys))
-            else:  # the order-1 group
-                column = [0]
-            self.columns[h] = column
+            g = self.elements[h]
+            keys = map(itemgetter(*[g[b] for b in self.points]), self.elements)
+            column = self.columns[h] = list(map(self.at.__getitem__, keys))
         return column
 
     def order(self, x):
@@ -542,6 +515,28 @@ class ProductTable:
             return None
         # one gather of the table in index order; a getter of one index returns a bare value
         return itemgetter(*range(n))(table) if n > 1 else (table[0],)
+
+
+def products(G: FiniteGroup, rights):
+    """x -> the element indices of x r for r in ``rights``, in order, for x in G.
+
+    The base images of x r are x's images at r's base images, so one
+    gather over the pairs (r, base point b), ``itemgetter(r1[b1], ...,
+    r1[bk], r2[b1], ...)``, applied to x gives the keys of every x r at
+    once, in groups of k; ``at`` turns them into indices, both maps in C.
+    The map returns an iterator.  ``structure`` reads it for the cosets
+    t N (``rights`` = N) and for the quotient's action on cosets
+    (``rights`` = their representatives).
+    """
+    table = ProductTable.of(G)
+    points, look = table.points, table.at.__getitem__
+    k = len(points)
+    spots = [r[b] for r in rights for b in points]
+    # a getter of one index returns a bare value
+    gather = itemgetter(*spots) if len(spots) > 1 else lambda x, s=spots[0]: (x[s],)
+    if k == 1:
+        return lambda x: map(look, gather(x))
+    return lambda x: map(look, zip(*[iter(gather(x))] * k))
 
 
 def orbit(start, maps):

@@ -5,12 +5,10 @@ Commutator convention: [x, y] = x y x^-1 y^-1.
 
 from __future__ import annotations
 
-from operator import itemgetter
-
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
-    FiniteGroup, base_table, close_set, conjugations, element_order, intersection, is_normal,
-    normal_closure, orbit, product,
+    FiniteGroup, close_set, conjugations, element_order, intersection, is_normal,
+    normal_closure, orbit, product, products,
 )
 from .perm import Permutation, images_of, inverse, mult
 
@@ -233,22 +231,12 @@ def _coset_indices(members, count: int, coset_of: list):
 def _coset_members(G: FiniteGroup, N: FiniteGroup):
     """i -> the element indices of t N, ascending, for t the i-th element of G.
 
-    The base images of t n are t's images at n's base images (see
-    ``group.base_table``), so one gather, ``itemgetter(n1[b1], ..., n1[bk],
-    n2[b1], ...)`` over N's elements n and the base points b, applied to t,
-    gives the keys of all |N| members at once: the values in groups of k,
-    n-major.  ``at`` turns the keys into indices.
+    One gather over N's elements (``group.products``) gives the indices
+    of all |N| members t n at once.
     """
-    if N.order == 1:  # also the order-1 group, whose base is empty
-        return lambda i: [i]
     elements = G.element_tuples
-    points, at = base_table(G)
-    k = len(points)
-    gather = itemgetter(*[n[b] for n in N.element_tuples for b in points])
-    look = at.__getitem__
-    if k == 1:
-        return lambda i: sorted(map(look, gather(elements[i])))
-    return lambda i: sorted(map(look, zip(*[iter(gather(elements[i]))] * k)))
+    times_n = products(G, N.element_tuples)
+    return lambda i: sorted(times_n(elements[i]))
 
 
 class QuotientProjection:
@@ -264,12 +252,9 @@ class QuotientProjection:
     a coset from its representative, by the walk's gather over N
     (``_coset_members``), when asked.
 
-    g's image sends coset r N to (g r) N.  The base images of g r are g's
-    images at r's base images (see ``group.base_table``), so one gather
-    over the pairs (representative r, base point b), ``itemgetter(r1[b1],
-    ..., r1[bk], r2[b1], ...)``, applied to g gives the keys of every g r
-    at once, in groups of k; the ``at`` table of G's product turns the keys
-    into element indices, and the numbering into coset numbers.
+    g's image sends coset r N to (g r) N: one gather over the
+    representatives r (``group.products``) gives the element indices of
+    every g r at once, and the numbering turns them into coset numbers.
     """
 
     def __init__(self, source: FiniteGroup, N: FiniteGroup):
@@ -279,24 +264,15 @@ class QuotientProjection:
         self._members = _coset_members(source, N)
         walk = _coset_indices(self._members, source.order // N.order, self._coset_of)
         self._reps = [coset[0] for coset in walk]
-        if len(self._reps) > 1:  # then G is not the order-1 group, and its base is not empty
-            points, self._at = base_table(source)
-            self._k = len(points)
-            elements = source.element_tuples
-            self._gather = itemgetter(*[elements[r][b] for r in self._reps for b in points])
+        elements = source.element_tuples
+        self._times_reps = products(source, [elements[r] for r in self._reps])
 
     def _image_raw(self, raw):
         got = self._perm_cache.get(raw)
         if got is None:
             if raw not in self.source.element_set:
                 raise GroupError("projected element lies outside the source group")
-            if len(self._reps) == 1:
-                got = (0,)
-            else:
-                keys = self._gather(raw)
-                if self._k > 1:
-                    keys = zip(*[iter(keys)] * self._k)
-                got = tuple(map(self._coset_of.__getitem__, map(self._at.__getitem__, keys)))
+            got = tuple(map(self._coset_of.__getitem__, self._times_reps(raw)))
             if len(self._perm_cache) < 4096:
                 self._perm_cache[raw] = got
         return got

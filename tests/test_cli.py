@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import time
@@ -218,6 +219,27 @@ def test_orders_past_the_digit_limit_print_as_formulas(argv, message):
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert message in proc.stderr
+
+
+def _limit_address_space(kib):
+    """A preexec_fn capping the child's address space at ``kib`` KiB (``ulimit -v``)."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (kib * 1024, kib * 1024))
+    return limit
+
+
+def test_memory_exhaustion_is_one_error_line():
+    """C19999 is enumerated before its verdict: 19,999 elements of degree
+    19,999 outgrow a 400,000 KiB address space.  The MemoryError becomes one
+    ``error:`` line and exit 1.  The cap applies to the child alone."""
+    src = os.path.dirname(os.path.dirname(gaschuetz.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "gaschuetz", "verdict", "C19999"], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        preexec_fn=_limit_address_space(400_000),
+    )
+    assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
+    assert proc.stderr == "error: out of memory\n"
 
 
 def test_sylow_selector_with_a_large_prime():

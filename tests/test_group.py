@@ -17,6 +17,7 @@ from gaschuetz.errors import (
     GroupError,
     MalformedPermutationError,
     NotNormalError,
+    PreconditionError,
     SizeLimitError,
 )
 from gaschuetz import group, lattice
@@ -70,6 +71,13 @@ def test_malformed_generator_rejected():
         FiniteGroup(3, [Permutation([0, 0, 1])])
     with pytest.raises(MalformedPermutationError):
         FiniteGroup(3, [(0, 0, 1)])
+
+
+def test_degree_zero_is_refused():
+    """The order-1 group's base is the point 0, so a group acts on at least one point."""
+    for build in (lambda: FiniteGroup(0, []), lambda: FiniteGroup.trivial(0)):
+        with pytest.raises(PreconditionError, match="degree at least 1"):
+            build()
 
 
 def test_size_limit(monkeypatch):
@@ -307,8 +315,8 @@ def test_product_by_base_images_agrees_with_mult(catalog_groups, relabelled):
     equal to mult on every element times every generator and on a seeded
     sample of pairs: all catalog groups, bundled and relabelled, the Aut
     carriers of Q8 and C5^2:Q8, the direct product P behind the D8, q = 3
-    witness, and an order-1 group.  A regular group's base is [0], and the
-    order-1 group's is empty."""
+    witness, and an order-1 group.  A regular group's base is [0], and so
+    is the order-1 group's."""
     by_name = {e.name: G for e, G in catalog_groups}
     extra = [aut_group(by_name[n]).carrier for n in ("Q8", "C5^2:Q8")]
     extra.append(build_znthm(by_name["D8"], 3).construction.P)
@@ -321,9 +329,7 @@ def test_product_by_base_images_agrees_with_mult(catalog_groups, relabelled):
         elements = G.element_tuples
         mul = product(G)
         assert mul is not mult
-        if len(elements) == 1:
-            assert base(G) == []
-        elif len({t[0] for t in elements}) == len(elements):
+        if len({t[0] for t in elements}) == len(elements):
             assert base(G) == [0]
         elif name is not None:
             irregular.setdefault(name, len(base(G)))
@@ -334,7 +340,8 @@ def test_product_by_base_images_agrees_with_mult(catalog_groups, relabelled):
             x, y = rng.choice(elements), rng.choice(elements)
             assert mul(x, y) == mult(x, y)
     assert irregular == IRREGULAR_BASES
-    assert [len(base(G)) for G in extra] == [2, 2, 4, 0]
+    assert base(extra[3]) == [0]
+    assert [len(base(G)) for G in extra] == [2, 2, 4, 1]
 
 
 def _base_table_reference(G, points):
@@ -350,8 +357,9 @@ def _base_table_reference(G, points):
 
 def test_base_table_matches_reference(catalog_groups, relabelled):
     """``at`` equals the table keyed element by element, on a base of every
-    length met: empty (the order-1 group), one point (the regular catalog
-    groups), two to four points (the eight non-regular catalog groups, the
+    length met: one point (the regular catalog groups, and the order-1
+    group, whose table names its only element at its one point), two to
+    four points (the eight non-regular catalog groups, the
     Aut carriers of Q8 and C5^2:Q8, the D8, q = 3 bundle's P and relabelled
     copies), and eight points (C2^8 acting on 16 points, one transposition
     per factor)."""
@@ -364,10 +372,12 @@ def test_base_table_matches_reference(catalog_groups, relabelled):
                                    for i in range(8)]))
     lengths = set()
     for G in groups:
-        points, at = group.base_table(G)
-        assert at == _base_table_reference(G, points)
-        lengths.add(len(points))
-    assert lengths == {0, 1, 2, 3, 4, 8}
+        table = ProductTable(G)
+        assert table.at == _base_table_reference(G, table.points)
+        lengths.add(len(table.points))
+    trivial = ProductTable(FiniteGroup.trivial(3))
+    assert trivial.points == (0,) and trivial.at == [0, None, None]
+    assert lengths == {1, 2, 3, 4, 8}
 
 
 def test_product_table_never_calls_mult(catalog_groups, monkeypatch):
@@ -397,7 +407,7 @@ def test_product_table_columns_match_mult(small_catalog_groups, named_large_grou
     """Each column, one gather of G's elements at the right factor's base
     images read through the base table, equals the column of indices of
     products by mult: every column of each catalog group of order <= 63 and
-    of a relabelled copy, the order-1 group (empty base), and a seeded
+    of a relabelled copy, the order-1 group (a one-point base), and a seeded
     sample of columns of the Aut carriers of A6 and C5^2:Q8, whose bases
     have several points.  The order-1 group's map extension, read out by
     index, is a tuple too."""
@@ -418,7 +428,7 @@ def test_product_table_columns_match_mult(small_catalog_groups, named_large_grou
             assert table.col(h) == [index[mult(y, g)] for y in elements]
             columns += 1
     assert columns > 20_000
-    trivial = ProductTable(FiniteGroup.trivial(2))  # a one-index gather would give a bare 0
+    trivial = ProductTable(FiniteGroup.trivial(2))  # extend's one-index gather would give a bare 0
     assert trivial.extend([], trivial, []) == (0,)
 
 

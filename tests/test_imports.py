@@ -67,6 +67,35 @@ def test_every_import_is_read(module):
         assert _unread_imports(fh.read()) == []
 
 
+def _layout_reads(source):
+    """Lines that read a base table's layout: an attribute ``at`` or
+    ``points``, or a call of ``group.base``, imported or qualified."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in ("at", "points"):
+            found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Name) and f.id == "base"
+                    or isinstance(f, ast.Attribute) and f.attr == "base"
+                    and isinstance(f.value, ast.Name) and f.value.id == "group"):
+                found.append((node.lineno, "base"))
+    return sorted(found)
+
+
+def test_layout_read_is_caught():
+    source = "points, at = table.points, table.at\nbase(G)\ngroup.base(G)\nN.base\n"
+    assert _layout_reads(source) == [(1, "at"), (1, "points"), (2, "base"), (3, "base")]
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "group"] + ["__main__"])
+def test_only_group_reads_the_base_layout(module):
+    """How base images key element indices is decided in ``group`` alone:
+    other modules gather through ``group.products`` or a table's columns."""
+    with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
+        assert _layout_reads(fh.read()) == []
+
+
 def _bench_module(name):
     """A benchmark script, loaded by file path without running it."""
     spec = importlib.util.spec_from_file_location(
