@@ -75,7 +75,7 @@ def load_catalog(path) -> list[CatalogEntry]:
             continue
         try:
             obj = json.loads(line)
-        except ValueError as e:  # JSONDecodeError, or an integer past the digit limit
+        except (ValueError, RecursionError) as e:  # also over-long integers, deep nesting
             raise CatalogError(f"line {lineno}: invalid JSON: {e}", line=lineno)
         try:
             degree, gens, tags = obj["degree"], obj["generators"], obj.get("tags", [])

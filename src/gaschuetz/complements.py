@@ -36,6 +36,7 @@ from .group import (
     is_normal,
     is_subgroup,
     orbit,
+    orbits,
     reduce_generators,
 )
 from .perm import Permutation, identity_images
@@ -88,21 +89,13 @@ def small_generating_set(Q: FiniteGroup) -> list[Permutation]:
 
 
 def _orbit_reps(candidates, N: FiniteGroup, G: FiniteGroup):
-    """Representatives of the N-conjugation orbits on candidates in G."""
-    conj = conjugations(G, N._raw_gens)
+    """The least member of each N-conjugation orbit on candidates in G, sorted."""
     cand_set = set(candidates)
-    reps = []
-    seen = set()
-    for t in sorted(candidates):
-        if t in seen:
-            continue
-        orb = orbit(t, conj)
-        if not orb <= cand_set:
-            # conjugation must preserve the fiber and the order filter
-            raise AssertionError("orbit left the candidate fiber")
-        seen |= orb
-        reps.append(t)
-    return reps
+    found = orbits(sorted(candidates), conjugations(G, N._raw_gens))
+    # conjugation must preserve the fiber and the order filter
+    if not all(orb <= cand_set for _, orb in found):
+        raise AssertionError("orbit left the candidate fiber")
+    return [t for t, _ in found]
 
 
 def _search(G, N, *, collect_all=False):

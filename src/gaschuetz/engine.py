@@ -170,14 +170,19 @@ def verdict(N: FiniteGroup) -> Verdict:
     """The first rule of RULES that fires; UNDECIDED is an honest output.
 
     A verdict reached after a rule was skipped for budget depends on the
-    budget, so it is returned but not kept in the verdict cache.
+    budget, so it is returned but not kept in the verdict cache.  The
+    abelian rule reads only generators, so it runs before N is enumerated
+    for the cache key, and its verdict is not cached.
     """
+    side, rule, _, abelian = RULES[0]
+    if evidence := abelian(N):
+        return Verdict(side, rule, evidence)
     key = N.element_set
     got = _verdict_cache.get(key)
     if got is not None:
         return got
     skipped = {}
-    for side, rule, label, test in RULES:
+    for side, rule, label, test in RULES[1:]:
         evidence = _run(N, label, test, skipped)
         if evidence:
             out = Verdict(side, rule, evidence)

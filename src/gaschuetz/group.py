@@ -23,7 +23,7 @@ Computational Group Theory*, 2005, 4.4).  A regular group's base is the
 point 0, and so is the order-1 group's.  ``perm.mult``, a C-level gather,
 stays for groups whose elements are not known yet.  Closures, normality
 tests and conjugation (the maps ``conjugations`` builds, which ``orbit``
-walks) inside a known group take that product, and so does
+and ``orbits`` walk) inside a known group take that product, and so does
 ``element_order``, which walks x's powers once per cyclic subgroup.
 
 Each enumerated group has one lookup table, its ``ProductTable``: the
@@ -355,13 +355,13 @@ def reduce_generators(elements, degree, *, within):
     return drop_redundant(gens, degree, len(elements), within=within)
 
 
-def drop_redundant(gens, degree, order, *, within=None):
+def drop_redundant(gens, degree, order, *, within):
     """gens, generating a group of ``order``, without the redundant ones.
 
     One forward pass drops each generator that the others still generate
     without.  Dropping a generator never makes a kept one redundant, so no
     redundant generator is left, and the result equals that of rescanning
-    from the start after every drop.
+    from the start after every drop.  Closures multiply in ``within``.
     """
     kept = list(gens)
     for g in gens:
@@ -556,6 +556,19 @@ def orbit(start, maps):
                     new.append(y)
         frontier = new
     return seen
+
+
+def orbits(points, maps):
+    """(first point, orbit) for each orbit of the maps that ``points`` meets,
+    in the order of those first points: each point not yet seen starts one."""
+    seen = set()
+    out = []
+    for x in points:
+        if x not in seen:
+            orb = orbit(x, maps)
+            seen |= orb
+            out.append((x, orb))
+    return out
 
 
 def conjugations(G: FiniteGroup, by):

@@ -26,7 +26,7 @@ from .structure import conjugacy_classes, prime_factors
 
 def _cyclic_generators(G: FiniteGroup):
     """(element set, [least generator]) of each nontrivial cyclic subgroup,
-    sorted by generator."""
+    in order of the generators."""
     ident = identity_images(G.degree)
     elements = G.element_tuples
     mul = product(G)
@@ -44,7 +44,12 @@ def _cyclic_generators(G: FiniteGroup):
         # elements come in canonical order: the first to generate a
         # subgroup is its least generator
         by_key.setdefault(frozenset(powers), t)
-    return sorted(((key, [t]) for key, t in by_key.items()), key=lambda atom: atom[1])
+    return [(key, [t]) for key, t in by_key.items()]
+
+
+def _product_order(a, b) -> int:
+    """|AB| = |A| |B| / |A meet B| for subgroups given by element sets."""
+    return len(a) * len(b) // len(a & b)
 
 
 def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
@@ -70,7 +75,7 @@ def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
         for aset, agens in atoms:
             if aset <= xset:
                 continue
-            size = len(xset) * len(aset) // len(xset & aset)
+            size = _product_order(xset, aset)
             if any(aset <= Y and xset <= Y for Y in by_order.get(size, ())):
                 continue
             gens = list(X._raw_gens) + list(agens)
@@ -162,11 +167,6 @@ def _frattini(G: FiniteGroup) -> FiniteGroup:
     return G.subgroup(common)
 
 
-def _product_order(A: FiniteGroup, B: FiniteGroup) -> int:
-    meet = len(A.element_set & B.element_set)
-    return A.order * B.order // meet
-
-
 def minimal_supplement(G: FiniteGroup, N: FiniteGroup, H: FiniteGroup) -> FiniteGroup:
     """Inclusion-minimal H1 <= H with G = H1 N, by greedy maximal descent.
 
@@ -175,12 +175,12 @@ def minimal_supplement(G: FiniteGroup, N: FiniteGroup, H: FiniteGroup) -> Finite
     """
     if not is_normal(N, G):
         raise PreconditionError("supplement reduction needs N normal in G")
-    if _product_order(H, N) != G.order:
+    if _product_order(H.element_set, N.element_set) != G.order:
         raise PreconditionError("H N = G is required")
     H1 = H
     while True:
         for M in maximal_subgroups(H1):
-            if _product_order(M, N) == G.order:
+            if _product_order(M.element_set, N.element_set) == G.order:
                 H1 = M
                 break
         else:

@@ -68,23 +68,6 @@ def inverse(p):
     return tuple(inv)
 
 
-def cycle_lengths(p):
-    n = len(p)
-    seen = [False] * n
-    out = []
-    for i in range(n):
-        if seen[i]:
-            continue
-        length = 0
-        j = i
-        while not seen[j]:
-            seen[j] = True
-            j = p[j]
-            length += 1
-        out.append(length)
-    return out
-
-
 def power(p, k: int):
     """p^k for k >= 0 by square-and-multiply; p^0 is the identity."""
     result = None
@@ -98,7 +81,8 @@ def power(p, k: int):
 
 
 def perm_order(p) -> int:
-    return lcm(*cycle_lengths(p)) if p else 1
+    """The order of a raw tuple: the lcm of its cycle lengths (1 for none)."""
+    return lcm(*map(len, cycles_of(p)))
 
 
 def cycles_of(p):

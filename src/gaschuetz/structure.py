@@ -8,7 +8,7 @@ from __future__ import annotations
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
     FiniteGroup, close_set, conjugations, element_order, intersection, is_normal,
-    normal_closure, orbit, product, products,
+    normal_closure, orbits, product, products,
 )
 from .perm import Permutation, images_of, inverse, mult
 
@@ -160,18 +160,9 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
 
 
 def _conjugacy_classes(G: FiniteGroup) -> list[tuple]:
-    elements = G.element_tuples
-    conj = conjugations(G, G._raw_gens)
-    seen = set()
-    classes = []
     # canonical order meets each class first at its least member
-    for t in elements:
-        if t in seen:
-            continue
-        cls = orbit(t, conj)
-        seen |= cls
-        classes.append(tuple(sorted(cls)))
-    return classes
+    conj = conjugations(G, G._raw_gens)
+    return [tuple(sorted(cls)) for _, cls in orbits(G.element_tuples, conj)]
 
 
 def element_fingerprints(G: FiniteGroup) -> dict:

@@ -229,17 +229,32 @@ def _limit_address_space(kib):
 
 
 def test_memory_exhaustion_is_one_error_line():
-    """C19999 is enumerated before its verdict: 19,999 elements of degree
-    19,999 outgrow a 400,000 KiB address space.  The MemoryError becomes one
+    """D19998 is enumerated before its verdict: 19,998 elements of degree
+    9,999 outgrow a 400,000 KiB address space.  The MemoryError becomes one
     ``error:`` line and exit 1.  The cap applies to the child alone."""
     src = os.path.dirname(os.path.dirname(gaschuetz.__file__))
     proc = subprocess.run(
-        [sys.executable, "-m", "gaschuetz", "verdict", "C19999"], capture_output=True,
+        [sys.executable, "-m", "gaschuetz", "verdict", "D19998"], capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
         preexec_fn=_limit_address_space(400_000),
     )
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr == "error: out of memory\n"
+
+
+@pytest.mark.parametrize(
+    "group, normal, rc, message",
+    [
+        ("S3", "sylow2", 1, "the chosen subgroup is not normal"),
+        ("S4", "order:5", 2, "0 normal subgroups of order 5; specify differently"),
+        ("C2xC2", "C2", 2,
+         "3 normal subgroups isomorphic to 'C2'; use order:<m> or a keyword"),
+        ("S4", "Q8", 2, "no normal subgroup isomorphic to 'Q8'"),
+    ],
+)
+def test_normal_selector_refusals(capsys, group, normal, rc, message):
+    got = run(capsys, "complement", "--group", group, "--normal", normal)
+    assert got == (rc, "", f"error: {message}\n")
 
 
 def test_sylow_selector_with_a_large_prime():
@@ -386,3 +401,20 @@ def test_catalog_integer_too_long_to_convert_exit_code(tmp_path, capsys):
     path.write_text('{"name": "X", "degree": ' + "1" * 4301 + ', "generators": []}\n')
     rc, _, err = run(capsys, "classify", "--catalog", str(path))
     assert rc == 2 and err.startswith("error: line 1: invalid JSON") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["[" * 100_000 + "]" * 100_000,
+     '{"name": "X", "degree": 1, "generators": [], "tags": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["line", "field"],
+)
+def test_catalog_nested_too_deep_exit_code(tmp_path, capsys, line):
+    # json.loads raises RecursionError, not ValueError, past the recursion limit
+    path = tmp_path / "deep.jsonl"
+    path.write_text(line + "\n")
+    for argv in (["classify", "--catalog", str(path)], ["verdict", str(path)]):
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, ""), argv
+        assert err.startswith("error: line 1: invalid JSON: maximum recursion depth")
+        assert err.count("\n") == 1

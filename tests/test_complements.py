@@ -199,6 +199,13 @@ def test_embedding_validation():
         Embedding(S4, V4, A4).validate()  # A4 not inside V4
 
 
+def test_embedding_refuses_a_non_normal_n():
+    S4 = symmetric(4)
+    two = S4.generated_subgroup([Permutation.from_cycles(4, [(0, 1)])])
+    with pytest.raises(PreconditionError, match="N normal in G"):
+        Embedding(S4, S4, two).validate()
+
+
 def test_schur_zassenhaus_small():
     # coprime order and index always split
     S3 = symmetric(3)

@@ -269,6 +269,15 @@ def test_budget_skipped_verdict_is_not_cached(fresh_verdicts, monkeypatch):
     assert (v.status, v.rule) == (HOLDS, "rose")
 
 
+def test_abelian_verdict_reads_no_element_set(fresh_verdicts):
+    """The abelian rule reads generators and the declared order only, so
+    a large cyclic group answers without being enumerated or cached."""
+    N = cyclic(19999)
+    v = verdict(N)
+    assert (v.status, v.rule, v.evidence) == (HOLDS, "abelian", ["abelian of order 19999"])
+    assert N._element_tuples is None and engine._verdict_cache == {}
+
+
 def test_verdicts_agree_across_threads_on_shared_groups(
     fresh_verdicts, monkeypatch, catalog_entries
 ):

@@ -128,7 +128,7 @@ def test_benchmark_names_resolve():
     # and the aut_group wrapper in spans reads the "aut" entry of G._cache
     engine = importlib.import_module("gaschuetz.engine")
     constructors = importlib.import_module("gaschuetz.constructors")
-    G = constructors.cyclic(3)
+    G = constructors.symmetric(3)
     engine.verdict(G)
     assert isinstance(engine._verdict_cache, dict)
     assert G.element_set in engine._verdict_cache

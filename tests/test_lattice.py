@@ -192,6 +192,13 @@ def test_minimal_supplement_s4():
     assert H1.order == 2
 
 
+def test_minimal_supplement_refuses_when_hn_is_not_g():
+    S4 = symmetric(4)
+    A4 = S4.subgroup(alternating(4).element_tuples)
+    with pytest.raises(PreconditionError, match="H N = G"):
+        minimal_supplement(S4, A4, A4)
+
+
 def test_minimal_supplement_trivial_n():
     S4 = symmetric(4)
     one = S4.subgroup([S4.identity])

@@ -1,4 +1,7 @@
+import pytest
+
 from gaschuetz import cyclic, dihedral, direct_product, quaternion8, symmetric
+from gaschuetz.errors import GroupError
 from gaschuetz.group import FiniteGroup
 from gaschuetz.isomorphism import group_fingerprint, is_isomorphic
 from gaschuetz.perm import inverse, mult, perm_order
@@ -31,6 +34,17 @@ def test_generated_groups_have_right_order_and_are_distinct():
         for i in range(len(found)):
             for j in range(i + 1, len(found)):
                 assert not is_isomorphic(found[i], found[j])
+
+
+def test_extension_data_defining_no_group_is_refused():
+    """C4's elements are 1, r, r^2, r^3 by index.  Swapping r and r^2 is no
+    automorphism; inversion is one, but fixes no z of order 4.  Neither
+    defines a group of order 8."""
+    C4 = cyclic(4)
+    r = C4.element_tuples[1]
+    for alpha, z in [((0, 2, 1, 3), z) for z in C4.element_tuples] + [((0, 3, 2, 1), r)]:
+        with pytest.raises(GroupError):
+            cyclic_extension(C4, 2, alpha, z)
 
 
 def test_extension_reconstructs_q8_and_c4():
