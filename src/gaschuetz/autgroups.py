@@ -42,7 +42,7 @@ from .group import (
     reduce_generators,
 )
 from .perm import Permutation, mult, power
-from .structure import center, cosets, derived_subgroup, element_fingerprints
+from .structure import center, cosets, derived_subgroup, element_fingerprints, is_abelian
 
 
 @dataclass
@@ -202,15 +202,20 @@ def rose_criterion(N: FiniteGroup) -> bool:
     return N.cached("rose", _rose_criterion)
 
 
+def _centerless(N: FiniteGroup) -> bool:
+    """Z(N) = 1; an abelian N is its own center, so it is not enumerated."""
+    return N.order == 1 if is_abelian(N) else center(N).is_trivial()
+
+
 def _rose_criterion(N: FiniteGroup) -> bool:
-    if not center(N).is_trivial():
+    if not _centerless(N):
         return False
     aut = aut_group(N)
     return find_complement(aut.carrier, aut.inn).exists
 
 
 def is_complete(N: FiniteGroup) -> bool:
-    if not center(N).is_trivial():
+    if not _centerless(N):
         return False
     aut = aut_group(N)
     return aut.carrier.order == aut.inn.order
@@ -233,7 +238,7 @@ def prop_special_search(N: FiniteGroup):
     are periodic in k with period L, the lcm of the members' orders, and
     no multiple of L passes, so k < L.
     """
-    if not center(N).is_trivial():
+    if not _centerless(N):
         raise PreconditionError("search requires a centerless group")
     aut = aut_group(N)
     carrier, inn = aut.carrier, aut.inn

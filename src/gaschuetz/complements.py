@@ -19,6 +19,8 @@ Two sound prunings keep the space small:
 The reported search space is the size of the space the run logically
 covered (the full fiber product); ``examined`` counts tuples actually
 touched.
+The search runs on G's element indices, in canonical order: fibers and N
+are the projection's cosets, each closure is ``ProductTable.close``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from math import prod
 from .errors import NotNormalError, PreconditionError
 from .group import (
     FiniteGroup,
-    close_set,
+    ProductTable,
     conjugations,
     drop_redundant,
     element_order,
@@ -107,7 +109,6 @@ def _search(G, N, *, collect_all=False):
     if not is_normal(N, G):
         raise NotNormalError("complement search requires N normal in G")
     degree = G.degree
-    ident = identity_images(degree)
     index = G.order // N.order
     if N.order == 1 or index == 1:
         K = (FiniteGroup(degree, G._raw_gens, order=G.order) if N.order == 1
@@ -117,14 +118,16 @@ def _search(G, N, *, collect_all=False):
     qgens = small_generating_set(Q)
     fibers = [proj.fiber(q) for q in qgens]
     full_space = prod(len(f) for f in fibers)
-    order = element_order(G)
+    table = ProductTable.of(G)
     wants = [element_order(Q)(q.images) for q in qgens]
-    levels = [[x for x in f if order(x) == w] for f, w in zip(fibers, wants)]
+    levels = [[x for x in f if table.order(x) == w] for f, w in zip(fibers, wants)]
     if not all(levels):
         return ComplementReport(False, None, full_space, 0), []
+    elements = G.element_tuples
     if not collect_all:
-        levels[0] = _orbit_reps(levels[0], N, G)
-    forbidden = frozenset(t for t in N.element_tuples if t != ident)
+        index_of = {elements[x]: x for x in levels[0]}
+        levels[0] = [index_of[t] for t in _orbit_reps(list(index_of), N, G)]
+    forbidden = frozenset(proj.fiber(identity_images(Q.degree))[1:])  # N but 1
     found = []
     examined = 0
 
@@ -132,20 +135,20 @@ def _search(G, N, *, collect_all=False):
         nonlocal examined
         last = len(lifts) + 1 == len(levels)
         for x in levels[len(lifts)]:
-            trial = close_set(lifts + [x], degree, seed=closed,
-                              forbidden=forbidden, abort_over=index, within=G)
+            trial = table.close(lifts + [x], seed=closed, forbidden=forbidden, abort_over=index)
             examined += last
             if trial is None:
                 continue
             if last:
-                found.append(FiniteGroup(degree, lifts + [x], elements=trial))
+                found.append(FiniteGroup(degree, [elements[y] for y in lifts + [x]],
+                                         elements=map(elements.__getitem__, sorted(trial))))
                 if not collect_all:
                     return True
             elif dfs(lifts + [x], trial):
                 return True
         return False
 
-    dfs([], {ident})
+    dfs([], {0})
     first = found[0] if found else None
     return ComplementReport(bool(found), first, full_space, examined), found
 

@@ -6,11 +6,12 @@ derived per-group fact is kept through ``FiniteGroup.cached``.  Groups
 beyond the configured element cap are refused with
 :class:`SizeLimitError` rather than enumerated.
 
-Every closure is ``close_set``, Dimino's coset walk (G. Butler,
+Every closure is ``_dimino``, Dimino's coset walk (G. Butler,
 *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): a
 closed group H grows to K by whole right cosets H y, found from coset
-representatives times generators, for about |K| + |K:H| |gens|
-products.  A seed passed to it must be closed; it is that H.
+representatives times generators.  A seed passed to it must be closed;
+it is that H.  ``close_set`` walks raw tuples, ``ProductTable.close`` a
+known group's element indices, each coset one gather.
 
 Products inside a group whose elements are known come from
 ``product(G)``, by base images.  A base is a list of points b whose
@@ -29,10 +30,10 @@ and ``orbits`` walk) inside a known group take that product, and so does
 Each enumerated group has one lookup table, its ``ProductTable``: the
 base, the table ``at`` from base images to element indices, the product
 and order map above, and G's products on element indices, one gather per
-right factor.  ``products`` gathers one left factor times a fixed list
-of right factors, for ``structure``'s cosets and quotients.  ``extend``
-certifies a map given by generator images, for the automorphism search
-and for actions into Aut(N) alike.
+right factor, and the closure on those indices.  ``products`` gathers
+one left factor times a fixed list of right factors, for ``structure``'s
+cosets and quotients.  ``extend`` certifies a map given by generator
+images, for the automorphism search and for actions into Aut(N) alike.
 """
 
 from __future__ import annotations
@@ -50,14 +51,7 @@ from .perm import (
 
 def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=None,
               within=None):
-    """Closure of raw image tuples under right multiplication, by cosets.
-
-    Dimino's algorithm: the set grows by whole right cosets H y of a
-    closed group H.  A list of coset representatives starts at 1; for
-    each representative r and generator g, a product y = r g outside the
-    set adds the coset H y (all new, since the set is a union of such
-    cosets) and joins the list.  Extending H to K costs about
-    |K| + |K:H| |gens| products.
+    """Closure of raw image tuples under right multiplication, by ``_dimino``.
 
     seed: optional starting element set, which must be closed (a
         subgroup); it is H for one walk over all of ``gens``, and its
@@ -69,17 +63,15 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
     already is skipped.
     cap: hard limit; exceeding it raises SizeLimitError.
     abort_over: soft limit; exceeding it returns None (search pruning).
-    forbidden: set of raw tuples; touching one returns None immediately
+    forbidden: set of raw tuples; a closure meeting one returns None
         (the identity is never treated as forbidden).
     within: a group containing the generators and the seed; the walk
         multiplies by ``product(within)``.  Once its elements are known, a
         generator outside it raises GroupError, since a lookup would name
         a wrong element.
 
-    Returns the closed set of raw tuples, or None if aborted.  Each
-    element is checked as it is added, so the limits and ``forbidden``
-    act as in a breadth-first closure, and a cap overrun reports
-    cap + 1 elements.
+    Returns the closed set of raw tuples, or None if aborted: the
+    breadth-first closure's answer.  A cap overrun reports cap + 1 elements.
     """
     ident = identity_images(degree)
     gens = [g for g in gens if g != ident]
@@ -92,9 +84,18 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
         known = within._element_set
         if known is not None and any(g not in known for g in gens):
             raise GroupError("closure generator outside the ambient group")
-    elements = set(seed or ())
-    elements.add(ident)
-    stages = [gens] if seed is not None else [gens[:i + 1] for i in range(len(gens))]
+    return _dimino({ident, *(seed or ())}, ident, gens, seed is None, mul,
+                   lambda closed, y: [mul(h, y) for h in closed], cap, forbidden, abort_over)
+
+
+def _dimino(elements, ident, gens, staged, step, coset, cap, forbidden, abort_over):
+    """Dimino's walk on any form of element: the closed set ``elements``
+    grows in place to K by whole right cosets of the closed group H, about
+    |K| + |K:H| |gens| products.  A product y = step(r, g) of a representative
+    outside it adds coset(H, y), the list of h y, all new and |H| long, so
+    the limits are checked first.  ``staged`` closes gens[:1], gens[:2], ...
+    in turn, else all of gens at once."""
+    stages = [gens[:i + 1] for i in range(len(gens))] if staged else [gens]
     for stage in stages:
         if all(g in elements for g in stage):
             continue
@@ -102,21 +103,19 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
         reps = [ident]
         for r in reps:  # the list grows while it is walked
             for g in stage:
-                y = mul(r, g)
+                y = step(r, g)
                 if y in elements:
                     continue
-                for h in closed:
-                    x = mul(h, y)
-                    if forbidden is not None and x in forbidden:
-                        return None
-                    elements.add(x)
-                    if cap is not None and len(elements) > cap:
-                        raise SizeLimitError(
-                            f"group exceeds element cap {cap}",
-                            required_order=len(elements),
-                        )
-                    if abort_over is not None and len(elements) > abort_over:
-                        return None
+                size = len(elements) + len(closed)
+                if cap is not None and size > cap:
+                    raise SizeLimitError(f"group exceeds element cap {cap}",
+                                         required_order=cap + 1)
+                if abort_over is not None and size > abort_over:
+                    return None
+                new = coset(closed, y)
+                if forbidden is not None and not forbidden.isdisjoint(new):
+                    return None
+                elements.update(new)
                 reps.append(y)
     return elements
 
@@ -195,16 +194,18 @@ def base(G):
 
 @functools.cache
 def _lookup(points):
-    """(at, elements) -> (x, y -> elements[at[key]]), the key x[y[b]] spelled
-    out for each base point b.
+    """(at, el) -> the products (x, y -> el[at[key]]) on tuples and (i, j) ->
+    at[key] on indices, the key x[y[b]] spelled out for each base point b.
 
     Compiled once per base: a key spelled out runs two to five times faster
     than one built by a loop, ``map`` or ``itemgetter`` when both factors
     vary.  ``points`` holds only ints, so the source is fixed.
     """
-    images = [f"x[y[{b}]]" for b in points]
-    key = images[0] if len(images) == 1 else "(" + "".join(i + ", " for i in images) + ")"
-    return eval(f"lambda at, el: lambda x, y: el[at[{key}]]", {})
+    def key(x, y):
+        images = [f"{x}[{y}[{b}]]" for b in points]
+        return images[0] if len(images) == 1 else "(" + "".join(i + ", " for i in images) + ")"
+    return eval(f"lambda at, el: (lambda x, y: el[at[{key('x', 'y')}]], "
+                f"lambda i, j: at[{key('el[i]', 'el[j]')}])", {})
 
 
 class FiniteGroup:
@@ -465,7 +466,7 @@ class ProductTable:
     the order-1 group), else a dict keyed by the tuple of images.  Only
     this module reads them.  ``product`` and ``element_order`` are the maps
     the functions of those names return; ``order(x)`` is the order of the
-    x-th element.
+    x-th element, and ``close`` the closure on element indices.
 
     ``col(h)[y]`` is the index of y h, and a column is built the first
     time it is read, so a search touching k elements as right factors
@@ -485,7 +486,7 @@ class ProductTable:
                 at[p] = i
         else:
             self.at = dict(zip(map(itemgetter(*points), elements), range(len(elements))))
-        self.product = _lookup(points)(self.at, elements)
+        self.product, self._times = _lookup(points)(self.at, elements)
         self.element_order = _order_walk(self.product, G.element_set, elements[0])
         self.columns = {}
 
@@ -503,6 +504,19 @@ class ProductTable:
 
     def order(self, x):
         return self.element_order(self.elements[x])
+
+    def close(self, gens, *, seed=None, forbidden=None, abort_over=None):
+        """``close_set`` on element indices, with no cap.  A coset H y is one
+        gather: the base images of h y are h's images at y's base images."""
+        elements, points, look = self.elements, self.points, self.at.__getitem__
+
+        def coset(closed, y):
+            gather = itemgetter(*[elements[y][b] for b in points])
+            return list(map(look, map(gather, map(elements.__getitem__, closed))))
+
+        start = {0, *(seed or ())}
+        return _dimino(start, 0, [g for g in gens if g], seed is None, self._times, coset,
+                       None, forbidden, abort_over)
 
     def extend(self, gens, target, imgs):
         """gens[i] -> imgs[i] of ``target`` as a homomorphism: a tuple of target

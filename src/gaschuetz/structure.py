@@ -271,16 +271,14 @@ class QuotientProjection:
     def __call__(self, g):
         return Permutation._wrap(self._image_raw(images_of(g)))
 
-    def _coset(self, number) -> tuple:
-        elements = self.source.element_tuples
-        return tuple(map(elements.__getitem__, self._members(self._reps[number])))
-
     def kernel(self) -> FiniteGroup:
-        return self.source.subgroup(self._coset(0))
+        elements = self.source.element_tuples
+        return self.source.subgroup(map(elements.__getitem__, self._members(self._reps[0])))
 
-    def fiber(self, q) -> tuple:
-        """All preimages of a quotient element: the image of coset 0."""
-        return self._coset(images_of(q)[0])
+    def fiber(self, q) -> list:
+        """All preimages of a quotient element, as ascending element indices
+        of the source: the coset that q sends coset 0 (N) to."""
+        return self._members(self._reps[images_of(q)[0]])
 
 
 def quotient(G: FiniteGroup, N: FiniteGroup):

@@ -116,6 +116,12 @@ def test_criterion_3_znthm_witnesses(name, full):
     assert b.verified
     assert b.nonexistence.exists is False
     assert b.nonexistence.method == "quotient-reduced lift-search"
+    if name == "D8":
+        # the certificate's counts, which a changed lift-visiting order would move
+        report = b.nonexistence
+        assert (report.search_space, report.examined) == (64, 16)
+        assert report.evidence[1].startswith("quotient search found 16 complement(s)")
+        assert report.evidence[-1] == "full lift search agreed (space 512, examined 24)"
     assert elapsed <= 1800.0, f"took {elapsed:.0f}s"
     _report(
         3,

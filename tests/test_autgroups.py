@@ -149,6 +149,14 @@ def test_rose_and_completeness():
     assert rose_criterion(symmetric(5))
 
 
+def test_rose_of_an_abelian_group_enumerates_nothing():
+    """An abelian N of order > 1 is its own nontrivial center, decided from
+    its generators and declared order: C19999 is never enumerated."""
+    N = cyclic(19999)
+    assert not rose_criterion(N) and not is_complete(N)
+    assert N._element_tuples is None
+
+
 def test_rose_criterion_is_cached_on_the_group(monkeypatch):
     calls = []
     find = autgroups.find_complement

@@ -228,18 +228,36 @@ def _limit_address_space(kib):
     return limit
 
 
+def _run_limited(*argv):
+    """The CLI in a fresh interpreter under a 400,000 KiB address space."""
+    src = os.path.dirname(os.path.dirname(gaschuetz.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "gaschuetz", *argv], capture_output=True,
+        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
+        preexec_fn=_limit_address_space(400_000),
+    )
+
+
 def test_memory_exhaustion_is_one_error_line():
     """D19998 is enumerated before its verdict: 19,998 elements of degree
     9,999 outgrow a 400,000 KiB address space.  The MemoryError becomes one
     ``error:`` line and exit 1.  The cap applies to the child alone."""
-    src = os.path.dirname(os.path.dirname(gaschuetz.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "gaschuetz", "verdict", "D19998"], capture_output=True,
-        text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
-        preexec_fn=_limit_address_space(400_000),
-    )
+    proc = _run_limited("verdict", "D19998")
     assert proc.returncode == 1 and proc.stdout == "" and "Traceback" not in proc.stderr
     assert proc.stderr == "error: out of memory\n"
+
+
+@pytest.mark.parametrize("argv, out", [
+    (["verdict", "C19999"],
+     "C19999 (order 19999)\nstatus: holds\nrule: abelian\n  - abelian of order 19999\n"),
+    (["rose", "C19999"], "splitting criterion: False\n"),
+])
+def test_large_cyclic_group_answers_under_a_memory_limit(argv, out):
+    """Enumerated, C19999 would hold 19,999^2 points, past the limit that
+    stops D19998; the abelian verdict and the rose criterion's center test
+    read only its generators and order, so both answer within it."""
+    proc = _run_limited(*argv)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
 
 
 @pytest.mark.parametrize(

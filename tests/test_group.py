@@ -237,43 +237,75 @@ def assert_same_closure(gens, degree, **kw):
     return want
 
 
+def _breadth_first_cases(G, same):
+    """The closure cases on G's generators: skipped stages, prefix and
+    non-prefix seeds, forbidden elements met inside a coset, and abort_over.
+    ``same(gens, **kw)`` checks one walk against ``bfs_close_set`` and
+    returns the oracle's answer; the full closure is returned."""
+    d, gens = G.degree, list(G._raw_gens)
+    ident = identity_images(d)
+    full = same(gens)
+    n = len(full)
+    if n == 1:
+        return full
+    # an identity, a repeated and a redundant generator: skipped stages
+    a = gens[0]
+    same([ident] + gens + [a])
+    same([a, mult(a, a)] + gens[1:] + [mult(gens[-1], a)])
+    # seeds generated by every prefix
+    for k in range(len(gens) + 1):
+        seed = bfs_close_set(gens[:k], d)
+        assert same(gens, seed=seed) == full
+    # a closed seed <h> not generated by a prefix of [a, h]
+    for h in sorted(full - {ident})[::7]:
+        seed = bfs_close_set([h], d)
+        both = same([a, h], seed=seed)
+        assert both == bfs_close_set([a, h], d)
+        if a not in seed:
+            # h a lies in the coset <h> a, not among the generators
+            inside = mult(next(x for x in sorted(seed) if x != ident), a)
+            assert same([a, h], seed=seed, forbidden={inside}) is None
+    if len(gens) > 1 and n > 2:
+        # g0 g1 is first met filling the coset <g0> g1
+        assert same(gens, forbidden={mult(gens[0], gens[1])}) is None
+    for limit in (n - 1, n):
+        same(gens, abort_over=limit)
+        same(gens, seed=bfs_close_set(gens[:1], d), abort_over=limit)
+    return full
+
+
 def test_close_set_matches_breadth_first_closure(small_catalog_groups):
     """The coset walk against the breadth-first closure on every group of
-    order <= 63: skipped stages, prefix and non-prefix seeds, forbidden
-    elements met inside a coset, and both limits."""
+    order <= 63: the cases above, and the cap."""
     for _, G in small_catalog_groups:
         d, gens = G.degree, list(G._raw_gens)
-        ident = identity_images(d)
-        full = assert_same_closure(gens, d)
-        n = len(full)
-        if n == 1:
-            continue
-        # an identity, a repeated and a redundant generator: skipped stages
-        a = gens[0]
-        assert_same_closure([ident] + gens + [a], d)
-        assert_same_closure([a, mult(a, a)] + gens[1:] + [mult(gens[-1], a)], d)
-        # seeds generated by every prefix
-        for k in range(len(gens) + 1):
-            seed = bfs_close_set(gens[:k], d)
-            assert assert_same_closure(gens, d, seed=seed) == full
-        # a closed seed <h> not generated by a prefix of [a, h]
-        for h in sorted(full - {ident})[::7]:
-            seed = bfs_close_set([h], d)
-            both = assert_same_closure([a, h], d, seed=seed)
-            assert both == bfs_close_set([a, h], d)
-            if a not in seed:
-                # h a lies in the coset <h> a, not among the generators
-                inside = mult(next(x for x in sorted(seed) if x != ident), a)
-                assert assert_same_closure([a, h], d, seed=seed, forbidden={inside}) is None
-        if len(gens) > 1 and n > 2:
-            # g0 g1 is first met filling the coset <g0> g1
-            assert close_set(gens, d, forbidden={mult(gens[0], gens[1])}) is None
-        for limit in (n - 1, n):
-            assert_same_closure(gens, d, abort_over=limit)
-            assert_same_closure(gens, d, seed=bfs_close_set(gens[:1], d), abort_over=limit)
+        n = len(_breadth_first_cases(G, lambda gens, **kw: assert_same_closure(gens, d, **kw)))
         for cap in {1, n // 2, n - 1}:
             if cap < n:
                 assert_same_closure(gens, d, cap=cap)
+
+
+def test_index_closure_matches_breadth_first_closure(small_catalog_groups, named_large_groups):
+    """``ProductTable.close``, the walk on element indices, against the
+    breadth-first closure on tuples, in the same cases: on every group of
+    order <= 63 (A5's base has three points, every other's one) and on the
+    named larger groups up to order 200, whose bases have two to four."""
+    groups = small_catalog_groups + [(e, G) for e, G in named_large_groups if G.order <= 200]
+    for _, G in groups:
+        table, idx = ProductTable.of(G), G.element_index
+
+        def on(tuples):
+            return None if tuples is None else {idx[t] for t in tuples}
+
+        def same(gens, *, seed=None, forbidden=None, abort_over=None):
+            want = bfs_close_set(gens, G.degree, seed=seed, forbidden=forbidden,
+                                 abort_over=abort_over)
+            got = table.close([idx[g] for g in gens], seed=on(seed),
+                              forbidden=on(forbidden), abort_over=abort_over)
+            assert got == on(want)
+            return want
+
+        _breadth_first_cases(G, same)
 
 
 @pytest.mark.parametrize("name, products, seeded", [("S3wrC2", 107, 250), ("G48_51", 70, 93)])
