@@ -19,8 +19,19 @@ Two sound prunings keep the space small:
 The reported search space is the size of the space the run logically
 covered (the full fiber product); ``examined`` counts tuples actually
 touched.
-The search runs on G's element indices, in canonical order: fibers and N
-are the projection's cosets, each closure is ``ProductTable.close``.
+The search runs on the indices of a ``ProductTable``, each closure
+``ProductTable.close``; fibers and N are the projection G -> G/N's
+cosets.  Given R normal in G with R <= N (as a projection ``modulo`` of G
+by R), the table is G/R's on R's coset numbers (``ProductTable.modulo``):
+the search then answers whether N/R has a complement in G/R, with each
+fiber the ascending R-coset numbers of G's fiber, and never builds G/R or
+(G/R)/(N/R).  Q = G/N is then numbered in G's canonical order, not in
+(G/R)/(N/R)'s; the generators the drop pass of ``small_generating_set``
+picks do not depend on that numbering (its ``reduce_generators``
+fallback does), and with them neither do the search space nor the
+counts of an exhaustive search or of one that finds nothing.  R = 1 is
+the ordinary case, on G's own table and element indices, in canonical
+order.
 """
 
 from __future__ import annotations
@@ -64,7 +75,7 @@ class Embedding:
 @dataclass
 class ComplementReport:
     exists: bool
-    complement: FiniteGroup | None
+    complement: FiniteGroup | tuple | None  # a tuple of coset numbers modulo R
     search_space: int
     examined: int
     method: str = "lift-search"
@@ -90,45 +101,60 @@ def small_generating_set(Q: FiniteGroup) -> list[Permutation]:
     return [Permutation._wrap(g) for g in gens]
 
 
-def _orbit_reps(candidates, N: FiniteGroup, G: FiniteGroup):
-    """The least member of each N-conjugation orbit on candidates in G, sorted."""
+def _orbit_reps(candidates, maps):
+    """The least member of each orbit of the conjugation ``maps`` on the
+    ascending candidate indices, in order."""
     cand_set = set(candidates)
-    found = orbits(sorted(candidates), conjugations(G, N._raw_gens))
+    found = orbits(candidates, maps)
     # conjugation must preserve the fiber and the order filter
     if not all(orb <= cand_set for _, orb in found):
         raise AssertionError("orbit left the candidate fiber")
-    return [t for t, _ in found]
+    return [x for x, _ in found]
 
 
-def _search(G, N, *, collect_all=False):
+def _search(G, N, modulo, *, collect_all=False):
     """Core lift-tuple search.  Returns (report, all_found).
 
     Without ``collect_all`` the search stops at the first complement and
     its first lift ranges over N-conjugacy orbit representatives only.
+    With ``modulo``, a projection of G by R <= N, it searches G/R for
+    complements of N/R; each found complement is the ascending tuple of
+    its coset numbers.
     """
     if not is_normal(N, G):
         raise NotNormalError("complement search requires N normal in G")
-    degree = G.degree
+    if modulo is None:
+        table = ProductTable.of(G)
+    elif modulo.source is G:
+        table = modulo.table
+    else:
+        raise PreconditionError("the projection must start from G")
+    degree, elements = G.degree, table.elements
     index = G.order // N.order
-    if N.order == 1 or index == 1:
-        K = (FiniteGroup(degree, G._raw_gens, order=G.order) if N.order == 1
-             else FiniteGroup.trivial(degree))
+    inner = table.close(map(table.index, N._raw_gens))  # N/R, of order |N|/|R| iff R <= N
+    if len(inner) * index != len(elements):
+        raise PreconditionError("the projection's kernel must lie in N")
+    if len(inner) == 1 or index == 1:  # N = R, or N = G
+        if modulo is not None:
+            K = tuple(range(len(elements) if index > 1 else 1))
+        elif index > 1:
+            K = FiniteGroup(degree, G._raw_gens, order=G.order)
+        else:
+            K = FiniteGroup.trivial(degree)
         return ComplementReport(True, K, 1, 1), [K]
     Q, proj = quotient(G, N)
+    number = (lambda fiber: fiber) if modulo is None else modulo.numbers
     qgens = small_generating_set(Q)
-    fibers = [proj.fiber(q) for q in qgens]
+    fibers = [number(proj.fiber(q)) for q in qgens]
     full_space = prod(len(f) for f in fibers)
-    table = ProductTable.of(G)
     wants = [element_order(Q)(q.images) for q in qgens]
     levels = [[x for x in f if table.order(x) == w] for f, w in zip(fibers, wants)]
     if not all(levels):
         return ComplementReport(False, None, full_space, 0), []
-    elements = G.element_tuples
     if not collect_all:
-        index_of = {elements[x]: x for x in levels[0]}
-        levels[0] = [index_of[t] for t in _orbit_reps(list(index_of), N, G)]
-    forbidden = frozenset(proj.fiber(identity_images(Q.degree))[1:])  # N but 1
-    found = []
+        levels[0] = _orbit_reps(levels[0], table.conjugations(map(table.index, N._raw_gens)))
+    forbidden = frozenset(inner) - {0}  # N/R but 1
+    found = []  # (members, lifts), members ascending
     examined = 0
 
     def dfs(lifts, closed):
@@ -140,8 +166,7 @@ def _search(G, N, *, collect_all=False):
             if trial is None:
                 continue
             if last:
-                found.append(FiniteGroup(degree, [elements[y] for y in lifts + [x]],
-                                         elements=map(elements.__getitem__, sorted(trial))))
+                found.append((tuple(sorted(trial)), lifts + [x]))
                 if not collect_all:
                     return True
             elif dfs(lifts + [x], trial):
@@ -149,20 +174,33 @@ def _search(G, N, *, collect_all=False):
         return False
 
     dfs([], {0})
+    found.sort()  # ascending indices are canonical order
+    if modulo is None:
+        found = [FiniteGroup(degree, [elements[y] for y in lifts],
+                             elements=map(elements.__getitem__, members))
+                 for members, lifts in found]
+    else:
+        found = [members for members, _ in found]
     first = found[0] if found else None
     return ComplementReport(bool(found), first, full_space, examined), found
 
 
-def find_complement(G: FiniteGroup, N: FiniteGroup) -> ComplementReport:
-    """Decide whether N has a complement in G; sound and complete."""
-    report, _ = _search(G, N)
+def find_complement(G: FiniteGroup, N: FiniteGroup, *, modulo=None) -> ComplementReport:
+    """Decide whether N has a complement in G; sound and complete.
+
+    ``modulo``: a ``QuotientProjection`` of G by R normal in G, R <= N;
+    then whether N/R has a complement in G/R, decided on G/R's coset
+    numbers without building G/R.
+    """
+    report, _ = _search(G, N, modulo)
     return report
 
 
-def exhaustive_search(G: FiniteGroup, N: FiniteGroup):
-    """Full enumeration: (report, every complement), no orbit shortcuts."""
-    report, found = _search(G, N, collect_all=True)
-    return report, sorted(found, key=lambda K: K.element_tuples)
+def exhaustive_search(G: FiniteGroup, N: FiniteGroup, *, modulo=None):
+    """Full enumeration: (report, every complement), no orbit shortcuts;
+    ``modulo`` as in ``find_complement``, each complement then a tuple of
+    coset numbers."""
+    return _search(G, N, modulo, collect_all=True)
 
 
 def all_complements(G: FiniteGroup, N: FiniteGroup) -> list[FiniteGroup]:

@@ -93,8 +93,9 @@ def _dimino(elements, ident, gens, staged, step, coset, cap, forbidden, abort_ov
     grows in place to K by whole right cosets of the closed group H, about
     |K| + |K:H| |gens| products.  A product y = step(r, g) of a representative
     outside it adds coset(H, y), the list of h y, all new and |H| long, so
-    the limits are checked first.  ``staged`` closes gens[:1], gens[:2], ...
-    in turn, else all of gens at once."""
+    the limits are checked first; when H = 1 that list is [y], added as is.
+    ``staged`` closes gens[:1], gens[:2], ... in turn, else all of gens at
+    once."""
     stages = [gens[:i + 1] for i in range(len(gens))] if staged else [gens]
     for stage in stages:
         if all(g in elements for g in stage):
@@ -112,7 +113,7 @@ def _dimino(elements, ident, gens, staged, step, coset, cap, forbidden, abort_ov
                                          required_order=cap + 1)
                 if abort_over is not None and size > abort_over:
                     return None
-                new = coset(closed, y)
+                new = coset(closed, y) if len(closed) > 1 else [y]  # H = 1: y's coset is y
                 if forbidden is not None and not forbidden.isdisjoint(new):
                     return None
                 elements.update(new)
@@ -466,7 +467,8 @@ class ProductTable:
     the order-1 group), else a dict keyed by the tuple of images.  Only
     this module reads them.  ``product`` and ``element_order`` are the maps
     the functions of those names return; ``order(x)`` is the order of the
-    x-th element, and ``close`` the closure on element indices.
+    x-th element, ``index(t)`` the index of the element t, ``conjugations``
+    conjugation on indices, and ``close`` the closure on element indices.
 
     ``col(h)[y]`` is the index of y h, and a column is built the first
     time it is read, so a search touching k elements as right factors
@@ -475,20 +477,45 @@ class ProductTable:
     ``itemgetter(g[b1], ..., g[bk])`` mapped over G's elements gives every
     key, and ``at`` turns the keys into indices, both maps in C.  One table
     per group, cached on it (``of``); G's elements must be known.
+
+    A quotient S/R has a table too, ``modulo``: its indices are R's coset
+    numbers, its elements each coset's least member (S's tuple), its base
+    S's, and its ``at`` S's composed with the coset numbering.  The key of
+    x y is read off the representatives x and y, and lands on the coset of
+    x y, which is xR yR; so every method above works unchanged on cosets,
+    and S/R is never built as a permutation group of degree |S:R|.
     """
 
     def __init__(self, G: FiniteGroup):
-        self.elements = elements = G.element_tuples
-        self.points = points = tuple(base(G))
+        elements = G.element_tuples
+        points = tuple(base(G))
         if len(points) == 1:  # at[p]: the index of the element moving the point to p
-            self.at = at = [None] * G.degree
+            at = [None] * G.degree
             for i, p in enumerate(map(itemgetter(*points), elements)):
                 at[p] = i
         else:
-            self.at = dict(zip(map(itemgetter(*points), elements), range(len(elements))))
-        self.product, self._times = _lookup(points)(self.at, elements)
-        self.element_order = _order_walk(self.product, G.element_set, elements[0])
+            at = dict(zip(map(itemgetter(*points), elements), range(len(elements))))
+        self._install(elements, points, at, G.element_set)
+
+    def _install(self, elements, points, at, known):
+        self.elements, self.points, self.at = elements, points, at
+        self._key = itemgetter(*points)  # for one point, the bare image, as ``at`` wants
+        self.product, self._times = _lookup(points)(at, elements)
+        self.element_order = _order_walk(self.product, known, elements[0])
         self.columns = {}
+
+    def modulo(self, coset_of, reps) -> "ProductTable":
+        """The table of S/R, S this table's group and R normal in S, on the
+        coset numbers ``coset_of`` (a list over S's element indices) with
+        ``reps`` the index of each coset's least member, coset 0 being R."""
+        elements = tuple(map(self.elements.__getitem__, reps))
+        if isinstance(self.at, list):
+            at = [None if i is None else coset_of[i] for i in self.at]
+        else:
+            at = dict(zip(self.at, map(coset_of.__getitem__, self.at.values())))
+        table = ProductTable.__new__(ProductTable)
+        table._install(elements, self.points, at, frozenset(elements))
+        return table
 
     @classmethod
     def of(cls, G: FiniteGroup) -> "ProductTable":
@@ -504,6 +531,16 @@ class ProductTable:
 
     def order(self, x):
         return self.element_order(self.elements[x])
+
+    def index(self, t):
+        """The index of the element t; in a quotient's table, the number of t's coset."""
+        return self.at[self._key(t)]
+
+    def conjugations(self, by):
+        """One map x -> g x g^-1 on indices per index g in ``by``."""
+        times = self._times
+        return [lambda x, g=g, ginv=self.index(inverse(self.elements[g])): times(times(g, x), ginv)
+                for g in by]
 
     def close(self, gens, *, seed=None, forbidden=None, abort_over=None):
         """``close_set`` on element indices, with no cap.  A coset H y is one
@@ -599,7 +636,11 @@ def conjugations(G: FiniteGroup, by):
 
 
 def conjugation_perm(G: FiniteGroup, g):
-    """Conjugation x -> g x g^-1 by g in G as a permutation of G's element indices."""
-    idx = G.element_index
-    conj, = conjugations(G, [g])
-    return tuple(idx[conj(x)] for x in G.element_tuples)
+    """Conjugation x -> g x g^-1 by g in G as a permutation of G's element
+    indices, by ``ProductTable.conjugations``; a g outside G raises
+    GroupError, as in ``conjugations``."""
+    if g not in G.element_set:
+        raise GroupError("conjugating element outside the group")
+    table = ProductTable.of(G)
+    conj, = table.conjugations([table.index(g)])
+    return tuple(map(conj, range(G.order)))

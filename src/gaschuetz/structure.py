@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
-    FiniteGroup, close_set, conjugations, element_order, intersection, is_normal,
-    normal_closure, orbits, product, products,
+    FiniteGroup, ProductTable, close_set, conjugations, element_order, intersection,
+    is_normal, normal_closure, orbits, product, products,
 )
 from .perm import Permutation, images_of, inverse, mult
 
@@ -231,7 +231,8 @@ def _coset_members(G: FiniteGroup, N: FiniteGroup):
 
 
 class QuotientProjection:
-    """Projection G -> G/N, with G/N acting on the cosets of N.
+    """Projection G -> G/N, with G/N acting on the cosets of N; N must be
+    normal in G.
 
     Image permutations are computed per element on demand, never as a
     full source-to-image table (the image degree is |G : N|, so a full
@@ -241,7 +242,10 @@ class QuotientProjection:
     a list element index -> coset number, and the index of each coset's
     least member as its representative; ``fiber`` and ``kernel`` recompute
     a coset from its representative, by the walk's gather over N
-    (``_coset_members``), when asked.
+    (``_coset_members``), when asked.  ``numbers`` reads the numbering, and
+    ``table``, built once when first read, is G/N's ``ProductTable`` on
+    coset numbers (``ProductTable.modulo``): products in G/N without G/N's
+    permutations.
 
     g's image sends coset r N to (g r) N: one gather over the
     representatives r (``group.products``) gives the element indices of
@@ -249,8 +253,11 @@ class QuotientProjection:
     """
 
     def __init__(self, source: FiniteGroup, N: FiniteGroup):
+        if not is_normal(N, source):
+            raise NotNormalError("quotient by a non-normal subgroup")
         self.source = source
         self._perm_cache = {}
+        self._table = None
         self._coset_of = [None] * source.order  # element index -> coset number
         self._members = _coset_members(source, N)
         walk = _coset_indices(self._members, source.order // N.order, self._coset_of)
@@ -280,6 +287,17 @@ class QuotientProjection:
         of the source: the coset that q sends coset 0 (N) to."""
         return self._members(self._reps[images_of(q)[0]])
 
+    def numbers(self, indices) -> list:
+        """The ascending numbers of the cosets that the given element indices
+        of the source lie in."""
+        return sorted(set(map(self._coset_of.__getitem__, indices)))
+
+    @property
+    def table(self) -> ProductTable:
+        if self._table is None:
+            self._table = ProductTable.of(self.source).modulo(self._coset_of, self._reps)
+        return self._table
+
 
 def quotient(G: FiniteGroup, N: FiniteGroup):
     """G/N acting on the |G : N| cosets of N, plus the projection.
@@ -287,8 +305,6 @@ def quotient(G: FiniteGroup, N: FiniteGroup):
     Cosets are indexed by their least member in canonical order, so the
     construction is deterministic.  The projection's kernel is exactly N.
     """
-    if not is_normal(N, G):
-        raise NotNormalError("quotient by a non-normal subgroup")
     proj = QuotientProjection(G, N)
     m = G.order // N.order
     if m == 1:

@@ -9,16 +9,19 @@ N has no complement in G.
 
 Everything about such a bundle is checked at the ambient direct-product
 degree (deg N + deg W), through saturated preimages; only generators of
-the large quotient G are ever materialized at the quotient degree.
+the large quotient G are ever materialized at the quotient degree.  That
+holds for both complement searches: each runs on P = N x W's cosets
+(``complements``' search modulo a normal subgroup of P), with products
+by P's lookup.
 
 Nonexistence certificate: every complement of N in G has, after
 conjugating the order-q part onto the rotation, to contain the image R
 of the base's derived subgroup (first-coordinate commutators lie in any
 complement, and rotation conjugates spread them).  The search therefore
-runs in G/R: all complements of NR/R are enumerated exhaustively, and
-each pullback contains R, hence the image of z, hence meets N.  This
-module holds the only quotient-reduced search; ``complements`` keeps
-the plain lift search.  The unreduced search over G itself is available
+runs in G/R = P/R^, R^ the preimage of R: all complements of NR/R are
+enumerated exhaustively, and each pullback contains R, hence the image
+of z, hence meets N.  This module holds the only quotient-reduced
+certificate.  The unreduced search over G = P/Z0 itself is available
 behind a flag and must agree wherever both run.
 """
 
@@ -50,6 +53,7 @@ from .errors import GroupError, PreconditionError, SizeLimitError, order_text
 from .group import FiniteGroup, element_order, is_normal, is_subgroup
 from .perm import Permutation, mult
 from .structure import (
+    QuotientProjection,
     center,
     center_meet_derived,
     derived_subgroup,
@@ -185,8 +189,9 @@ def build_znthm(N: FiniteGroup, q: int) -> WitnessBundle:
 def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> WitnessBundle:
     """Check every bundle invariant; raise on the first failed clause.
 
-    full_search additionally runs the unreduced lift search over G and
-    requires agreement with the reduced certificate.
+    full_search additionally runs the unreduced lift search over G, on
+    the central product's coset numbers of P, and requires agreement
+    with the reduced certificate.
     """
     world = bundle.construction
     if not isinstance(world, _WreathCentral):
@@ -244,8 +249,8 @@ def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> Witness
         raise GroupError("reduced search found a complement of N in G")
     bundle.nonexistence = report
 
-    if full_search:
-        direct = find_complement(G, bundle.embedding.N)
+    if full_search:  # in G = P/Z0, on the central product's coset numbers
+        direct = find_complement(P, n_hat, modulo=world.proj)
         if direct.exists != report.exists:
             raise GroupError("full search disagrees with the reduced certificate")
         report.evidence.append(
@@ -271,8 +276,9 @@ def _reduced_nonexistence(world: _WreathCentral, n_hat: FiniteGroup) -> Compleme
     complements of NR/R in G/R.  R meets N nontrivially (it contains the
     identified central element), so every pullback meets N and no
     complement survives.  The quotient search is run exhaustively so the
-    certificate does not rest on the emptiness claim alone.  n_hat is the
-    saturated preimage of N that ``verify_znthm`` has built.
+    certificate does not rest on the emptiness claim alone; it runs on the
+    cosets of R^ in P, over the preimage of NR.  n_hat is the saturated
+    preimage of N that ``verify_znthm`` has built.
     """
     P = world.P
     d_hat = FiniteGroup(P.degree, world.d_pairs, order=world.N.order ** world.q)
@@ -285,9 +291,8 @@ def _reduced_nonexistence(world: _WreathCentral, n_hat: FiniteGroup) -> Compleme
             "internal: R meets N only in the identified kernel; "
             "the reduced certificate does not apply"
         )
-    gbar, proj = quotient(P, r_hat)
-    nbar = gbar.generated_subgroup([proj(g) for g in world.n_pairs])
-    probe, quotient_complements = exhaustive_search(gbar, nbar)
+    m_hat = world.saturated(world.n_pairs + list(d_derived._raw_gens))  # the preimage of NR
+    probe, quotient_complements = exhaustive_search(P, m_hat, modulo=QuotientProjection(P, r_hat))
     evidence = [
         f"R meets N in {z_members // world.z0.order} nontrivial classes; "
         f"every complement containing R would meet N",

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import resource
@@ -228,13 +229,13 @@ def _limit_address_space(kib):
     return limit
 
 
-def _run_limited(*argv):
-    """The CLI in a fresh interpreter under a 400,000 KiB address space."""
+def _run_limited(*argv, kib=400_000):
+    """The CLI in a fresh interpreter under an address space of ``kib`` KiB."""
     src = os.path.dirname(os.path.dirname(gaschuetz.__file__))
     return subprocess.run(
         [sys.executable, "-m", "gaschuetz", *argv], capture_output=True,
         text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60,
-        preexec_fn=_limit_address_space(400_000),
+        preexec_fn=_limit_address_space(kib),
     )
 
 
@@ -258,6 +259,21 @@ def test_large_cyclic_group_answers_under_a_memory_limit(argv, out):
     read only its generators and order, so both answer within it."""
     proc = _run_limited(*argv)
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, out, "")
+
+
+@pytest.mark.parametrize("json_flag, digest", [
+    ([], "f0d710cb3d128088cb31f79eaa7f96ea7b24fb26299dc9c037891ccbeec6588d"),
+    (["--json"], "6535840b869318a7f83bacfc27365cf16287af191ae2d5aa0b2039231574aa62"),
+])
+def test_full_search_runs_under_a_memory_limit(json_flag, digest):
+    """The unreduced search runs in G = P/Z0 on coset numbers, through P's
+    degree-32 lookup: G, 6,144 elements of 6,144 points each, is never
+    enumerated, so the run fits in 200,000 KiB.  Its output is pinned by
+    SHA-256, the JSON one holding G's generators on 6,144 points."""
+    proc = _run_limited("witness", "znthm", "--group", "D8", "--q", "3", "--verify",
+                        "--full-search", *json_flag, kib=200_000)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize(

@@ -46,6 +46,21 @@ _COMMANDS = st.one_of(
         lambda c: ["complement", "--group", c[0], "--normal", c[1]] + ["--json"] * c[2]
     ),
 )
+# q: the small values, even ones, multiples of |N| for the witness groups
+# (D8 and Q8 of order 8, SL23 of order 24, S3 of order 6), negative,
+# non-numeric and 5,000-digit numerals
+_Q = st.one_of(
+    st.sampled_from(["0", "1", "2", "3", "4", "5", "6", "8", "12", "16", "24", "48", "-1",
+                     "-3", "-8", "", " ", "x", "three", "3.0", "1e3", "0x3", "--3",
+                     _HUGE, "-" + _HUGE, "1" + "0" * 4999]),
+    st.integers(-100, 100).map(str),
+)
+_WITNESS = st.tuples(
+    st.sampled_from(["D8", "Q8", "SL23", "S3", "C2", ""]).flatmap(
+        lambda name: st.just(name) if name else _TEXT), _Q,
+    st.booleans(), st.booleans(),
+).map(lambda c: ["witness", "znthm", "--group", c[0], "--q", c[1]]
+      + ["--verify"] * c[2] + ["--json"] * c[3])
 # malformed values, and small valid ones; a large element cap would let
 # an example enumerate a large group
 _BAD_VALUES = ["", " ", "abc", "0", "-5", "+0", "1e3", "1.5", "nan", "inf", "-inf",
@@ -85,3 +100,9 @@ def test_hostile_names_and_selectors_keep_the_exit_contract(argv):
 @given(_COMMANDS, _ENV)
 def test_hostile_environment_values_keep_the_exit_contract(argv, env):
     _check_contract(argv, env)
+
+
+@settings(deadline=None, max_examples=300, derandomize=True, database=None)
+@given(_WITNESS)
+def test_witness_values_keep_the_exit_contract(argv):
+    _check_contract(argv, {})

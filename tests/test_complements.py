@@ -241,6 +241,39 @@ def test_exhaustive_search_matches_the_subgroup_lattice(small_catalog_groups):
     assert pairs == 618
 
 
+def test_search_modulo_r_matches_the_search_in_the_quotient(small_catalog_groups):
+    """For every normal pair R <= M of the groups above, the search on G/R's
+    coset numbers (``modulo``) against the search in the enumerated G/R
+    over the image of M: the same (exists, search_space, examined, count),
+    and the same complements under c -> the index of the image of coset
+    c's representative."""
+    pairs = 0
+    for entry, G in small_catalog_groups:
+        if G.order > 24:
+            continue
+        normals = normal_subgroups_fast(G)
+        for R in normals:
+            Q, proj = quotient(G, R)
+            phi = [Q.element_index[proj._image_raw(t)] for t in proj.table.elements]
+            for M in normals:
+                if not R.element_set <= M.element_set:
+                    continue
+                report, found = exhaustive_search(G, M, modulo=proj)
+                want, expected = exhaustive_search(
+                    Q, Q.generated_subgroup([proj(g) for g in M._raw_gens]))
+                got = (report.exists, report.search_space, report.examined, len(found))
+                assert got == (want.exists, want.search_space, want.examined, len(expected)), (
+                    entry.name, R.order, M.order)
+                assert ({frozenset(phi[c] for c in K) for K in found}
+                        == {frozenset(map(Q.element_index.__getitem__, K.element_tuples))
+                            for K in expected}), (entry.name, R.order, M.order)
+                first = find_complement(G, M, modulo=proj)
+                assert (first.exists, first.search_space) == (want.exists, want.search_space)
+                assert first.complement is None or first.complement in found
+                pairs += 1
+    assert pairs == 2683
+
+
 def _normals_of_order(G, m):
     return [N for N in normal_subgroups_fast(G) if N.order == m]
 

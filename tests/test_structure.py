@@ -23,7 +23,9 @@ from gaschuetz import (
 )
 from gaschuetz import structure
 from gaschuetz.errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
-from gaschuetz.group import FiniteGroup, close_set, conjugation_perm, orbit, product
+from gaschuetz.group import (
+    FiniteGroup, ProductTable, close_set, conjugation_perm, orbit, product,
+)
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import inverse, mult, perm_order
 from gaschuetz.structure import (
@@ -380,17 +382,20 @@ def _check_index_walk(G, N, sample=None):
     return len(walk)
 
 
-def test_index_walk_matches_tuple_walk(small_catalog_groups, catalog_groups, relabelled):
-    """Every catalog group of order <= 63 and a relabelled copy of each, over
-    each of its normal subgroups (N = 1, N = G and the order-1 group among
-    them); the D8, q = 3 bundle's P (a base of four points) over Z0, the
-    preimages of N and H, R, 1 and P; and G/R (a base of one point, degree
-    768) over the image of N."""
-    counts = set()
-    for entry, bundled in small_catalog_groups:
-        for G in (bundled, relabelled(bundled, 11)):
-            for N in normal_subgroups_fast(G):
-                counts.add(_check_index_walk(G, N))
+@pytest.fixture(scope="module")
+def small_normal_pairs(small_catalog_groups, relabelled):
+    """(G, N) for every catalog group of order <= 63 and a relabelled copy
+    of each, N over each of its normal subgroups (N = 1, N = G and the
+    order-1 group among them)."""
+    return [(G, N) for _, bundled in small_catalog_groups
+            for G in (bundled, relabelled(bundled, 11)) for N in normal_subgroups_fast(G)]
+
+
+def test_index_walk_matches_tuple_walk(small_normal_pairs, catalog_groups):
+    """Every pair of ``small_normal_pairs``; the D8, q = 3 bundle's P (a base
+    of four points) over Z0, the preimages of N and H, R, 1 and P; and G/R
+    (a base of one point, degree 768) over the image of N."""
+    counts = {_check_index_walk(G, N) for G, N in small_normal_pairs}
     D8 = next(G for e, G in catalog_groups if e.name == "D8")
     world = build_znthm(D8, 3).construction
     P = world.P
@@ -406,6 +411,44 @@ def test_index_walk_matches_tuple_walk(small_catalog_groups, catalog_groups, rel
     nbar = gbar.generated_subgroup([proj(g) for g in world.n_pairs])
     counts.add(_check_index_walk(gbar, nbar))
     assert {1, 3, 63, 192, 768, 6144, 12288}.issubset(counts)
+
+
+def _check_quotient_table(G, R, rng):
+    """G/R's table on coset numbers (``QuotientProjection.table``) against
+    the table of the enumerated quotient group, under c -> the index of the
+    image of coset c's representative: every order, the product and column
+    of every element by a sample of right factors, and the closures of
+    pairs from the first four of them."""
+    Q, proj = quotient(G, R)
+    table, full = proj.table, ProductTable(Q)
+    n = len(table.elements)
+    phi = [Q.element_index[proj._image_raw(t)] for t in table.elements]
+    assert sorted(phi) == list(range(n)) and phi[0] == 0
+    sample = list(range(n)) if n <= 8 else rng.sample(range(n), 8)
+    reps, quots = table.elements, Q.element_tuples
+    for h in sample:
+        assert [phi[v] for v in table.col(h)] == [full.col(phi[h])[phi[y]] for y in range(n)]
+        for x in range(n):
+            got = table.index(table.product(reps[x], reps[h]))
+            assert phi[got] == full.index(full.product(quots[phi[x]], quots[phi[h]]))
+    assert [full.order(phi[x]) for x in range(n)] == [table.order(x) for x in range(n)]
+    for x, y in itertools.combinations(sample[:4], 2):
+        assert {phi[c] for c in table.close([x, y])} == full.close([phi[x], phi[y]])
+    return n
+
+
+def test_quotient_table_matches_the_quotient_group(small_normal_pairs, catalog_groups):
+    """Every pair of ``small_normal_pairs``; and the D8, q = 3 bundle's P (a
+    base of four points) over R and over the preimage of NR, which the
+    witness's certificate searches modulo R."""
+    rng = random.Random(29)
+    counts = {_check_quotient_table(G, R, rng) for G, R in small_normal_pairs}
+    D8 = next(G for e, G in catalog_groups if e.name == "D8")
+    world = build_znthm(D8, 3).construction
+    d_derived = derived_subgroup(FiniteGroup(world.P.degree, world.d_pairs, order=D8.order ** 3))
+    for gens in (d_derived._raw_gens, world.n_pairs + list(d_derived._raw_gens)):
+        counts.add(_check_quotient_table(world.P, world.saturated(gens), rng))
+    assert {1, 3, 63, 192, 768}.issubset(counts)
 
 
 def test_element_fingerprints_match_direct_count(small_catalog_groups):
