@@ -39,7 +39,7 @@ from .complements import find_complement
 from .errors import AutBudgetError, PreconditionError
 from .group import (
     FiniteGroup, ProductTable, close_set, conjugation_perm, element_order, is_normal, orbit,
-    reduce_generators,
+    pick_generators,
 )
 from .perm import Permutation, mult, power
 from .structure import center, cosets, derived_subgroup, element_fingerprints, is_abelian
@@ -102,13 +102,13 @@ class TransporterSearch:
         lists go first, to prune early.
         """
         fp_g, fp_h = element_fingerprints(G), element_fingerprints(H)
-        gens = reduce_generators(set(G.element_tuples), G.degree, within=G)
-        cands = [[i for i, t in enumerate(H.element_tuples) if fp_h[t] == fp_g[g]] for g in gens]
+        source, elements = ProductTable.of(G), G.element_tuples
+        gens = pick_generators(range(G.order), source.order, source.close)
+        cands = [[i for i, t in enumerate(H.element_tuples) if fp_h[t] == fp_g[elements[g]]]
+                 for g in gens]
         order_by = sorted(range(len(gens)), key=lambda i: (len(cands[i]), i))
-        return cls(
-            ProductTable.of(G), ProductTable.of(H),
-            [G.element_index[gens[i]] for i in order_by], [cands[i] for i in order_by],
-        )
+        return cls(source, ProductTable.of(H),
+                   [gens[i] for i in order_by], [cands[i] for i in order_by])
 
     def compatible(self, imgs, x):
         """Whether x may follow the image prefix imgs."""

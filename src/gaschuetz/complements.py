@@ -21,17 +21,19 @@ covered (the full fiber product); ``examined`` counts tuples actually
 touched.
 The search runs on the indices of a ``ProductTable``, each closure
 ``ProductTable.close``; fibers and N are the projection G -> G/N's
-cosets.  Given R normal in G with R <= N (as a projection ``modulo`` of G
-by R), the table is G/R's on R's coset numbers (``ProductTable.modulo``):
-the search then answers whether N/R has a complement in G/R, with each
-fiber the ascending R-coset numbers of G's fiber, and never builds G/R or
-(G/R)/(N/R).  Q = G/N is then numbered in G's canonical order, not in
-(G/R)/(N/R)'s; the generators the drop pass of ``small_generating_set``
-picks do not depend on that numbering (its ``reduce_generators``
-fallback does), and with them neither do the search space nor the
-counts of an exhaustive search or of one that finds nothing.  R = 1 is
-the ordinary case, on G's own table and element indices, in canonical
-order.
+cosets.  Q's generators, their pick and their orders are read from that
+projection's table on N's coset numbers (``QuotientProjection.table``),
+never from a permutation group of degree |G:N|.  Given R normal in G with R <= N (as
+a projection ``modulo`` of G by R), the search table is G/R's on R's
+coset numbers (``ProductTable.modulo``): the search then answers whether
+N/R has a complement in G/R, with each fiber the ascending R-coset
+numbers of G's fiber, and never builds G/R or (G/R)/(N/R).  Q's coset
+numbers follow G's canonical order, not (G/R)/(N/R)'s; the drop pass of
+``small_generating_set`` does not depend on that numbering (its
+``pick_generators`` fallback does), and with its picks neither do the
+search space nor the counts of an exhaustive search or of one that finds
+nothing.  R = 1 is the ordinary case, on G's own table and element
+indices, in canonical order.
 """
 
 from __future__ import annotations
@@ -45,15 +47,13 @@ from .group import (
     ProductTable,
     conjugations,
     drop_redundant,
-    element_order,
     is_normal,
     is_subgroup,
     orbit,
     orbits,
-    reduce_generators,
+    pick_generators,
 )
-from .perm import Permutation, identity_images
-from .structure import quotient
+from .structure import QuotientProjection
 
 
 @dataclass(frozen=True)
@@ -82,23 +82,21 @@ class ComplementReport:
     evidence: list = field(default_factory=list)
 
 
-def small_generating_set(Q: FiniteGroup) -> list[Permutation]:
-    """A short generating list for Q, deterministic.
+def small_generating_set(table: ProductTable, gens) -> list[int]:
+    """A short generating list, as indices, for the group of ``table``,
+    which the indices ``gens`` generate; deterministic.
 
-    Starts from the declared generators and drops the redundant ones with
-    the pass ``reduce_generators`` ends with; when more than four remain,
-    tries ``reduce_generators`` on the element set.
+    Drops the identity, repeats and redundant generators with the pass
+    ``pick_generators`` ends with; when more than four remain, tries
+    ``pick_generators`` on all of the table's indices.
     """
-    if Q.order == 1:
-        return []
-    ident = identity_images(Q.degree)
-    declared = dict.fromkeys(g for g in Q._raw_gens if g != ident)
-    gens = drop_redundant(list(declared), Q.degree, Q.order, within=Q)
+    n = len(table.elements)
+    gens = drop_redundant(list(dict.fromkeys(g for g in gens if g)), n, table.close)
     if len(gens) > 4:
-        rebuilt = reduce_generators(set(Q.element_tuples), Q.degree, within=Q)
+        rebuilt = pick_generators(range(n), table.order, table.close)
         if len(rebuilt) < len(gens):
             gens = rebuilt
-    return [Permutation._wrap(g) for g in gens]
+    return gens
 
 
 def _orbit_reps(candidates, maps):
@@ -142,12 +140,13 @@ def _search(G, N, modulo, *, collect_all=False):
         else:
             K = FiniteGroup.trivial(degree)
         return ComplementReport(True, K, 1, 1), [K]
-    Q, proj = quotient(G, N)
+    proj = QuotientProjection(G, N)
+    qtable = proj.table  # Q = G/N on N's coset numbers
     number = (lambda fiber: fiber) if modulo is None else modulo.numbers
-    qgens = small_generating_set(Q)
-    fibers = [number(proj.fiber(q)) for q in qgens]
+    qgens = small_generating_set(qtable, map(qtable.index, G._raw_gens))
+    fibers = [number(proj.fiber(c)) for c in qgens]
     full_space = prod(len(f) for f in fibers)
-    wants = [element_order(Q)(q.images) for q in qgens]
+    wants = [qtable.order(c) for c in qgens]
     levels = [[x for x in f if table.order(x) == w] for f, w in zip(fibers, wants)]
     if not all(levels):
         return ComplementReport(False, None, full_space, 0), []

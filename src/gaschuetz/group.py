@@ -332,45 +332,52 @@ class FiniteGroup:
 
 
 def reduce_generators(elements, degree, *, within):
+    """``pick_generators`` on raw tuples, multiplying in ``within``, a group
+    containing the elements."""
+    if len(elements) == 1:  # builds no table of ``within`` for the order-1 group
+        return []
+    return pick_generators(elements, element_order(within),
+                           functools.partial(close_set, degree=degree, within=within))
+
+
+def pick_generators(elements, order, close):
     """Pick a small generating set for a known element set, greedily.
 
-    Scans elements by decreasing order (ties broken canonically) and adds
-    one whenever it enlarges the generated subgroup, then drops the picks
-    that later ones made redundant.  Deterministic.  ``within`` is a group
-    containing the elements: their orders are ``element_order(within)``
-    and every closure multiplies by ``product(within)``.
+    Scans elements by decreasing ``order`` (ties broken by the elements'
+    own order) and adds one whenever it enlarges the generated subgroup,
+    then drops the picks that later ones made redundant.  Deterministic.
+    ``close(gens, seed=H)`` closes like ``close_set``, on tuples, or like
+    ``ProductTable.close``, on element indices; as index order is canonical
+    order, both pick the same elements.
     """
-    ident = identity_images(degree)
     if len(elements) == 1:
         return []
-    order = element_order(within)
-    ranked = sorted(elements, key=lambda t: (-order(t), t))
-    gens = []
-    current = {ident}
+    ranked = sorted(elements, key=lambda x: (-order(x), x))
+    gens, current = [], set()
     for cand in ranked:
         if cand in current:
             continue
         gens.append(cand)
-        current = close_set(gens, degree, seed=current, within=within)
-        if len(current) == len(elements):
+        current = close(gens, seed=current)
+        if len(current) == len(ranked):
             break
-    return drop_redundant(gens, degree, len(elements), within=within)
+    return drop_redundant(gens, len(ranked), close)
 
 
-def drop_redundant(gens, degree, order, *, within):
+def drop_redundant(gens, order, close):
     """gens, generating a group of ``order``, without the redundant ones.
 
     One forward pass drops each generator that the others still generate
     without.  Dropping a generator never makes a kept one redundant, so no
     redundant generator is left, and the result equals that of rescanning
-    from the start after every drop.  Closures multiply in ``within``.
+    from the start after every drop.  Closures are ``close(gens)``.
     """
     kept = list(gens)
     for g in gens:
         if len(kept) == 1:
             break
         trial = [x for x in kept if x != g]
-        if len(close_set(trial, degree, within=within)) == order:
+        if len(close(trial)) == order:
             kept = trial
     return kept
 

@@ -240,12 +240,12 @@ class QuotientProjection:
     numbers the cosets in the order of their least members, as ``cosets``
     yields them; coset 0 is N.  The projection keeps only that numbering,
     a list element index -> coset number, and the index of each coset's
-    least member as its representative; ``fiber`` and ``kernel`` recompute
-    a coset from its representative, by the walk's gather over N
-    (``_coset_members``), when asked.  ``numbers`` reads the numbering, and
-    ``table``, built once when first read, is G/N's ``ProductTable`` on
-    coset numbers (``ProductTable.modulo``): products in G/N without G/N's
-    permutations.
+    least member as its representative; ``fiber`` (of a coset number) and
+    ``kernel`` recompute a coset from its representative, by the walk's
+    gather over N (``_coset_members``), when asked.  ``numbers`` reads the
+    numbering, and ``table``, built once when first read, is G/N's
+    ``ProductTable`` on coset numbers (``ProductTable.modulo``): products
+    in G/N without G/N's permutations.
 
     g's image sends coset r N to (g r) N: one gather over the
     representatives r (``group.products``) gives the element indices of
@@ -282,10 +282,10 @@ class QuotientProjection:
         elements = self.source.element_tuples
         return self.source.subgroup(map(elements.__getitem__, self._members(self._reps[0])))
 
-    def fiber(self, q) -> list:
-        """All preimages of a quotient element, as ascending element indices
-        of the source: the coset that q sends coset 0 (N) to."""
-        return self._members(self._reps[images_of(q)[0]])
+    def fiber(self, c) -> list:
+        """All preimages of the c-th coset, as ascending element indices of
+        the source; c is also the quotient element's index in ``table``."""
+        return self._members(self._reps[c])
 
     def numbers(self, indices) -> list:
         """The ascending numbers of the cosets that the given element indices

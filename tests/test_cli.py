@@ -276,6 +276,17 @@ def test_full_search_runs_under_a_memory_limit(json_flag, digest):
     assert hashlib.sha256(proc.stdout.encode()).hexdigest() == digest
 
 
+def test_complement_search_reads_the_quotient_table_under_a_memory_limit():
+    """Q = G/N, 8,192 cosets, is read from G's table on coset numbers, never
+    enumerated as 8,192 permutations of 8,192 points, so the search fits in
+    100,000 KiB."""
+    proc = _run_limited("complement", "--group", "C2^11xS3", "--normal", "sylow3",
+                        kib=100_000)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == ("complement of order-3 normal subgroup in C2^11xS3: exists "
+                           "(order 4096) [space 531441, examined 1]\n")
+
+
 @pytest.mark.parametrize(
     "group, normal, rc, message",
     [

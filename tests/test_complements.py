@@ -19,7 +19,9 @@ from gaschuetz.complements import (
     small_generating_set,
 )
 from gaschuetz.errors import NotNormalError, PreconditionError
-from gaschuetz.group import close_set, is_normal, reduce_generators
+from gaschuetz.group import (
+    ProductTable, close_set, is_normal, pick_generators, reduce_generators,
+)
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import Permutation, identity_images, perm_order
 from gaschuetz.structure import quotient, sylow
@@ -136,9 +138,10 @@ def test_small_generating_set_sizes():
     for n in (3, 5, 7, 11):
         c2310 = direct_product(c2310, cyclic(n))
     for G, bound in [(symmetric(4), 2), (quaternion8(), 2), (cyclic(12), 1), (c2310, 1)]:
-        gens = small_generating_set(G)
+        table = ProductTable.of(G)
+        gens = small_generating_set(table, map(table.index, G._raw_gens))
         assert len(gens) <= bound
-        assert len(close_set([g.images for g in gens], G.degree)) == G.order
+        assert len(close_set([G.element_tuples[g] for g in gens], G.degree)) == G.order
 
 
 def restart_prune_generating_set(Q):
@@ -167,16 +170,30 @@ def restart_prune_generating_set(Q):
 
 
 def test_drop_pass_matches_restart_prune(small_catalog_groups):
-    checked = 0
+    """The pick on G/N's table, on coset numbers, against the tuple pick in
+    the permutation group G/N, whose element c starts with c.  No catalog
+    group of order <= 24 reaches the fallback; C2xC3xC5xC7xC11xS3 modulo
+    its Sylow 3-subgroup keeps five declared generators, and the fallback
+    wins with two."""
+    big = resolve_group("C2xC3xC5xC7xC11xS3")
+    pairs = [(entry.name, G, N) for entry, G in small_catalog_groups if G.order <= 24
+             for N in normal_subgroups_fast(G)]
+    pairs.append(("C2xC3xC5xC7xC11xS3", big, sylow(big, 3)))
+    for name, G, N in pairs:
+        Q, proj = quotient(G, N)
+        table = proj.table
+        got = small_generating_set(table, map(table.index, G._raw_gens))
+        assert got == [q[0] for q in restart_prune_generating_set(Q)], (name, N.order)
+    assert len(pairs) > 300 and len(got) == 2
+
+
+def test_index_picks_match_tuple_picks(small_catalog_groups):
+    """``pick_generators`` on a table's indices picks, in index form, what
+    ``reduce_generators`` picks on the element tuples."""
     for entry, G in small_catalog_groups:
-        if G.order > 24:
-            continue
-        for N in normal_subgroups_fast(G):
-            Q, _ = quotient(G, N)
-            got = [g.images for g in small_generating_set(Q)]
-            assert got == restart_prune_generating_set(Q), (entry.name, N.order)
-            checked += 1
-    assert checked > 300
+        t = ProductTable.of(G)
+        got = [G.element_tuples[i] for i in pick_generators(range(G.order), t.order, t.close)]
+        assert got == reduce_generators(set(G.element_tuples), G.degree, within=G), entry.name
 
 
 def test_agreement_with_oracle_on_small_groups():

@@ -336,7 +336,7 @@ def test_cosets_match_orbit_walk(small_catalog_groups):
             else:
                 assert list(Q._raw_gens) == images, entry.name
             for q in Q._raw_gens:
-                assert tuple(map(G.element_tuples.__getitem__, proj.fiber(q))) == members[q[0]]
+                assert tuple(map(G.element_tuples.__getitem__, proj.fiber(q[0]))) == members[q[0]]
             K, oracle = proj.kernel(), G.subgroup(members[0])
             assert K.element_tuples == oracle.element_tuples == N.element_tuples
             assert K._raw_gens == oracle._raw_gens
@@ -378,7 +378,7 @@ def _check_index_walk(G, N, sample=None):
     assert K._raw_gens == G.subgroup(walk[0])._raw_gens
     qs = Q.element_tuples if sample is None else [proj._image_raw(g) for g in sample]
     for q in qs:
-        assert tuple(map(G.element_tuples.__getitem__, proj.fiber(q))) == walk[q[0]]
+        assert tuple(map(G.element_tuples.__getitem__, proj.fiber(q[0]))) == walk[q[0]]
     return len(walk)
 
 
