@@ -4,7 +4,7 @@ aut_group backtracks over images of a small generating set of N.  The
 search runs on N's element indices, not on permutation tuples: a
 ``group.ProductTable`` answers every product as a lookup, col(h)[y]
 being the index of y h, and builds a column from |N| products only
-when the search first reads h; element orders are ``group.element_order``.
+when the search first reads h; element orders are the table's ``order``.
 So the search costs one column per element it tries, never the full
 |N| x |N| table (the multiplication-table approach of Cannon and Holt,
 J. Symbolic Comput. 35, 2003).

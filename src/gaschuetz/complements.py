@@ -45,7 +45,6 @@ from .errors import NotNormalError, PreconditionError
 from .group import (
     FiniteGroup,
     ProductTable,
-    conjugations,
     drop_redundant,
     is_normal,
     is_subgroup,
@@ -212,7 +211,8 @@ def complements_conjugate(G: FiniteGroup, N: FiniteGroup) -> bool:
     comps = all_complements(G, N)
     if not comps:
         return False
-    keys = {K.element_set for K in comps}
-    on_sets = [lambda elems, c=c: frozenset(map(c, elems))
-               for c in conjugations(G, G._raw_gens)]
-    return keys <= orbit(comps[0].element_set, on_sets)
+    table = ProductTable.of(G)
+    keys = [frozenset(map(table.index, K.element_tuples)) for K in comps]
+    on_sets = [lambda members, c=c: frozenset(map(c, members))
+               for c in table.conjugations(map(table.index, G._raw_gens))]
+    return set(keys) <= orbit(keys[0], on_sets)

@@ -10,30 +10,31 @@ Every closure is ``_dimino``, Dimino's coset walk (G. Butler,
 *Fundamental Algorithms for Permutation Groups*, LNCS 559, 1991): a
 closed group H grows to K by whole right cosets H y, found from coset
 representatives times generators.  A seed passed to it must be closed;
-it is that H.  ``close_set`` walks raw tuples, ``ProductTable.close`` a
-known group's element indices, each coset one gather.
+it is that H.  ``close_set`` walks raw tuples by ``perm.mult``, for the
+groups that have no table yet: enumeration itself and the automorphism
+carrier.
 
-Products inside a group whose elements are known come from
-``product(G)``, by base images.  A base is a list of points b whose
+Inside a group G whose elements are known, every subgroup computation
+runs on G's element indices, in canonical order, through G's one lookup
+table, its ``ProductTable``: closures, normal closures, conjugation,
+element orders, generator picks.  Tuples appear only where a
+``FiniteGroup`` is made or read: ``ProductTable.index`` turns an element
+into its index, refusing one outside G, and ``FiniteGroup.subgroup_on``
+makes the subgroup on a set of indices.
+
+The table multiplies by base images.  A base is a list of points b whose
 images name each element of G; ``base`` finds one by descending the
 stabilizer chain over G's elements.  Then x y is the element z with
-z[b] = x[y[b]] for every base point b: G's own tuple, found by one
-lookup instead of composing a degree-length tuple (Seress, *Permutation
-Group Algorithms*, 2003, ch. 4; Holt, Eick and O'Brien, *Handbook of
-Computational Group Theory*, 2005, 4.4).  A regular group's base is the
-point 0, and so is the order-1 group's.  ``perm.mult``, a C-level gather,
-stays for groups whose elements are not known yet.  Closures, normality
-tests and conjugation (the maps ``conjugations`` builds, which ``orbit``
-and ``orbits`` walk) inside a known group take that product, and so does
-``element_order``, which walks x's powers once per cyclic subgroup.
-
-Each enumerated group has one lookup table, its ``ProductTable``: the
-base, the table ``at`` from base images to element indices, the product
-and order map above, and G's products on element indices, one gather per
-right factor, and the closure on those indices.  ``products`` gathers
-one left factor times a fixed list of right factors, for ``structure``'s
-cosets and quotients.  ``extend`` certifies a map given by generator
-images, for the automorphism search and for actions into Aut(N) alike.
+z[b] = x[y[b]] for every base point b, found by one lookup instead of
+composing a degree-length tuple (Seress, *Permutation Group Algorithms*,
+2003, ch. 4; Holt, Eick and O'Brien, *Handbook of Computational Group
+Theory*, 2005, 4.4), the multiplication-table approach of Cannon and
+Holt (J. Symbolic Comput. 35, 2003).  A regular group's base is the
+point 0, and so is the order-1 group's.  ``products`` gathers one left
+factor times a fixed list of right factors, for ``structure``'s cosets
+and quotients.  ``ProductTable.extend`` certifies a map given by
+generator images, for the automorphism search and for actions into
+Aut(N) alike.
 """
 
 from __future__ import annotations
@@ -49,9 +50,10 @@ from .perm import (
 )
 
 
-def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=None,
-              within=None):
-    """Closure of raw image tuples under right multiplication, by ``_dimino``.
+def close_set(gens, degree, *, seed=None, cap=None, abort_over=None):
+    """Closure of raw image tuples under right multiplication by ``perm.mult``,
+    by ``_dimino``; inside a group whose elements are known, close on its
+    table's indices instead (``ProductTable.close``).
 
     seed: optional starting element set, which must be closed (a
         subgroup); it is H for one walk over all of ``gens``, and its
@@ -63,12 +65,6 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
     already is skipped.
     cap: hard limit; exceeding it raises SizeLimitError.
     abort_over: soft limit; exceeding it returns None (search pruning).
-    forbidden: set of raw tuples; a closure meeting one returns None
-        (the identity is never treated as forbidden).
-    within: a group containing the generators and the seed; the walk
-        multiplies by ``product(within)``.  Once its elements are known, a
-        generator outside it raises GroupError, since a lookup would name
-        a wrong element.
 
     Returns the closed set of raw tuples, or None if aborted: the
     breadth-first closure's answer.  A cap overrun reports cap + 1 elements.
@@ -78,14 +74,8 @@ def close_set(gens, degree, *, seed=None, cap=None, forbidden=None, abort_over=N
     for g in gens:
         if len(g) != degree:
             raise DegreeMismatchError("generator degree mismatch")
-    mul = mult
-    if within is not None:
-        mul = product(within)
-        known = within._element_set
-        if known is not None and any(g not in known for g in gens):
-            raise GroupError("closure generator outside the ambient group")
-    return _dimino({ident, *(seed or ())}, ident, gens, seed is None, mul,
-                   lambda closed, y: [mul(h, y) for h in closed], cap, forbidden, abort_over)
+    return _dimino({ident, *(seed or ())}, ident, gens, seed is None, mult,
+                   lambda closed, y: [mult(h, y) for h in closed], cap, None, abort_over)
 
 
 def _dimino(elements, ident, gens, staged, step, coset, cap, forbidden, abort_over):
@@ -121,57 +111,15 @@ def _dimino(elements, ident, gens, staged, step, coset, cap, forbidden, abort_ov
     return elements
 
 
-def product(G):
-    """(x, y) -> x y for elements of G, by lookup once G's elements are known.
-
-    The product is the element of G whose images of the base points b
-    are x[y[b]] (see ``base``): G's own tuple, found by one lookup in G's
-    ``ProductTable``, which keeps this map once G's elements are known.
-    Before that this returns ``mult`` and builds nothing, since it never
-    enumerates G.  A caller about to walk G's elements reads them first,
-    then takes the product.
-    """
-    if G._element_tuples is None:
-        return mult
-    return G.cached("product_table", ProductTable).product  # ProductTable.of, one call less per closure
-
-
 def element_order(G):
-    """x -> |x| for x in G, by walking x's powers once G's elements are known.
-
-    Each walk multiplies by ``product(G)`` until it reaches 1 and records
-    |x^j| = |x| / gcd(|x|, j) for every power x^j it meets, so a cyclic
-    subgroup is walked once.  Kept on G's ``ProductTable`` once G's
-    elements are known; before that this is ``perm_order`` and builds
-    nothing, as ``product`` is ``mult``.  An x outside a known G raises
-    GroupError, as in ``close_set``: a lookup with an outside factor names
-    a wrong element and the walk may never reach 1.
+    """x -> |x| for x in G: ``ProductTable.order`` of x's index once G's
+    elements are known; before that ``perm_order``, which builds nothing.
+    An x outside a known G raises GroupError (``ProductTable.index``).
     """
     if G._element_tuples is None:
         return perm_order
-    return G.cached("product_table", ProductTable).element_order  # as in product
-
-
-def _order_walk(mul, known, ident):
-    """x -> |x| for x in ``known``, walking x's powers by ``mul`` (see ``element_order``)."""
-    orders = {ident: 1}
-
-    def order(x):
-        o = orders.get(x)
-        if o is None:
-            if x not in known:
-                raise GroupError("element outside the group")
-            powers = [x]
-            y = mul(x, x)
-            while y != ident:
-                powers.append(y)
-                y = mul(y, x)
-            o = len(powers) + 1
-            for j, y in enumerate(powers, 1):
-                orders[y] = o // gcd(o, j)
-        return o
-
-    return order
+    table = ProductTable.of(G)
+    return lambda x: table.order(table.index(x))
 
 
 def base(G):
@@ -195,18 +143,21 @@ def base(G):
 
 @functools.cache
 def _lookup(points):
-    """(at, el) -> the products (x, y -> el[at[key]]) on tuples and (i, j) ->
-    at[key] on indices, the key x[y[b]] spelled out for each base point b.
+    """(at, el) -> the product (i, j) -> at[key] on element indices, the key
+    x[y[b]] spelled out for each base point b, with x = el[i] and y = el[j]
+    each read once.
 
     Compiled once per base: a key spelled out runs two to five times faster
     than one built by a loop, ``map`` or ``itemgetter`` when both factors
     vary.  ``points`` holds only ints, so the source is fixed.
     """
-    def key(x, y):
-        images = [f"{x}[{y}[{b}]]" for b in points]
-        return images[0] if len(images) == 1 else "(" + "".join(i + ", " for i in images) + ")"
-    return eval(f"lambda at, el: (lambda x, y: el[at[{key('x', 'y')}]], "
-                f"lambda i, j: at[{key('el[i]', 'el[j]')}])", {})
+    if len(points) == 1:
+        key = f"el[i][el[j][{points[0]}]]"
+    else:
+        first, *rest = points
+        key = (f"((x := el[i])[(y := el[j])[{first}]], "
+               + "".join(f"x[y[{b}]], " for b in rest) + ")")
+    return eval(f"lambda at, el: lambda i, j: at[{key}]", {})
 
 
 class FiniteGroup:
@@ -319,25 +270,32 @@ class FiniteGroup:
     # -- derived values ---------------------------------------------------
 
     def subgroup(self, elements) -> "FiniteGroup":
-        """Wrap a known-closed element collection as a subgroup of self."""
+        """Wrap a known-closed element collection as a subgroup of self; an
+        element outside self raises GroupError."""
         elems = {images_of(e) for e in elements}
         elems.add(identity_images(self.degree))
-        gens = reduce_generators(elems, self.degree, within=self)
-        return FiniteGroup(self.degree, gens, elements=elems)
+        if len(elems) == 1:  # builds no table of self for the order-1 group
+            return FiniteGroup(self.degree, [], elements=elems)
+        table = ProductTable.of(self)
+        return self.subgroup_on(set(map(table.index, elems)))
+
+    def subgroup_on(self, members, gens=None) -> "FiniteGroup":
+        """The subgroup on ``members``, a closed collection of self's element
+        indices, generated by the indices ``gens``; by default by those that
+        ``pick_generators`` picks from ``members``."""
+        table = ProductTable.of(self)
+        if gens is None:
+            gens = pick_generators(members, table.order, table.close)
+        elements = table.elements
+        return FiniteGroup(self.degree, map(elements.__getitem__, gens),
+                           elements=map(elements.__getitem__, sorted(members)))
 
     def generated_subgroup(self, gens) -> "FiniteGroup":
-        raw = [images_of(g) for g in gens]
-        elems = close_set(raw, self.degree, cap=config.element_cap(), within=self)
-        return FiniteGroup(self.degree, raw, elements=elems)
-
-
-def reduce_generators(elements, degree, *, within):
-    """``pick_generators`` on raw tuples, multiplying in ``within``, a group
-    containing the elements."""
-    if len(elements) == 1:  # builds no table of ``within`` for the order-1 group
-        return []
-    return pick_generators(elements, element_order(within),
-                           functools.partial(close_set, degree=degree, within=within))
+        """<gens> inside self, keeping ``gens`` as its generators; a generator
+        outside self raises GroupError."""
+        table = ProductTable.of(self)
+        gens = [table.index(images_of(g)) for g in gens]
+        return self.subgroup_on(table.close(gens), gens)
 
 
 def pick_generators(elements, order, close):
@@ -391,17 +349,18 @@ def is_subgroup(A: FiniteGroup, G: FiniteGroup) -> bool:
 
 
 def is_normal(N: FiniteGroup, G: FiniteGroup) -> bool:
-    """N lies in G and is closed under conjugation by G's generators.
-
-    Both factors of every conjugate then lie in G, so G's product applies.
-    """
+    """N lies in G and is closed under conjugation by G's generators, on G's
+    element indices."""
     if N.degree != G.degree:
         raise DegreeMismatchError("normality test across different degrees")
     gset = G.element_set
     if any(n not in gset for n in N._raw_gens):
         return False
-    return all(c(n) in N.element_set
-               for c in conjugations(G, G._raw_gens) for n in N._raw_gens)
+    table = ProductTable.of(G)
+    elements, members = table.elements, N.element_set
+    ns = [table.index(n) for n in N._raw_gens]
+    return all(elements[c(n)] in members
+               for c in table.conjugations(map(table.index, G._raw_gens)) for n in ns)
 
 
 def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
@@ -413,26 +372,9 @@ def intersection(A: FiniteGroup, B: FiniteGroup) -> FiniteGroup:
 
 def normal_closure(G: FiniteGroup, seed) -> FiniteGroup:
     """Smallest normal subgroup of G containing the seed elements."""
-    ident = identity_images(G.degree)
-    gens = [t for t in dict.fromkeys(map(images_of, seed)) if t != ident]
-    conj = conjugations(G, G._raw_gens)
-    cap = config.element_cap()
-    current = close_set(gens, G.degree, cap=cap, within=G)
-    # <gens> is normal once the conjugates of every generator lie in it,
-    # so each round conjugates only the generators the last round added.
-    added = list(gens)
-    while added:
-        new = {}
-        for c in conj:
-            for n in added:
-                x = c(n)
-                if x not in current:
-                    new[x] = None
-        if new:
-            gens.extend(new)
-            current = close_set(gens, G.degree, seed=current, cap=cap, within=G)
-        added = list(new)
-    return G.subgroup(current)
+    table = ProductTable.of(G)
+    gens = [table.index(images_of(t)) for t in seed]
+    return G.subgroup_on(table.normal_closure(gens, map(table.index, G._raw_gens)))
 
 
 def extend_images(steps, identity, image_identity, size):
@@ -466,16 +408,17 @@ def extend_images(steps, identity, image_identity, size):
 
 class ProductTable:
     """G's one lookup table: its base, its element indices by base images,
-    its product and order map on tuples, and its product on element indices.
+    and every product, order, conjugation and closure on those indices.
 
     ``points`` is G's base (see ``base``); ``at`` maps the base points'
     images to the index of the element of G with those images: a list over
     the image of the point for a one-point base (every regular group and
     the order-1 group), else a dict keyed by the tuple of images.  Only
-    this module reads them.  ``product`` and ``element_order`` are the maps
-    the functions of those names return; ``order(x)`` is the order of the
-    x-th element, ``index(t)`` the index of the element t, ``conjugations``
-    conjugation on indices, and ``close`` the closure on element indices.
+    this module reads them.  ``index(t)`` is the index of the element t,
+    the one way in from tuples; ``times(i, j)`` the index of the product
+    of the i-th and j-th elements; ``order(x)`` the order of the x-th
+    element; ``conjugations`` conjugation on indices; ``close`` the closure
+    on indices and ``normal_closure`` the normal closure.
 
     ``col(h)[y]`` is the index of y h, and a column is built the first
     time it is read, so a search touching k elements as right factors
@@ -505,10 +448,11 @@ class ProductTable:
         self._install(elements, points, at, G.element_set)
 
     def _install(self, elements, points, at, known):
-        self.elements, self.points, self.at = elements, points, at
+        """``known``: the elements ``index`` accepts, S's in a quotient's table."""
+        self.elements, self.points, self.at, self.known = elements, points, at, known
         self._key = itemgetter(*points)  # for one point, the bare image, as ``at`` wants
-        self.product, self._times = _lookup(points)(at, elements)
-        self.element_order = _order_walk(self.product, known, elements[0])
+        self.times = _lookup(points)(at, elements)
+        self.orders = {0: 1}
         self.columns = {}
 
     def modulo(self, coset_of, reps) -> "ProductTable":
@@ -521,7 +465,7 @@ class ProductTable:
         else:
             at = dict(zip(self.at, map(coset_of.__getitem__, self.at.values())))
         table = ProductTable.__new__(ProductTable)
-        table._install(elements, self.points, at, frozenset(elements))
+        table._install(elements, self.points, at, self.known)
         return table
 
     @classmethod
@@ -536,31 +480,66 @@ class ProductTable:
             column = self.columns[h] = list(map(self.at.__getitem__, keys))
         return column
 
-    def order(self, x):
-        return self.element_order(self.elements[x])
-
     def index(self, t):
-        """The index of the element t; in a quotient's table, the number of t's coset."""
+        """The index of the element t; in a quotient's table, the number of t's
+        coset.  An element outside the group raises GroupError: a lookup would
+        name a wrong element, and a power walk from it might never end."""
+        if t not in self.known:
+            raise GroupError("element outside the group")
         return self.at[self._key(t)]
+
+    def order(self, x):
+        """|x| for the x-th element: the walk x, x^2, ... to 1 records
+        |x^j| = |x| / gcd(|x|, j) for every power x^j it meets, so a cyclic
+        subgroup is walked once."""
+        o = self.orders.get(x)
+        if o is None:
+            times, powers = self.times, [x]
+            y = times(x, x)
+            while y:  # index 0 is the identity
+                powers.append(y)
+                y = times(y, x)
+            o = len(powers) + 1
+            for j, y in enumerate(powers, 1):
+                self.orders[y] = o // gcd(o, j)
+        return o
 
     def conjugations(self, by):
         """One map x -> g x g^-1 on indices per index g in ``by``."""
-        times = self._times
+        times = self.times
         return [lambda x, g=g, ginv=self.index(inverse(self.elements[g])): times(times(g, x), ginv)
                 for g in by]
 
     def close(self, gens, *, seed=None, forbidden=None, abort_over=None):
-        """``close_set`` on element indices, with no cap.  A coset H y is one
-        gather: the base images of h y are h's images at y's base images."""
-        elements, points, look = self.elements, self.points, self.at.__getitem__
-
-        def coset(closed, y):
-            gather = itemgetter(*[elements[y][b] for b in points])
-            return list(map(look, map(gather, map(elements.__getitem__, closed))))
-
+        """``close_set`` on element indices by ``times``, with no cap;
+        ``forbidden``, a set of indices, makes a closure meeting one return
+        None (the identity is never forbidden)."""
+        times = self.times
         start = {0, *(seed or ())}
-        return _dimino(start, 0, [g for g in gens if g], seed is None, self._times, coset,
-                       None, forbidden, abort_over)
+        return _dimino(start, 0, [g for g in gens if g], seed is None, times,
+                       lambda closed, y: [times(h, y) for h in closed], None, forbidden, abort_over)
+
+    def normal_closure(self, gens, by):
+        """The smallest subgroup containing the indices ``gens`` that conjugation
+        by the indices ``by``, generators of the group, maps to itself."""
+        gens = [g for g in dict.fromkeys(gens) if g]
+        conj = self.conjugations(by)
+        current = self.close(gens)
+        # <gens> is normal once the conjugates of every generator lie in it,
+        # so each round conjugates only the generators the last round added.
+        added = list(gens)
+        while added:
+            new = {}
+            for c in conj:
+                for n in added:
+                    x = c(n)
+                    if x not in current:
+                        new[x] = None
+            if new:
+                gens.extend(new)
+                current = self.close(gens, seed=current)
+            added = list(new)
+        return current
 
     def extend(self, gens, target, imgs):
         """gens[i] -> imgs[i] of ``target`` as a homomorphism: a tuple of target
@@ -629,25 +608,10 @@ def orbits(points, maps):
     return out
 
 
-def conjugations(G: FiniteGroup, by):
-    """One map x -> g x g^-1 of G's elements per g in ``by``, by ``product(G)``.
-
-    Once G's elements are known, a g outside G raises GroupError, as in
-    ``close_set``: a lookup with an outside factor would name a wrong element.
-    """
-    mul = product(G)
-    known = G._element_set
-    if known is not None and any(g not in known for g in by):
-        raise GroupError("conjugating element outside the group")
-    return [lambda x, g=g, ginv=inverse(g): mul(mul(g, x), ginv) for g in by]
-
-
 def conjugation_perm(G: FiniteGroup, g):
     """Conjugation x -> g x g^-1 by g in G as a permutation of G's element
     indices, by ``ProductTable.conjugations``; a g outside G raises
-    GroupError, as in ``conjugations``."""
-    if g not in G.element_set:
-        raise GroupError("conjugating element outside the group")
+    GroupError."""
     table = ProductTable.of(G)
     conj, = table.conjugations([table.index(g)])
     return tuple(map(conj, range(G.order)))

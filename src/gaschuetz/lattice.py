@@ -5,7 +5,8 @@ group, every known subgroup is joined with each atom until nothing new
 appears.  Every subgroup is a join of cyclic subgroups and every normal
 subgroup a join of conjugacy-class normal closures, so with those atoms
 the enumeration is exhaustive; the full lattice is guarded by the
-lattice order cap.
+lattice order cap.  Atoms and joins are sets of G's element indices,
+closed on its ``ProductTable``; each subgroup is made once, when listed.
 
 A join X v A already found is not closed again.  The product set XA has
 |X| |A| / |X meet A| elements, counted by set operations on the two
@@ -19,29 +20,22 @@ from __future__ import annotations
 
 from . import config
 from .errors import GroupError, PreconditionError, SizeLimitError
-from .group import FiniteGroup, close_set, is_normal, normal_closure, product
-from .perm import identity_images
+from .group import FiniteGroup, ProductTable, is_normal, pick_generators
 from .structure import conjugacy_classes, prime_factors
 
 
 def _cyclic_generators(G: FiniteGroup):
-    """(element set, [least generator]) of each nontrivial cyclic subgroup,
-    in order of the generators."""
-    ident = identity_images(G.degree)
-    elements = G.element_tuples
-    mul = product(G)
+    """(index set, [least generator]) of each nontrivial cyclic subgroup, on
+    G's element indices, in order of the generators."""
+    times = ProductTable.of(G).times
     by_key = {}
-    for t in elements:
-        if t == ident:
-            continue
-        powers = [ident, t]
-        x = t
-        while True:
-            x = mul(x, t)
-            if x == ident:
-                break
+    for t in range(1, G.order):  # index 0 is the identity
+        powers = [0, t]
+        x = times(t, t)
+        while x:
             powers.append(x)
-        # elements come in canonical order: the first to generate a
+            x = times(x, t)
+        # indices come in canonical order: the first to generate a
         # subgroup is its least generator
         by_key.setdefault(frozenset(powers), t)
     return [(key, [t]) for key, t in by_key.items()]
@@ -53,40 +47,41 @@ def _product_order(a, b) -> int:
 
 
 def _joins(G: FiniteGroup, atoms) -> list[FiniteGroup]:
-    """Every join of atom subgroups of G, each atom an (element set, generators) pair.
+    """Every join of atom subgroups of G, each atom an (index set, generator
+    indices) pair on G's element indices.
 
     Breadth-first from the trivial group: each subgroup X found is joined
     with every atom A it does not contain, and a new join keeps the
     generators it was built from.  The join is not closed when a found
     subgroup of order |X| |A| / |X meet A| contains X and A (see the module
     docstring); such a join would only repeat a found one, so every new
-    join comes from the same first (X, A) pair as without the test.
-    Sorted by order, then elements.
+    join comes from the same first (X, A) pair as without the test.  The
+    walk holds index sets; each subgroup is made once, at the end.  Sorted
+    by order, then elements.
     """
-    degree = G.degree
-    trivial = FiniteGroup.trivial(degree)
-    found = {trivial.element_set: trivial}
-    by_order = {}  # order -> element sets of the found subgroups
+    table = ProductTable.of(G)
+    trivial = frozenset([0])
+    found = {trivial: []}  # index set -> generator indices
+    by_order = {}  # order -> index sets of the found subgroups
     queue = [trivial]
-    for X in queue:  # the queue grows while it is walked
-        if X.order == G.order:
+    for xset in queue:  # the queue grows while it is walked
+        if len(xset) == G.order:
             continue
-        xset = X.element_set
         for aset, agens in atoms:
             if aset <= xset:
                 continue
             size = _product_order(xset, aset)
             if any(aset <= Y and xset <= Y for Y in by_order.get(size, ())):
                 continue
-            gens = list(X._raw_gens) + list(agens)
-            elems = close_set(gens, degree, seed=xset, within=G)
-            key = frozenset(elems)
+            gens = found[xset] + agens
+            key = frozenset(table.close(gens, seed=xset))
             if key not in found:
-                J = FiniteGroup(degree, gens, elements=elems)
-                found[key] = J
+                found[key] = gens
                 by_order.setdefault(len(key), []).append(key)
-                queue.append(J)
-    return sorted(found.values(), key=lambda s: (s.order, s.element_tuples))
+                queue.append(key)
+    # ascending index sets compare as the element tuples do: index order is canonical order
+    return [G.subgroup_on(key, found[key])
+            for key in sorted(found, key=lambda key: (len(key), sorted(key)))]
 
 
 def all_subgroups(G: FiniteGroup) -> list[FiniteGroup]:
@@ -123,14 +118,16 @@ def normal_subgroups_fast(G: FiniteGroup) -> list[FiniteGroup]:
 
 
 def _class_closures(G: FiniteGroup):
-    """(element set, generators) of the distinct normal closures of nontrivial
-    classes."""
-    ident = identity_images(G.degree)
+    """(index set, generator indices) of the distinct normal closures of
+    nontrivial classes, on G's element indices, each generated by the
+    indices ``pick_generators`` picks."""
+    table = ProductTable.of(G)
+    by = [table.index(g) for g in G._raw_gens]
     atoms = {}
-    for cls in conjugacy_classes(G):
-        if cls[0] != ident:
-            C = normal_closure(G, [cls[0]])
-            atoms.setdefault(C.element_set, C._raw_gens)
+    for cls in conjugacy_classes(G)[1:]:  # the first class is the identity's
+        key = frozenset(table.normal_closure([table.index(cls[0])], by))
+        if key not in atoms:
+            atoms[key] = pick_generators(key, table.order, table.close)
     return list(atoms.items())
 
 

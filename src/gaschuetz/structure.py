@@ -7,8 +7,8 @@ from __future__ import annotations
 
 from .errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from .group import (
-    FiniteGroup, ProductTable, close_set, conjugations, element_order, intersection,
-    is_normal, normal_closure, orbits, product, products,
+    FiniteGroup, ProductTable, element_order, intersection, is_normal, normal_closure, orbits,
+    products,
 )
 from .perm import Permutation, images_of, inverse, mult
 
@@ -116,10 +116,11 @@ def sylow(G: FiniteGroup, p: int) -> FiniteGroup:
 def _grow_sylow(G: FiniteGroup, p: int) -> FiniteGroup:
     """A Sylow p-subgroup: the p-group grown greedily in one pass over G.
 
-    G's elements are walked once in canonical order.  Each p-element t
-    outside P is adjoined when <P, t>, one closure bounded by |G|_p, is
-    still a p-group.  Every p-subgroup lies in a Sylow subgroup (Sylow's
-    theorem), so a maximal p-subgroup is Sylow, and the pass ends at one:
+    G's element indices are walked once, in canonical order, and P is
+    made once, at the end.  Each p-element t outside P is adjoined when
+    <P, t>, one closure bounded by |G|_p, is still a p-group.  Every
+    p-subgroup lies in a Sylow subgroup (Sylow's theorem), so a maximal
+    p-subgroup is Sylow, and the pass ends at one:
     a p-element x refused against an earlier P0 inside the final P lies
     in no p-group together with P, since <P0, x> lies in <P, x>.
     """
@@ -128,29 +129,27 @@ def _grow_sylow(G: FiniteGroup, p: int) -> FiniteGroup:
     while n % p == 0:
         target *= p
         n //= p
-    P = FiniteGroup.trivial(G.degree)
-    elements = G.element_tuples
-    order = element_order(G)
-    for t in elements:
-        if P.order == target:
+    table = ProductTable.of(G)
+    members, gens = {0}, []
+    for t in range(G.order):  # index order is canonical order
+        if len(members) == target:
             break
-        if t in P.element_set or target % order(t):
+        if t in members or target % table.order(t):
             continue
-        gens = P._raw_gens + (t,)
-        elems = close_set(gens, G.degree, seed=P.element_set, abort_over=target, within=G)
-        if elems is not None and target % len(elems) == 0:
-            P = FiniteGroup(G.degree, gens, elements=elems)
-    if P.order != target:
+        grown = table.close(gens + [t], seed=members, abort_over=target)
+        if grown is not None and target % len(grown) == 0:
+            members, gens = grown, gens + [t]
+    if len(members) != target:
         raise GroupError("sylow pass ended below |G|_p (internal invariant violated)")
-    return P
+    return G.subgroup_on(members, gens)
 
 
 def centralizer_of_subgroup(G: FiniteGroup, A: FiniteGroup) -> FiniteGroup:
-    agens = A._raw_gens
-    elements = G.element_tuples
-    mul = product(G)
-    return G.subgroup(
-        {t for t in elements if all(mul(t, a) == mul(a, t) for a in agens)}
+    table = ProductTable.of(G)
+    times = table.times
+    agens = [table.index(a) for a in A._raw_gens]
+    return G.subgroup_on(
+        [t for t in range(G.order) if all(times(t, a) == times(a, t) for a in agens)]
     )
 
 
@@ -160,9 +159,12 @@ def conjugacy_classes(G: FiniteGroup) -> list[tuple]:
 
 
 def _conjugacy_classes(G: FiniteGroup) -> list[tuple]:
-    # canonical order meets each class first at its least member
-    conj = conjugations(G, G._raw_gens)
-    return [tuple(sorted(cls)) for _, cls in orbits(G.element_tuples, conj)]
+    # index order, which is canonical order, meets each class first at its least member
+    table = ProductTable.of(G)
+    conj = table.conjugations(map(table.index, G._raw_gens))
+    elements = table.elements
+    return [tuple(map(elements.__getitem__, sorted(cls)))
+            for _, cls in orbits(range(G.order), conj)]
 
 
 def element_fingerprints(G: FiniteGroup) -> dict:
@@ -279,8 +281,7 @@ class QuotientProjection:
         return Permutation._wrap(self._image_raw(images_of(g)))
 
     def kernel(self) -> FiniteGroup:
-        elements = self.source.element_tuples
-        return self.source.subgroup(map(elements.__getitem__, self._members(self._reps[0])))
+        return self.source.subgroup_on(self._members(self._reps[0]))
 
     def fiber(self, c) -> list:
         """All preimages of the c-th coset, as ascending element indices of

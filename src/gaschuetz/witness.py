@@ -59,7 +59,6 @@ from .structure import (
     derived_subgroup,
     is_prime,
     is_solvable,
-    quotient,
     sylow,
 )
 
@@ -234,11 +233,12 @@ def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> Witness
     if k_order * N.order != expect_h:
         raise GroupError("N K does not fill H")
 
-    # (iii) G/H cyclic of order q; composition factors checked weakly
-    hq, _ = quotient(P, h_hat)
-    if hq.order != q:
+    # (iii) G/H cyclic of order q, read off its table on H^'s coset numbers;
+    # composition factors checked weakly
+    hq = QuotientProjection(P, h_hat).table
+    if len(hq.elements) != q:
         raise GroupError("G/H has wrong order")
-    if not _is_cyclic(hq):
+    if not any(hq.order(c) == q for c in range(q)):
         raise GroupError("G/H is not cyclic")
     if is_solvable(n_hat) != is_solvable(h_hat):
         raise GroupError("solvability of H disagrees with N")
@@ -260,12 +260,6 @@ def verify_znthm(bundle: WitnessBundle, *, full_search: bool = False) -> Witness
 
     bundle.verified = True
     return bundle
-
-
-def _is_cyclic(G: FiniteGroup) -> bool:
-    elements = G.element_tuples
-    order = element_order(G)
-    return any(order(t) == G.order for t in elements)
 
 
 def _reduced_nonexistence(world: _WreathCentral, n_hat: FiniteGroup) -> ComplementReport:

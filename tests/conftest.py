@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -7,6 +8,7 @@ from gaschuetz.constructors import (
     ActionSpec, binary_tetrahedral_matrices, cyclic, direct_product,
 )
 from gaschuetz.group import FiniteGroup
+from gaschuetz.perm import mult, perm_order
 from gaschuetz.witness import baer_bundle
 
 
@@ -42,6 +44,36 @@ def catalog_groups(catalog_entries):
 def small_catalog_groups(catalog_groups):
     """Only the exhaustive part: every group of order <= 63."""
     return [(e, G) for e, G in catalog_groups if "named-large" not in e.tags]
+
+
+def _bijection_aut_order(G):
+    """|Aut(G)| by brute force: every identity-fixing, order-preserving
+    bijection of G's elements, kept when it respects the full
+    multiplication table built by mult.  Shares no code with autgroups."""
+    elems = list(G.element_tuples)
+    n = len(elems)
+    idx = {t: i for i, t in enumerate(elems)}
+    table = [[idx[mult(a, b)] for b in elems] for a in elems]
+    by_order = {}
+    for i, t in enumerate(elems):
+        by_order.setdefault(perm_order(t), []).append(i)
+    pools = [by_order[o] for o in sorted(by_order)]
+    count = 0
+    for assignment in itertools.product(*(itertools.permutations(p) for p in pools)):
+        phi = [0] * n
+        for pool, images in zip(pools, assignment):
+            for src, dst in zip(pool, images):
+                phi[src] = dst
+        count += all(phi[table[a][b]] == table[phi[a]][phi[b]]
+                     for a in range(n) for b in range(n))
+    return count
+
+
+@pytest.fixture(scope="session")
+def bijection_aut_orders(small_catalog_groups):
+    """[(entry, G, |Aut(G)| by ``_bijection_aut_order``)] for every catalog
+    group of order <= 12, computed once per session."""
+    return [(e, G, _bijection_aut_order(G)) for e, G in small_catalog_groups if G.order <= 12]
 
 
 @pytest.fixture(scope="session")

@@ -150,44 +150,13 @@ def test_criterion_4_rose_values():
     _report(4, f"S3/S4/S5 complete, Frobenius pair true, A6 false ({a6_time:.1f}s)")
 
 
-def test_criterion_5_aut_sanity(small_catalog_groups):
-    import itertools
-
-    from gaschuetz.perm import mult
-
+def test_criterion_5_aut_sanity(bijection_aut_orders):
     assert aut_group(quaternion8()).carrier.order == 24
     assert aut_group(wreath_cyclic(symmetric(3), 2).group).carrier.order == 144
 
-    def oracle_aut_order(G):
-        elems = list(G.element_tuples)
-        n = len(elems)
-        idx = {t: i for i, t in enumerate(elems)}
-        table = [[idx[mult(a, b)] for b in elems] for a in elems]
-        by_order = {}
-        for i, t in enumerate(elems):
-            by_order.setdefault(perm_order(t), []).append(i)
-        pools = [by_order[o] for o in sorted(by_order)]
-        count = 0
-        for assignment in itertools.product(
-            *(itertools.permutations(p) for p in pools)
-        ):
-            phi = [0] * n
-            for pool, images in zip(pools, assignment):
-                for s, d in zip(pool, images):
-                    phi[s] = d
-            if all(
-                phi[table[a][b]] == table[phi[a]][phi[b]]
-                for a in range(n)
-                for b in range(n)
-            ):
-                count += 1
-        return count
-
     checked = 0
-    for entry, G in small_catalog_groups:
-        if G.order > 12:
-            continue
-        assert aut_group(G).carrier.order == oracle_aut_order(G), entry.name
+    for entry, G, order in bijection_aut_orders:
+        assert aut_group(G).carrier.order == order, entry.name
         checked += 1
     _report(5, f"Aut(Q8)=24, Aut(S3 wr C2)=144, bijection oracle on {checked} groups")
 

@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from gaschuetz import (
@@ -19,12 +21,17 @@ from gaschuetz.complements import (
     small_generating_set,
 )
 from gaschuetz.errors import NotNormalError, PreconditionError
-from gaschuetz.group import (
-    ProductTable, close_set, is_normal, pick_generators, reduce_generators,
-)
+from gaschuetz.group import ProductTable, close_set, is_normal, pick_generators
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import Permutation, identity_images, perm_order
 from gaschuetz.structure import quotient, sylow
+
+
+def tuple_pick(G):
+    """``pick_generators`` on G's element tuples, closing by mult and ranking by
+    ``perm_order``: no table involved."""
+    return pick_generators(set(G.element_tuples), perm_order,
+                           functools.partial(close_set, degree=G.degree))
 
 
 def oracle_has_complement(G, N):
@@ -163,7 +170,7 @@ def restart_prune_generating_set(Q):
                 changed = True
                 break
     if len(gens) > 4:
-        rebuilt = reduce_generators(set(Q.element_tuples), Q.degree, within=Q)
+        rebuilt = tuple_pick(Q)
         if len(rebuilt) < len(gens):
             gens = rebuilt
     return gens
@@ -188,12 +195,14 @@ def test_drop_pass_matches_restart_prune(small_catalog_groups):
 
 
 def test_index_picks_match_tuple_picks(small_catalog_groups):
-    """``pick_generators`` on a table's indices picks, in index form, what
-    ``reduce_generators`` picks on the element tuples."""
+    """``pick_generators`` on a table's indices picks, in index form, what it
+    picks on the element tuples by mult; and ``FiniteGroup.subgroup`` keeps
+    those picks."""
     for entry, G in small_catalog_groups:
         t = ProductTable.of(G)
         got = [G.element_tuples[i] for i in pick_generators(range(G.order), t.order, t.close)]
-        assert got == reduce_generators(set(G.element_tuples), G.degree, within=G), entry.name
+        assert got == tuple_pick(G), entry.name
+        assert list(G.subgroup(G.element_tuples)._raw_gens) == got, entry.name
 
 
 def test_agreement_with_oracle_on_small_groups():

@@ -24,9 +24,7 @@ from gaschuetz import group, lattice
 from gaschuetz.autgroups import aut_group
 from gaschuetz.complements import find_complement
 from gaschuetz.constructors import cyclic
-from gaschuetz.group import (
-    ProductTable, base, close_set, element_order, product, reduce_generators,
-)
+from gaschuetz.group import ProductTable, base, close_set, element_order
 from gaschuetz.perm import Permutation, identity_images, inverse, mult, perm_order
 from gaschuetz.structure import quotient
 from gaschuetz.witness import build_znthm
@@ -149,9 +147,9 @@ def test_normal_closure_of_double_transposition_is_v4():
     assert N.order == 4
 
 
-def test_reduce_generators_small():
+def test_subgroup_generators_small():
     Q8 = quaternion8()
-    gens = reduce_generators(set(Q8.element_tuples), 8, within=Q8)
+    gens = Q8.subgroup(Q8.element_tuples)._raw_gens
     assert len(close_set(gens, 8)) == 8
     assert len(gens) == 2
 
@@ -162,7 +160,9 @@ def test_declared_order_cross_check():
 
 
 def test_close_set_matches_naive_closure(small_catalog_groups):
-    """close_set against brute_closure: the set, None or SizeLimitError."""
+    """close_set against brute_closure: the set, None or SizeLimitError; and
+    ``ProductTable.close``, the same walk on indices, refusing forbidden
+    elements."""
 
     def naive(gens, degree):
         return brute_closure([Permutation(g) for g in gens], degree)
@@ -183,10 +183,12 @@ def test_close_set_matches_naive_closure(small_catalog_groups):
         for x in sorted(full - seed):
             assert close_set([h, x], d, seed=seed) == naive([h, x], d)
         # forbidden: touched by a generator, or only by a product
-        assert close_set(gens, d, forbidden={gens[0]}) is None
+        table, idx = ProductTable.of(G), G.element_index
+        on = [idx[g] for g in gens]
+        assert table.close(on, forbidden={idx[gens[0]]}) is None
         products = sorted(full - set(gens) - {ident})
         if products:
-            assert close_set(gens, d, forbidden={products[0]}) is None
+            assert table.close(on, forbidden={idx[products[0]]}) is None
         # limits just below and at the order
         assert close_set(gens, d, abort_over=n - 1) is None
         assert close_set(gens, d, abort_over=n) == full
@@ -237,9 +239,10 @@ def assert_same_closure(gens, degree, **kw):
     return want
 
 
-def _breadth_first_cases(G, same):
+def _breadth_first_cases(G, same, forbidding=True):
     """The closure cases on G's generators: skipped stages, prefix and
-    non-prefix seeds, forbidden elements met inside a coset, and abort_over.
+    non-prefix seeds, forbidden elements met inside a coset (if
+    ``forbidding``: ``close_set`` takes none), and abort_over.
     ``same(gens, **kw)`` checks one walk against ``bfs_close_set`` and
     returns the oracle's answer; the full closure is returned."""
     d, gens = G.degree, list(G._raw_gens)
@@ -261,11 +264,11 @@ def _breadth_first_cases(G, same):
         seed = bfs_close_set([h], d)
         both = same([a, h], seed=seed)
         assert both == bfs_close_set([a, h], d)
-        if a not in seed:
+        if forbidding and a not in seed:
             # h a lies in the coset <h> a, not among the generators
             inside = mult(next(x for x in sorted(seed) if x != ident), a)
             assert same([a, h], seed=seed, forbidden={inside}) is None
-    if len(gens) > 1 and n > 2:
+    if forbidding and len(gens) > 1 and n > 2:
         # g0 g1 is first met filling the coset <g0> g1
         assert same(gens, forbidden={mult(gens[0], gens[1])}) is None
     for limit in (n - 1, n):
@@ -276,10 +279,12 @@ def _breadth_first_cases(G, same):
 
 def test_close_set_matches_breadth_first_closure(small_catalog_groups):
     """The coset walk against the breadth-first closure on every group of
-    order <= 63: the cases above, and the cap."""
+    order <= 63: the cases above but forbidden elements, which only the walk
+    on indices takes, and the cap."""
     for _, G in small_catalog_groups:
         d, gens = G.degree, list(G._raw_gens)
-        n = len(_breadth_first_cases(G, lambda gens, **kw: assert_same_closure(gens, d, **kw)))
+        n = len(_breadth_first_cases(
+            G, lambda gens, **kw: assert_same_closure(gens, d, **kw), forbidding=False))
         for cap in {1, n // 2, n - 1}:
             if cap < n:
                 assert_same_closure(gens, d, cap=cap)
@@ -344,12 +349,12 @@ IRREGULAR_BASES = {
 
 
 def test_product_by_base_images_agrees_with_mult(catalog_groups, relabelled):
-    """In every enumerated group the product is a lookup by base images,
-    equal to mult on every element times every generator and on a seeded
-    sample of pairs: all catalog groups, bundled and relabelled, the Aut
-    carriers of Q8 and C5^2:Q8, the direct product P behind the D8, q = 3
-    witness, and an order-1 group.  A regular group's base is [0], and so
-    is the order-1 group's."""
+    """In every enumerated group the index product ``ProductTable.times`` is
+    a lookup by base images, naming the element mult gives for every element
+    times every generator and for a seeded sample of pairs: all catalog
+    groups, bundled and relabelled, the Aut carriers of Q8 and C5^2:Q8, the
+    direct product P behind the D8, q = 3 witness, and an order-1 group.  A
+    regular group's base is [0], and so is the order-1 group's."""
     by_name = {e.name: G for e, G in catalog_groups}
     extra = [aut_group(by_name[n]).carrier for n in ("Q8", "C5^2:Q8")]
     extra.append(build_znthm(by_name["D8"], 3).construction.P)
@@ -359,9 +364,12 @@ def test_product_by_base_images_agrees_with_mult(catalog_groups, relabelled):
     cases = [(e.name, G) for e, bundled in catalog_groups
              for G in (bundled, relabelled(bundled, 3))]
     for name, G in cases + [(None, G) for G in extra]:
-        elements = G.element_tuples
-        mul = product(G)
-        assert mul is not mult
+        elements, idx = G.element_tuples, G.element_index
+        times = ProductTable.of(G).times
+
+        def mul(x, y):
+            return elements[times(idx[x], idx[y])]
+
         if len({t[0] for t in elements}) == len(elements):
             assert base(G) == [0]
         elif name is not None:
@@ -469,21 +477,27 @@ def test_joins_within_the_group_match_plain_closures(
     small_catalog_groups, relabelled, monkeypatch
 ):
     """Every join normal_subgroups_fast makes (its cache bypassed), closed
-    inside G by lookups, equals the same closure by mult."""
+    inside G by lookups on G's table, equals the same closure by mult."""
     joins = []
+    real = ProductTable.close
 
-    def checked(gens, degree, *, within, **kw):
-        got = close_set(gens, degree, within=within, **kw)
-        assert got == close_set(gens, degree, **kw)
-        joins.append(within)
+    def checked(table, gens, *, seed=None, **kw):
+        got = real(table, gens, seed=seed, **kw)
+        elements = table.elements
+        on = [elements[g] for g in gens]
+        seed_tuples = None if seed is None else {elements[x] for x in seed}
+        assert {elements[x] for x in got} == close_set(on, len(elements[0]), seed=seed_tuples)
+        joins.append(table)
         return got
 
-    monkeypatch.setattr(lattice, "close_set", checked)
     for _, bundled in small_catalog_groups:
         for G in (bundled, relabelled(bundled, 3)):
+            atoms = lattice._class_closures(G)
             before = len(joins)
-            normals = lattice._joins(G, lattice._class_closures(G))
-            assert all(J is G for J in joins[before:])
+            with monkeypatch.context() as m:
+                m.setattr(ProductTable, "close", checked)
+                normals = lattice._joins(G, atoms)
+            assert all(t is ProductTable.of(G) for t in joins[before:])
             assert len(joins) - before >= len(normals) - 1
     assert joins
 
@@ -511,7 +525,7 @@ def test_is_normal_agrees_with_conjugation_by_mult(small_catalog_groups):
     assert seen[True] > 0 and seen[False] > 0
 
 
-def test_product_of_an_unenumerated_group_runs_no_closure(monkeypatch):
+def test_element_order_of_an_unenumerated_group_runs_no_closure(monkeypatch):
     calls = []
     real = group.close_set
 
@@ -521,27 +535,26 @@ def test_product_of_an_unenumerated_group_runs_no_closure(monkeypatch):
 
     monkeypatch.setattr(group, "close_set", counted)
     G = cyclic(6)
-    assert product(G) is mult
+    assert element_order(G) is perm_order
     assert calls == [] and G._element_tuples is None
     assert len(G.element_tuples) == 6 and len(calls) == 1
-    assert product(G) is not mult and len(calls) == 1
+    assert element_order(G) is not perm_order and len(calls) == 1
 
 
-def test_close_set_within_refuses_outside_generators():
-    """A generator outside the ambient would be named wrongly by a lookup."""
+def test_generated_subgroup_refuses_outside_generators():
+    """A generator outside the ambient would be named wrongly by a lookup:
+    the table's one way in from tuples, ``index``, refuses it."""
     r = cyclic(6)._raw_gens[0]
     r2 = mult(r, r)
     C3 = FiniteGroup(6, [r2])
     assert len(C3.element_tuples) == 3
     with pytest.raises(GroupError):
-        close_set([r], 6, within=C3)
+        ProductTable.of(C3).index(r)
     with pytest.raises(GroupError):
         C3.generated_subgroup([r])
-    assert close_set([r2], 6, within=C3) == C3.element_set
-    # an ambient whose elements are unknown is not enumerated: mult closes
-    unknown = FiniteGroup(6, [r2])
-    assert len(close_set([r], 6, within=unknown)) == 6
-    assert unknown._element_tuples is None
+    with pytest.raises(GroupError):
+        C3.subgroup([r2, r])
+    assert C3.generated_subgroup([r2]).element_set == C3.element_set
 
 
 def test_element_order_matches_perm_order(small_catalog_groups, named_large_groups, relabelled):
@@ -575,7 +588,7 @@ def test_element_order_refuses_outside_elements():
     assert C3._element_tuples is None
     assert len(C3.element_tuples) == 3
     order = element_order(C3)
-    assert order is element_order(C3) and order is not perm_order
+    assert order is not perm_order
     with pytest.raises(GroupError):
         order(r)
     assert order(mult(r, r)) == 3

@@ -69,10 +69,12 @@ def test_every_import_is_read(module):
 
 def _layout_reads(source):
     """Lines that read a base table's layout: an attribute ``at`` or
-    ``points``, or a call of ``group.base``, imported or qualified."""
+    ``points``, a private member of ``ProductTable`` (``_key``, or ``_times``
+    for the index product, which is read as ``times``), or a call of
+    ``group.base``, imported or qualified."""
     found = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Attribute) and node.attr in ("at", "points"):
+        if isinstance(node, ast.Attribute) and node.attr in ("at", "points", "_key", "_times"):
             found.append((node.lineno, node.attr))
         elif isinstance(node, ast.Call):
             f = node.func
@@ -84,14 +86,17 @@ def _layout_reads(source):
 
 
 def test_layout_read_is_caught():
-    source = "points, at = table.points, table.at\nbase(G)\ngroup.base(G)\nN.base\n"
-    assert _layout_reads(source) == [(1, "at"), (1, "points"), (2, "base"), (3, "base")]
+    source = ("points, at = table.points, table.at\nbase(G)\ngroup.base(G)\nN.base\n"
+              "key, times = table._key, table._times\ntable.times(0, 1)\n")
+    assert _layout_reads(source) == [(1, "at"), (1, "points"), (2, "base"), (3, "base"),
+                                     (5, "_key"), (5, "_times")]
 
 
 @pytest.mark.parametrize("module", [m for m in MODULES if m != "group"] + ["__main__"])
 def test_only_group_reads_the_base_layout(module):
     """How base images key element indices is decided in ``group`` alone:
-    other modules gather through ``group.products`` or a table's columns."""
+    other modules gather through ``group.products``, a table's columns or
+    its public methods."""
     with open(os.path.join(PACKAGE, module + ".py"), encoding="utf-8") as fh:
         assert _layout_reads(fh.read()) == []
 

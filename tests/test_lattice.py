@@ -1,8 +1,9 @@
+import hashlib
+
 import pytest
 
 from gaschuetz import (
     alternating,
-    center,
     cyclic,
     dihedral,
     direct_product,
@@ -11,7 +12,7 @@ from gaschuetz import (
 )
 from gaschuetz import lattice
 from gaschuetz.errors import PreconditionError, SizeLimitError
-from gaschuetz.group import FiniteGroup, close_set, is_subgroup
+from gaschuetz.group import FiniteGroup, ProductTable, close_set, is_subgroup
 from gaschuetz.lattice import (
     _class_closures,
     _cyclic_generators,
@@ -24,6 +25,9 @@ from gaschuetz.lattice import (
     subgroups_of_order,
 )
 from gaschuetz.perm import perm_order
+from gaschuetz.structure import (
+    center, conjugacy_classes, derived_subgroup, prime_factors, sylow,
+)
 
 
 # Known subgroup counts (standard values).
@@ -98,38 +102,47 @@ def test_size_cap(monkeypatch):
         all_subgroups(symmetric(4))
 
 
+def on_tuples(G, atoms):
+    """Atoms on G's element indices as (element set, generators) on tuples."""
+    elements = G.element_tuples
+    return [(frozenset(elements[x] for x in key), [elements[g] for g in gens])
+            for key, gens in atoms]
+
+
 def test_cyclic_generators_are_the_least_generators(small_catalog_groups):
     for entry, G in small_catalog_groups:
         generators_of = {}
         for t in G.element_tuples:
-            generators_of.setdefault(G.generated_subgroup([t]).element_set, []).append(t)
+            generators_of.setdefault(frozenset(close_set([t], G.degree)), []).append(t)
         least = sorted(min(ts) for key, ts in generators_of.items() if len(key) > 1)
-        atoms = _cyclic_generators(G)
+        atoms = on_tuples(G, _cyclic_generators(G))
         assert [gens for _, gens in atoms] == [[t] for t in least], entry.name
-        assert all(key == G.generated_subgroup(gens).element_set for key, gens in atoms)
+        assert all(key == close_set(gens, G.degree) for key, gens in atoms)
 
 
 def plain_joins(G, atoms):
-    """The join walk without the order test: every join of a found subgroup
-    with an atom it does not contain is closed."""
-    degree = G.degree
-    trivial = FiniteGroup.trivial(degree)
-    found = {trivial.element_set: trivial}
+    """The join walk without the order test, on G's element indices: every
+    join of a found subgroup with an atom it does not contain is closed."""
+    table = ProductTable.of(G)
+    elements = table.elements
+    trivial = frozenset([0])
+    found = {trivial: []}
     queue = [trivial]
-    for X in queue:
-        if X.order == G.order:
+    for xset in queue:
+        if len(xset) == G.order:
             continue
-        xset = X.element_set
         for aset, agens in atoms:
             if aset <= xset:
                 continue
-            gens = list(X._raw_gens) + list(agens)
-            elems = close_set(gens, degree, seed=xset, within=G)
-            key = frozenset(elems)
+            gens = found[xset] + list(agens)
+            key = frozenset(table.close(gens, seed=xset))
             if key not in found:
-                found[key] = J = FiniteGroup(degree, gens, elements=elems)
-                queue.append(J)
-    return sorted(found.values(), key=lambda s: (s.order, s.element_tuples))
+                found[key] = gens
+                queue.append(key)
+    subgroups = [FiniteGroup(G.degree, [elements[g] for g in gens],
+                             elements=[elements[x] for x in key])
+                 for key, gens in found.items()]
+    return sorted(subgroups, key=lambda s: (s.order, s.element_tuples))
 
 
 def test_join_shortcut_matches_the_plain_walk(catalog_groups, small_catalog_groups, monkeypatch):
@@ -142,17 +155,19 @@ def test_join_shortcut_matches_the_plain_walk(catalog_groups, small_catalog_grou
         return [(S.element_tuples, S._raw_gens) for S in subgroups]
 
     closures = []
+    real = ProductTable.close
 
     def counted(*args, **kw):
         closures.append(None)
-        return close_set(*args, **kw)
+        return real(*args, **kw)
 
-    monkeypatch.setattr(lattice, "close_set", counted)
     by_name = {e.name: G for e, G in catalog_groups}
     for entry, G in catalog_groups:
         atoms = _class_closures(G)
         closures.clear()
-        normals = lattice._joins(G, atoms)  # the cache bypassed, to count closures
+        with monkeypatch.context() as m:
+            m.setattr(ProductTable, "close", counted)
+            normals = lattice._joins(G, atoms)  # the cache bypassed, to count closures
         assert len(closures) == len(normals) - 1, entry.name
         assert listing(normals) == listing(plain_joins(G, atoms)), entry.name
         assert listing(normal_subgroups_fast(G)) == listing(normals), entry.name
@@ -218,3 +233,29 @@ def test_minimal_supplement_precondition():
     )
     with pytest.raises(PreconditionError):
         minimal_supplement(S4, C2, C2)  # C2 not normal / product too small
+
+
+# SHA-256 of the listings below, as computed before subgroups moved onto
+# ProductTable indices: the subgroups' element sets and generators must not
+# change with the form the walks run on.
+LISTING_DIGEST = "6ce5adaa148b8328fe6b425fc864a0827870fde1fe608abf0000c0951cc8e6e5"
+
+
+def test_subgroup_listings_are_pinned(catalog_entries):
+    """One digest over every catalog group, freshly built, of each listed
+    subgroup's (element_tuples, _raw_gens): the normal lattice, a Sylow
+    subgroup at each prime, G' and Z(G), and the full lattice up to order
+    24; and of the conjugacy classes."""
+    h = hashlib.sha256()
+    for e in catalog_entries:
+        G = e.group()
+        subs = [("normal", S) for S in normal_subgroups_fast(G)]
+        subs += [(("sylow", p), sylow(G, p)) for p in prime_factors(G.order)]
+        subs += [("derived", derived_subgroup(G)), ("center", center(G))]
+        if G.order <= 24:
+            subs += [("all", S) for S in all_subgroups(G)]
+        for label, S in subs:
+            h.update(repr((e.name, label, S.element_tuples, S._raw_gens)).encode())
+        h.update(repr((e.name, conjugacy_classes(G))).encode())
+    assert len(catalog_entries) == 326
+    assert h.hexdigest() == LISTING_DIGEST

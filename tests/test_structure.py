@@ -21,10 +21,9 @@ from gaschuetz import (
     sylow,
     symmetric,
 )
-from gaschuetz import structure
 from gaschuetz.errors import GroupError, NotNormalError, NotPrimeError, PreconditionError
 from gaschuetz.group import (
-    FiniteGroup, ProductTable, close_set, conjugation_perm, orbit, product,
+    FiniteGroup, ProductTable, close_set, conjugation_perm, orbit,
 )
 from gaschuetz.lattice import all_subgroups, normal_subgroups_fast
 from gaschuetz.perm import inverse, mult, perm_order
@@ -149,7 +148,7 @@ def test_sylow_s4():
 
 def test_sylow_pass_ending_below_the_p_part_is_an_internal_error(monkeypatch):
     # every closure refused: the pass ends at the trivial group
-    monkeypatch.setattr(structure, "close_set", lambda *args, **kwargs: None)
+    monkeypatch.setattr(ProductTable, "close", lambda *args, **kwargs: None)
     with pytest.raises(GroupError, match="internal invariant"):
         sylow(symmetric(4), 2)
 
@@ -346,12 +345,11 @@ def _tuple_walk_cosets(G, N):
     """The coset walk on raw tuples, one member at a time: t N for each t of
     G not yet seen, in canonical order, its members sorted as tuples."""
     nelems = N.element_tuples
-    mul = product(G)
     seen = set()
     walk = []
     for t in G.element_tuples:
         if t not in seen:
-            coset = tuple(sorted(mul(t, n) for n in nelems))
+            coset = tuple(sorted(mult(t, n) for n in nelems))
             seen.update(coset)
             walk.append(coset)
     return walk
@@ -367,12 +365,11 @@ def _check_index_walk(G, N, sample=None):
     number = {x: c for c, coset in enumerate(walk) for x in coset}
     Q, proj = quotient(G, N)
     assert proj._coset_of == [number[t] for t in G.element_tuples]
-    mul = product(G)
     if len(walk) == 1:
         assert Q.order == 1 and Q._raw_gens == ()
     else:
         assert list(Q._raw_gens) == [
-            tuple(number[mul(g, coset[0])] for coset in walk) for g in G._raw_gens]
+            tuple(number[mult(g, coset[0])] for coset in walk) for g in G._raw_gens]
     K = proj.kernel()
     assert K.element_tuples == N.element_tuples
     assert K._raw_gens == G.subgroup(walk[0])._raw_gens
@@ -429,8 +426,8 @@ def _check_quotient_table(G, R, rng):
     for h in sample:
         assert [phi[v] for v in table.col(h)] == [full.col(phi[h])[phi[y]] for y in range(n)]
         for x in range(n):
-            got = table.index(table.product(reps[x], reps[h]))
-            assert phi[got] == full.index(full.product(quots[phi[x]], quots[phi[h]]))
+            got = table.times(x, h)
+            assert phi[got] == full.index(mult(quots[phi[x]], quots[phi[h]]))
     assert [full.order(phi[x]) for x in range(n)] == [table.order(x) for x in range(n)]
     for x, y in itertools.combinations(sample[:4], 2):
         assert {phi[c] for c in table.close([x, y])} == full.close([phi[x], phi[y]])
